@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -27,7 +28,7 @@ from .accountant import (
 )
 from .binary_sums import BinarySumsInstance, analytic_outcome, run_game
 from .cgp import StrategyProfile, find_nash, is_potential_game, make_binary_sums_cgp
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, StepSizeError
 from .gaussian_sender import (
     GaussianMessageDist,
     SenderProblem,
@@ -42,6 +43,8 @@ from .rng import substream
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
+
+SENDER_GD_TOL = 1e-6  # largest gd_kl - aware_kl the sender oracle accepts
 
 
 class ConfigError(Exception):
@@ -154,6 +157,21 @@ SCHEMAS = {
 }
 
 
+# A JSON string, or one of the non-JSON literals Python's parser accepts.
+_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
+
+
+def _reject_constant(raw_text: str):
+    """parse_constant hook: NaN and +-Infinity are not JSON numbers."""
+    def reject(name: str):
+        # The parser meets literals in text order, so the first one outside a
+        # string is the one being rejected.
+        pos = next(m.start(1) for m in _STRING_OR_CONSTANT.finditer(raw_text) if m.group(1))
+        lineno = raw_text.count("\n", 0, pos) + 1
+        raise ConfigError(f"line {lineno}: {name} is not a JSON number")
+    return reject
+
+
 def load_config(path: str, command: str) -> dict:
     try:
         with open(path) as fh:
@@ -161,7 +179,7 @@ def load_config(path: str, command: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_constant=_reject_constant(raw))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}: malformed JSON in {path}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -304,13 +322,16 @@ def cmd_sender(config: dict, seed: int, jobs: int = 1) -> tuple:
     table = ResultTable([
         "noise_var", "oblivious_kl", "aware_kl", "gd_kl", "gd_vs_closed_form",
     ])
+    agree = True
     for noise in config["noise_vars"]:
         problem = SenderProblem(target, float(noise))
         obl = oblivious_optimum(problem)
         aware = aware_optimum(problem)
         gd = aware_optimum_gd(problem, steps=config.get("gd_steps", 6000),
                               learning_rate=config.get("gd_learning_rate", 0.1))
-        table.append(noise, obl.kl, aware.kl, gd.kl, gd.kl - aware.kl)
+        gap = gd.kl - aware.kl
+        agree &= gap <= SENDER_GD_TOL  # False for a NaN gap too
+        table.append(noise, obl.kl, aware.kl, gd.kl, gap)
     svg = None
     if "svg" in config:
         xs = [float(n) for n in config["noise_vars"]]
@@ -318,7 +339,7 @@ def cmd_sender(config: dict, seed: int, jobs: int = 1) -> tuple:
             "oblivious": (xs, table.column("oblivious_kl")),
             "aware": (xs, table.column("aware_kl")),
         }, "noise variance", "KL to target")
-    return table, EXIT_OK, svg
+    return table, (EXIT_OK if agree else EXIT_INFEASIBLE), svg
 
 
 COMMANDS = {
@@ -367,6 +388,9 @@ def main(argv=None) -> int:
     except (InvalidParameterError, ValueError) as exc:
         print(f"dpcomm {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except StepSizeError as exc:
+        print(f"dpcomm {args.command}: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     os.makedirs(out_dir, exist_ok=True)
     table.provenance = provenance_block(config, args.seed)
     out_path = os.path.join(out_dir, f"{args.command.replace('-', '_')}.{args.format}")

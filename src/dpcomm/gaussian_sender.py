@@ -47,7 +47,6 @@ class GaussianMessageDist:
 
     mean: np.ndarray
     cov: np.ndarray
-    diagonal_flag: bool = False
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -68,8 +67,7 @@ class GaussianMessageDist:
 
     @classmethod
     def from_diagonal(cls, mean, variances) -> "GaussianMessageDist":
-        return cls(np.asarray(mean, dtype=float), np.diag(np.asarray(variances, dtype=float)),
-                   diagonal_flag=True)
+        return cls(np.asarray(mean, dtype=float), np.diag(np.asarray(variances, dtype=float)))
 
     @property
     def dim(self) -> int:
@@ -130,9 +128,7 @@ def kl_gaussian(p: GaussianMessageDist, q: GaussianMessageDist) -> float:
 
 def _sent(dist: GaussianMessageDist, noise_var: float) -> GaussianMessageDist:
     """Post-noise message distribution, N(mu, Sigma + noise_var * I)."""
-    return GaussianMessageDist(
-        dist.mean, dist.cov + noise_var * np.eye(dist.dim), dist.diagonal_flag
-    )
+    return GaussianMessageDist(dist.mean, dist.cov + noise_var * np.eye(dist.dim))
 
 
 def oblivious_optimum(problem: SenderProblem) -> SenderSolution:
@@ -141,8 +137,7 @@ def oblivious_optimum(problem: SenderProblem) -> SenderSolution:
     Returned KL is the divergence actually incurred by the post-noise message
     N(mu*, Sigma* + noise_var * I) from the target.
     """
-    dist = GaussianMessageDist(problem.target.mean, problem.target.cov,
-                               problem.target.diagonal_flag)
+    dist = GaussianMessageDist(problem.target.mean, problem.target.cov)
     return SenderSolution(dist, kl_gaussian(_sent(dist, problem.noise_var), problem.target))
 
 
@@ -156,8 +151,42 @@ def aware_optimum(problem: SenderProblem) -> SenderSolution:
     eigvals, eigvecs = np.linalg.eigh(problem.target.cov)
     shrunk = np.clip(eigvals - problem.noise_var, 0.0, None)
     cov = (eigvecs * shrunk) @ eigvecs.T
-    dist = GaussianMessageDist(problem.target.mean, cov, problem.target.diagonal_flag)
+    dist = GaussianMessageDist(problem.target.mean, cov)
     return SenderSolution(dist, kl_gaussian(_sent(dist, problem.noise_var), problem.target))
+
+
+def _target_terms(target: GaussianMessageDist) -> tuple[np.ndarray, float]:
+    """Inverse and log-determinant of the target covariance, checked once.
+
+    The same positive-definiteness test ``kl_gaussian`` applies to its q.
+    """
+    sign, logdet = np.linalg.slogdet(target.cov)
+    if sign <= 0 or np.linalg.eigvalsh(target.cov).min() <= 0:
+        raise SingularTargetError("q covariance must be positive-definite")
+    return np.linalg.inv(target.cov), float(logdet)
+
+
+def _sent_kl(target_inv: np.ndarray, logdet_q: float, diff: np.ndarray,
+             sent: np.ndarray) -> float:
+    """``kl_gaussian`` of a post-noise message against a checked target, on raw arrays.
+
+    diff = mu - mu*. ``sent`` is the post-noise covariance: a vector of
+    variances for a diagonal sender (O(d) work past the quadratic form) or a
+    dense matrix (one Cholesky). A degenerate message gives +inf.
+    """
+    if sent.ndim == 1:
+        if sent.min() <= 0:
+            return math.inf
+        logdet_p = float(np.log(sent).sum())
+        trace = float(np.diag(target_inv) @ sent)
+    else:
+        try:
+            chol = np.linalg.cholesky(sent)
+        except np.linalg.LinAlgError:
+            return math.inf
+        logdet_p = 2.0 * float(np.log(np.diag(chol)).sum())
+        trace = float(np.sum(target_inv * sent))
+    return 0.5 * (logdet_q - logdet_p + trace + float(diff @ target_inv @ diff) - diff.size)
 
 
 def objective_grad_diag(problem: SenderProblem, mean: np.ndarray, variances: np.ndarray):
@@ -169,12 +198,18 @@ def objective_grad_diag(problem: SenderProblem, mean: np.ndarray, variances: np.
     """
     mean = np.asarray(mean, dtype=float)
     variances = np.asarray(variances, dtype=float)
-    dist = GaussianMessageDist.from_diagonal(mean, variances)
-    value = kl_gaussian(_sent(dist, problem.noise_var), problem.target)
-    sent_cov = np.diag(variances + problem.noise_var)
-    target_inv = np.linalg.inv(problem.target.cov)
-    grad_mean = target_inv @ (mean - problem.target.mean)
-    grad_var = 0.5 * (np.diag(target_inv) - 1.0 / np.diag(sent_cov))
+    if mean.shape != (problem.dim,) or variances.shape != (problem.dim,):
+        raise InvalidParameterError(
+            f"mean {mean.shape} and variances {variances.shape} must have shape ({problem.dim},)"
+        )
+    if variances.min() < _EIG_FLOOR:
+        raise InvalidParameterError(f"variances must be nonnegative, got {variances.min():.3g}")
+    target_inv, logdet_q = _target_terms(problem.target)
+    diff = mean - problem.target.mean
+    sent_vars = variances + problem.noise_var
+    value = _sent_kl(target_inv, logdet_q, diff, sent_vars)
+    grad_mean = target_inv @ diff
+    grad_var = 0.5 * (np.diag(target_inv) - 1.0 / sent_vars)
     return value, grad_mean, grad_var
 
 
@@ -188,37 +223,39 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: f
     ``aware_optimum`` to high accuracy. ``full`` mode descends on a dense
     covariance factor A with Sigma = A A^T. Raises StepSizeError when the
     objective increases for 10 consecutive steps.
+
+    The target is checked once; the loop then runs on raw arrays and
+    evaluates the post-noise KL once per step.
     """
     if mode not in ("diagonal", "full"):
         raise InvalidParameterError("mode must be 'diagonal' or 'full'")
     d = problem.dim
     noise = problem.noise_var
-    target_inv = np.linalg.inv(problem.target.cov)
+    target_mean = problem.target.mean
+    target_inv, logdet_q = _target_terms(problem.target)
+    target_inv_diag = np.diag(target_inv)
+    noise_eye = noise * np.eye(d)
     mean = np.zeros(d)
     if mode == "diagonal":
         variances = np.ones(d)
     else:
         factor = np.eye(d)
 
-    def current() -> GaussianMessageDist:
-        if mode == "diagonal":
-            return GaussianMessageDist.from_diagonal(mean, variances)
-        return GaussianMessageDist(mean, factor @ factor.T)
-
     def objective() -> float:
-        return kl_gaussian(_sent(current(), noise), problem.target)
+        sent = variances + noise if mode == "diagonal" else factor @ factor.T + noise_eye
+        return _sent_kl(target_inv, logdet_q, mean - target_mean, sent)
 
     prev = objective()
     bad_steps = 0
     for _ in range(steps):
+        grad_mean = target_inv @ (mean - target_mean)
         if mode == "diagonal":
-            _, grad_mean, grad_var = objective_grad_diag(problem, mean, variances)
+            grad_var = 0.5 * (target_inv_diag - 1.0 / (variances + noise))
             mean = mean - learning_rate * grad_mean
             variances = np.clip(variances - learning_rate * grad_var, 0.0, None)
         else:
-            sent_cov = factor @ factor.T + noise * np.eye(d)
+            sent_cov = factor @ factor.T + noise_eye
             grad_sigma = 0.5 * (target_inv - np.linalg.inv(sent_cov))
-            grad_mean = target_inv @ (mean - problem.target.mean)
             mean = mean - learning_rate * grad_mean
             factor = factor - learning_rate * 2.0 * (grad_sigma @ factor)
         value = objective()
@@ -232,7 +269,11 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: f
         else:
             bad_steps = 0
         prev = value
-    return SenderSolution(current(), prev)
+    if mode == "diagonal":
+        dist = GaussianMessageDist.from_diagonal(mean, variances)
+    else:
+        dist = GaussianMessageDist(mean, factor @ factor.T)
+    return SenderSolution(dist, prev)
 
 
 def sample_message(dist: GaussianMessageDist, noise_var: float, rng_seed: int,
@@ -248,11 +289,8 @@ def sample_message(dist: GaussianMessageDist, noise_var: float, rng_seed: int,
     rng = substream(rng_seed)
     d = dist.dim
     n = 1 if size is None else int(size)
-    if dist.diagonal_flag:
-        root = np.diag(np.sqrt(np.clip(np.diag(dist.cov), 0.0, None)))
-    else:
-        eigvals, eigvecs = np.linalg.eigh(dist.cov)
-        root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
+    eigvals, eigvecs = np.linalg.eigh(dist.cov)
+    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
     xi = rng.standard_normal((n, d))
     out = dist.mean + xi @ root.T
     if noise_var > 0:

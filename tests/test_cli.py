@@ -209,6 +209,25 @@ class TestSender:
         assert float(zero_noise[header.index("oblivious_kl")]) == 0.0
         assert float(zero_noise[header.index("aware_kl")]) == 0.0
 
+    def test_gd_far_from_closed_form_exits_2(self, tmp_path):
+        # Too large a step that never trips the divergence check: the table
+        # is written, but the oracle gap (about 45.6) fails the 1e-6 gate.
+        config = dict(SENDER, gd_learning_rate=100.0, gd_steps=200)
+        code, path = run(tmp_path, "sender", config)
+        assert code == EXIT_INFEASIBLE
+        _, header, rows = parse_csv(path)
+        gaps = [float(row[header.index("gd_vs_closed_form")]) for row in rows]
+        assert max(gaps) > 1.0
+
+    def test_diverging_gd_exits_2_without_traceback(self, tmp_path, capsys):
+        config = {"dim": 1, "target_mean": [1.0], "noise_vars": [0.1],
+                  "gd_learning_rate": 50.0}
+        code, path = run(tmp_path, "sender", config)
+        assert code == EXIT_INFEASIBLE
+        assert not path.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "reduce the learning rate" in err[0]
+
 
 class TestHarness:
     @pytest.mark.parametrize("command,config", [
@@ -248,3 +267,14 @@ class TestHarness:
     def test_usage_error_exit_code(self):
         assert main(["calibrate"]) == EXIT_USAGE  # --config missing
         assert main(["no-such-command", "--config", "x"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_number_exits_1(self, tmp_path, capsys, literal):
+        # "svg" names a file with the literal in it: a string is not a number.
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"dim": 1,\n "svg": "NaN-Infinity.svg",\n'
+                       f' "target_mean": [{literal}],\n "noise_vars": [0.5]}}')
+        code = main(["sender", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"line 3: {literal} is not a JSON number" in err

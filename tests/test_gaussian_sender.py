@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpcomm import (
     GaussianMessageDist,
     InvalidParameterError,
     SenderProblem,
+    SenderSolution,
     SingularTargetError,
     StepSizeError,
     aware_optimum,
@@ -41,6 +44,75 @@ def mc_kl_estimate(p, q, n, seed):
 
     draws = logpdf(p, xs) - logpdf(q, xs)
     return draws.mean(), 3.0 * draws.std(ddof=1) / math.sqrt(n)
+
+
+def _reference_aware_optimum_gd(problem, steps=5000, learning_rate=0.1, mode="diagonal"):
+    """Slow-path oracle for ``aware_optimum_gd``: the loop it replaced.
+
+    Every iterate is rebuilt as a validated GaussianMessageDist (symmetry and
+    eigenvalue checks, PSD projection) and scored by ``kl_gaussian``. The
+    gradient formulas, update order and bad-step rule are the fast path's.
+    """
+    d = problem.dim
+    noise = problem.noise_var
+    target_inv = np.linalg.inv(problem.target.cov)
+    mean = np.zeros(d)
+    variances = np.ones(d)
+    factor = np.eye(d)
+
+    def current():
+        if mode == "diagonal":
+            return GaussianMessageDist.from_diagonal(mean, variances)
+        return GaussianMessageDist(mean, factor @ factor.T)
+
+    def objective():
+        dist = current()
+        sent = GaussianMessageDist(dist.mean, dist.cov + noise * np.eye(d))
+        return kl_gaussian(sent, problem.target)
+
+    prev = objective()
+    bad_steps = 0
+    for _ in range(steps):
+        grad_mean = target_inv @ (mean - problem.target.mean)
+        if mode == "diagonal":
+            sent_cov = np.diag(variances + noise)
+            grad_var = 0.5 * (np.diag(target_inv) - 1.0 / np.diag(sent_cov))
+            mean = mean - learning_rate * grad_mean
+            variances = np.clip(variances - learning_rate * grad_var, 0.0, None)
+        else:
+            sent_cov = factor @ factor.T + noise * np.eye(d)
+            grad_sigma = 0.5 * (target_inv - np.linalg.inv(sent_cov))
+            mean = mean - learning_rate * grad_mean
+            factor = factor - learning_rate * 2.0 * (grad_sigma @ factor)
+        value = objective()
+        if math.isnan(value) or value > prev:
+            bad_steps += 1
+            if bad_steps >= 10:
+                raise StepSizeError("objective increased for 10 consecutive steps")
+        else:
+            bad_steps = 0
+        prev = value
+    return SenderSolution(current(), prev)
+
+
+def _run(solver, problem, **kwargs):
+    """A solver's solution, or None when it raised StepSizeError."""
+    try:
+        return solver(problem, **kwargs)
+    except StepSizeError:
+        return None
+
+
+def assert_matches_reference(problem, **kwargs):
+    """Fast path against the slow path: same iterates, KL within 1e-12."""
+    ref = _run(_reference_aware_optimum_gd, problem, **kwargs)
+    fast = _run(aware_optimum_gd, problem, **kwargs)
+    assert (fast is None) == (ref is None)  # StepSizeError on exactly the same runs
+    if ref is not None:
+        assert np.array_equal(fast.dist.mean, ref.dist.mean)
+        assert np.array_equal(fast.dist.cov, ref.dist.cov)
+        np.testing.assert_allclose(fast.kl, ref.kl, rtol=0.0, atol=1e-12)
+    return ref
 
 
 class TestKlGaussian:
@@ -235,6 +307,74 @@ class TestGradientDescent:
                     assert fd == pytest.approx(grad[k], rel=1e-4, abs=1e-9)
 
 
+class TestFastPathMatchesReference:
+    """``aware_optimum_gd`` against ``_reference_aware_optimum_gd``."""
+
+    @pytest.mark.parametrize("mode", ["diagonal", "full"])
+    @pytest.mark.parametrize("noise", [0.0, 0.3, 1.5])
+    def test_seeded_problems(self, noise, mode):
+        # Diagonal and non-diagonal targets in both modes; a non-diagonal
+        # target in diagonal mode leaves a KL the diagonal sender cannot close.
+        rng = np.random.default_rng(20)
+        for _ in range(3):
+            d = int(rng.integers(1, 6))
+            diagonal = GaussianMessageDist.from_diagonal(rng.normal(size=d),
+                                                         rng.uniform(0.3, 3.0, d))
+            for target in (diagonal, random_spd_target(rng, d)):
+                assert_matches_reference(SenderProblem(target, noise), steps=100, mode=mode)
+
+    def test_zero_noise_variance_projected_to_zero(self):
+        # The first step projects the small-variance coordinate onto 0; with no
+        # noise the post-noise message is degenerate and the KL is +inf.
+        target = GaussianMessageDist.from_diagonal([0.5, -1.0], [0.01, 1.0])
+        ref = assert_matches_reference(SenderProblem(target, 0.0), steps=1)
+        assert ref.kl == math.inf
+        assert ref.dist.cov[0, 0] == 0.0
+
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_zero_noise_variance_stuck_at_zero_diverges(self):
+        # After the projection above, 1/0 sends the variance to +inf and every
+        # later KL is NaN: a diverged run, reported as such.
+        target = GaussianMessageDist.from_diagonal([0.5, -1.0], [0.01, 1.0])
+        with pytest.raises(StepSizeError):
+            aware_optimum_gd(SenderProblem(target, 0.0), steps=50)
+
+    @pytest.mark.parametrize("mode", ["diagonal", "full"])
+    def test_same_step_size_error(self, mode):
+        # Every run length up to and past the 10th consecutive bad step.
+        problem = SenderProblem(GaussianMessageDist.from_diagonal([1.0], [0.5]), 0.1)
+        raised = [assert_matches_reference(problem, steps=steps, learning_rate=50.0,
+                                           mode=mode) is None for steps in range(1, 16)]
+        assert not raised[0] and raised[-1]
+
+    def test_large_step_that_stalls(self):
+        # Too large a step that still never increases the objective 10 times
+        # in a row: both paths return the same far-from-optimal iterate.
+        target = GaussianMessageDist.from_diagonal([0.0, 0.0], [1.0, 1.0])
+        ref = assert_matches_reference(SenderProblem(target, 0.5), steps=200,
+                                       learning_rate=100.0)
+        assert ref.kl > 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+        learning_rate=st.floats(0.001, 0.3),
+        steps=st.integers(1, 60),
+    )
+    def test_random_diagonal_problems(self, d, seed, noise, learning_rate, steps):
+        # With no noise, a step projects a variance v onto 0 only if
+        # v + lr/(2v) <= lr/(2 * target variance). For lr <= 0.3 and target
+        # variances >= 0.2 the left side is at least 0.77 and the right at most
+        # 0.75, so the reference never meets the degenerate case it cannot run.
+        rng = np.random.default_rng(seed)
+        target = GaussianMessageDist.from_diagonal(rng.uniform(-2.0, 2.0, d),
+                                                   rng.uniform(0.2, 3.0, d))
+        assert_matches_reference(SenderProblem(target, noise), steps=steps,
+                                 learning_rate=learning_rate)
+
+
 class TestSampler:
     def test_degenerate_returns_mean(self):
         dist = GaussianMessageDist(np.array([2.0, -1.0]), np.zeros((2, 2)))
@@ -261,11 +401,24 @@ class TestSampler:
                 emp = prods.mean()
                 assert abs(emp - expected_cov[i, j]) <= se
 
-    def test_diagonal_flag_path(self):
+    def test_diagonal_covariance_path(self):
         dist = GaussianMessageDist.from_diagonal([0.0, 0.0], [4.0, 0.25])
         draws = sample_message(dist, 0.0, 13, size=200000)
         assert draws[:, 0].var(ddof=1) == pytest.approx(4.0, rel=0.02)
         assert draws[:, 1].var(ddof=1) == pytest.approx(0.25, rel=0.02)
+
+    def test_diagonal_draws_match_snapshot(self):
+        # Draws of a from_diagonal dist (one variance exactly 0), recorded when
+        # diagonal covariances still had their own sqrt-of-diagonal root. The
+        # eigh root is exact on diagonal matrices, so the draws are unchanged.
+        dist = GaussianMessageDist.from_diagonal([0.5, -1.0, 2.0, 0.0], [4.0, 0.0, 0.25, 1e-3])
+        assert sample_message(dist, 0.3, 17, size=3).tolist() == [
+            [1.5923758480745467, 0.018558072735651354, 2.053481718839721, -0.29829223292010715],
+            [-2.553653041503731, -0.9886147859170944, 1.973149449664768, 0.031150697105796602],
+            [0.6566559577418416, -0.4186349786958602, 0.36464121567652075, -0.3062198593824171],
+        ]
+        assert sample_message(dist, 0.0, 5).tolist() == [
+            -1.1038628505068948, -1.0, 1.8758191889523756, 0.013295645836587744]
 
 
 class TestValidation:
