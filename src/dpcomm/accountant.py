@@ -31,6 +31,7 @@ from .errors import (
     CompositionOrderError,
     InfeasibleOrderError,
     InvalidParameterError,
+    require_count,
 )
 
 #: Search grid for the budget-split parameter beta in (0, 1).
@@ -48,8 +49,8 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise InvalidParameterError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not (0.0 < self.delta < 1.0):
             raise InvalidParameterError(f"delta must be in (0,1), got {self.delta}")
 
@@ -62,10 +63,10 @@ class RdpPoint:
     rho: float
 
     def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise InvalidParameterError(f"alpha must be > 1, got {self.alpha}")
-        if self.rho < 0.0:
-            raise InvalidParameterError(f"rho must be nonnegative, got {self.rho}")
+        if not 1.0 < self.alpha < math.inf:
+            raise InvalidParameterError(f"alpha must be finite and > 1, got {self.alpha}")
+        if not 0.0 <= self.rho < math.inf:
+            raise InvalidParameterError(f"rho must be finite and >= 0, got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -79,16 +80,14 @@ class MechanismParams:
     episode_len: int = 1      # T, used only by calibrate_episode
 
     def __post_init__(self):
-        if not self.clip_norm > 0:
-            raise InvalidParameterError(f"clip_norm must be positive, got {self.clip_norm}")
+        if not 0 < self.clip_norm < math.inf:
+            raise InvalidParameterError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
         for name in ("sample_rate_data", "sample_rate_agents"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
                 raise InvalidParameterError(f"{name} must be in (0,1), got {v}")
-        if self.num_agents < 1:
-            raise InvalidParameterError(f"num_agents must be >= 1, got {self.num_agents}")
-        if self.episode_len < 1:
-            raise InvalidParameterError(f"episode_len must be >= 1, got {self.episode_len}")
+        require_count("num_agents", self.num_agents, 1)
+        require_count("episode_len", self.episode_len, 1)
 
     @property
     def sensitivity(self) -> float:

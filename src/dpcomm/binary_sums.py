@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMechanismError, InvalidParameterError
-from .mechanisms import rr_flip_prob
+from .errors import DegenerateMechanismError, InvalidParameterError, require_count
+from .mechanisms import _check_bit, rr_flip_prob
 from .rng import block_sizes, substream
 
 RECEIVER_MODES = ("naive", "aware")
@@ -31,16 +31,16 @@ class BinarySumsInstance:
     receiver_mode: str
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        object.__setattr__(self, "bits", tuple(_check_bit(b) for b in self.bits))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        if any(b not in (0, 1) for b in self.bits):
-            raise InvalidParameterError("bits must all be 0 or 1")
+        if any(not e > 0 for e in self.epsilons):  # +inf is allowed: exact messages
+            raise InvalidParameterError(f"epsilons must be > 0, got {self.epsilons}")
         if len(self.epsilons) != len(self.bits):
-            raise InvalidParameterError("need one epsilon per bit")
-        if any(e <= 0 for e in self.epsilons):
-            raise InvalidParameterError("all epsilons must be positive")
+            raise InvalidParameterError(
+                f"need one epsilon per bit, got {len(self.epsilons)} for {len(self.bits)} bits")
         if self.receiver_mode not in RECEIVER_MODES:
-            raise InvalidParameterError(f"receiver_mode must be one of {RECEIVER_MODES}")
+            raise InvalidParameterError(
+                f"receiver_mode must be one of {RECEIVER_MODES}, got {self.receiver_mode!r}")
 
     @property
     def num_agents(self) -> int:
@@ -130,8 +130,7 @@ def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,
     the block fan-out; the result is identical either way because blocks use
     independent substreams and block sums are combined exactly, in order.
     """
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    require_count("trials", trials, 1)
     _check_aware_defined(instance)
     n = instance.num_agents
     bit_sum = int(sum(instance.bits))

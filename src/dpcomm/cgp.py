@@ -57,13 +57,12 @@ class CgpInstance:
     benefit_fn: Callable[[float, float], float] # (V_n, V_n^coop) -> benefit
 
     def __post_init__(self):
-        object.__setattr__(self, "benefit_weight", tuple(float(v) for v in self.benefit_weight))
-        object.__setattr__(self, "privacy_weight", tuple(float(v) for v in self.privacy_weight))
+        for name in ("benefit_weight", "privacy_weight"):
+            weights = tuple(float(w) for w in getattr(self, name))
+            if len(weights) != 2 or any(not 0 < w < math.inf for w in weights):
+                raise InvalidParameterError(f"{name} must be two finite numbers > 0, got {weights}")
+            object.__setattr__(self, name, weights)
         object.__setattr__(self, "standalone_values", tuple(float(v) for v in self.standalone_values))
-        if len(self.benefit_weight) != 2 or len(self.privacy_weight) != 2:
-            raise InvalidParameterError("two benefit and two privacy weights required")
-        if any(b <= 0 for b in self.benefit_weight) or any(c <= 0 for c in self.privacy_weight):
-            raise InvalidParameterError("benefit and privacy weights must be positive")
         for p, want in ((0.0, 1.0), (1.0, 0.0)):
             got = self.privacy_loss_fn(p)
             if abs(got - want) > 1e-9:
@@ -228,6 +227,9 @@ def find_nash(instance: CgpInstance, start: StrategyProfile, max_iters: int = 10
     ``tol`` within ``max_iters`` sweeps; the returned profile is additionally
     checked by a unilateral-deviation grid scan (``max_gain``).
     """
+    for name, value in (("grid_step", grid_step), ("tol", tol)):
+        if not 0 < value < math.inf:
+            raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
     p1, p2 = start.p
     converged = False
     sweeps = 0

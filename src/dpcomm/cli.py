@@ -1,21 +1,23 @@
 """Command-line experiment harness.
 
 Subcommands: calibrate | binary-sums | equilibrium | multi-round | sender.
-Each takes a JSON config document (schema-validated, unknown keys rejected),
-a seed, an output directory, and an output format, and writes one result
-table per run. Exit codes: 0 success, 1 usage or config error, 2 infeasible
-result or oracle failure.
+Each takes a JSON config document, a seed, an output directory, and an
+output format, and writes one result table per run. The CLI checks only the
+document's shape (strict JSON, known keys, required keys, the JSON kind of
+each value), naming the offending line; the library objects built from the
+values check their ranges and report the parameter and the bad value. Exit
+codes: 0 success, 1 usage or config error, 2 infeasible result or oracle
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
 import sys
-
-import numpy as np
 
 from . import __version__
 from .accountant import (
@@ -28,7 +30,7 @@ from .accountant import (
 )
 from .binary_sums import BinarySumsInstance, analytic_outcome, run_game
 from .cgp import StrategyProfile, find_nash, is_potential_game, make_binary_sums_cgp
-from .errors import InvalidParameterError, StepSizeError
+from .errors import EnumerationBudgetError, StepSizeError, require_count
 from .gaussian_sender import (
     GaussianMessageDist,
     SenderProblem,
@@ -48,113 +50,75 @@ SENDER_GD_TOL = 1e-6  # largest gd_kl - aware_kl the sender oracle accepts
 
 
 class ConfigError(Exception):
-    """Config file failed schema validation (exit code 1)."""
+    """Config file is unreadable or has the wrong shape (exit code 1)."""
 
 
-class Schema:
-    """A flat key -> (type, required, predicate) config schema."""
-
-    def __init__(self, fields: dict):
-        self.fields = fields
-
-    def validate(self, config: dict, raw_text: str) -> dict:
-        unknown = sorted(set(config) - set(self.fields))
-        if unknown:
-            raise ConfigError(
-                f"{_key_line(raw_text, unknown[0])}unknown config key {unknown[0]!r}"
-            )
-        out = {}
-        for key, (types, required, check) in self.fields.items():
-            if key not in config:
-                if required:
-                    raise ConfigError(f"missing required config key {key!r}")
-                continue
-            value = config[key]
-            if not isinstance(value, types) or isinstance(value, bool) and bool not in _astuple(types):
-                raise ConfigError(
-                    f"{_key_line(raw_text, key)}config key {key!r} has wrong type "
-                    f"{type(value).__name__}"
-                )
-            if check is not None and not check(value):
-                raise ConfigError(f"{_key_line(raw_text, key)}config key {key!r} is invalid")
-            out[key] = value
-        return out
+def _is_number(value) -> bool:  # JSON true and false are not numbers
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _astuple(types):
-    return types if isinstance(types, tuple) else (types,)
+def _is_list_of(is_item):
+    return lambda value: isinstance(value, list) and len(value) > 0 and all(map(is_item, value))
+
+
+# JSON kinds of config values: (description, test).
+NUMBER = ("a number", _is_number)
+NUMBERS = ("a non-empty list of numbers", _is_list_of(_is_number))
+STRING = ("a string", lambda value: isinstance(value, str))
+STRINGS = ("a non-empty list of strings", _is_list_of(STRING[1]))
+
+#: Config keys per subcommand, (required, optional), each mapping a key to the
+#: JSON kind of its value. Only this shape is checked here; the library objects
+#: built from the values check their ranges.
+CONFIG_KEYS = {
+    "calibrate": (
+        {"epsilons": NUMBERS, "delta": NUMBER, "gamma1": NUMBER, "gamma2": NUMBER,
+         "num_agents": NUMBER, "clip_norm": NUMBER},
+        {"episode_lens": NUMBERS, "svg": STRING},
+    ),
+    "binary-sums": (
+        {"bits": NUMBERS, "epsilons": NUMBERS, "trials": NUMBER},
+        {"receiver_modes": STRINGS},
+    ),
+    "equilibrium": (
+        {"benefit_weights": NUMBERS, "privacy_weights": NUMBERS},
+        {"num_starts": NUMBER, "grid_step": NUMBER, "tol": NUMBER},
+    ),
+    "multi-round": (
+        {"num_agents": NUMBER, "horizon": NUMBER, "reward_alpha": NUMBER, "reward_beta": NUMBER,
+         "initial_savings": NUMBERS, "spend_grid": NUMBERS, "privacy_grid": NUMBERS},
+        {"discount": NUMBER, "team_weights": NUMBERS, "tol": NUMBER, "max_sweeps": NUMBER,
+         "svg": STRING},
+    ),
+    "sender": (
+        {"dim": NUMBER, "noise_vars": NUMBERS},
+        {"target_variances": NUMBERS, "target_mean": NUMBERS, "gd_steps": NUMBER,
+         "gd_learning_rate": NUMBER, "svg": STRING},
+    ),
+}
 
 
 def _key_line(raw_text: str, key: str) -> str:
     """'line N: ' prefix locating the first occurrence of a key in the file."""
-    needle = f'"{key}"'
-    for lineno, line in enumerate(raw_text.splitlines(), start=1):
-        if needle in line:
-            return f"line {lineno}: "
-    return ""
+    pos = raw_text.find(f'"{key}"')
+    lineno = raw_text.count("\n", 0, pos) + 1
+    return f"line {lineno}: " if pos >= 0 else ""
 
 
-def _positive(x) -> bool:
-    return x > 0
-
-
-def _number_list(values) -> bool:
-    return isinstance(values, list) and len(values) > 0 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    )
-
-
-NUM = (int, float)
-
-SCHEMAS = {
-    "calibrate": Schema({
-        "epsilons": (list, True, _number_list),
-        "delta": (float, True, lambda v: 0 < v < 1),
-        "gamma1": (float, True, lambda v: 0 < v < 1),
-        "gamma2": (float, True, lambda v: 0 < v < 1),
-        "num_agents": (int, True, _positive),
-        "clip_norm": (NUM, True, _positive),
-        "episode_lens": (list, False, lambda v: _number_list(v) and all(
-            isinstance(t, int) and t >= 1 for t in v)),
-        "svg": (str, False, None),
-    }),
-    "binary-sums": Schema({
-        "bits": (list, True, lambda v: len(v) > 0 and all(b in (0, 1) for b in v)),
-        "epsilons": (list, True, _number_list),
-        "receiver_modes": (list, False, lambda v: all(m in ("naive", "aware") for m in v)),
-        "trials": (int, True, lambda v: v >= 1),
-    }),
-    "equilibrium": Schema({
-        "benefit_weights": (list, True, lambda v: _number_list(v) and len(v) == 2),
-        "privacy_weights": (list, True, lambda v: _number_list(v) and len(v) == 2),
-        "num_starts": (int, False, _positive),
-        "grid_step": (float, False, _positive),
-        "tol": (float, False, _positive),
-    }),
-    "multi-round": Schema({
-        "num_agents": (int, True, _positive),
-        "horizon": (int, True, lambda v: v >= 0),
-        "discount": (NUM, False, lambda v: 0 < v <= 1),
-        "reward_alpha": (NUM, True, None),
-        "reward_beta": (NUM, True, None),
-        "initial_savings": (list, True, _number_list),
-        "spend_grid": (list, True, _number_list),
-        "privacy_grid": (list, True, _number_list),
-        "team_weights": (list, False, _number_list),
-        "tol": (float, False, _positive),
-        "max_sweeps": (int, False, _positive),
-        "svg": (str, False, None),
-    }),
-    "sender": Schema({
-        "dim": (int, True, _positive),
-        "target_variances": (list, False, _number_list),
-        "target_mean": (list, False, _number_list),
-        "noise_vars": (list, True, lambda v: _number_list(v) and all(x >= 0 for x in v)),
-        "gd_steps": (int, False, _positive),
-        "gd_learning_rate": (float, False, _positive),
-        "svg": (str, False, None),
-    }),
-}
+def _check_shape(config: dict, raw_text: str, command: str) -> None:
+    """Known keys only, every required key, each value of its JSON kind."""
+    required, optional = CONFIG_KEYS[command]
+    unknown = sorted(set(config) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(f"{_key_line(raw_text, unknown[0])}unknown config key {unknown[0]!r}")
+    for key in required:
+        if key not in config:
+            raise ConfigError(f"missing required config key {key!r}")
+    for key, value in config.items():
+        description, has_kind = required.get(key) or optional[key]
+        if not has_kind(value):
+            raise ConfigError(f"{_key_line(raw_text, key)}config key {key!r} must be "
+                              f"{description}, got {json.dumps(value)}")
 
 
 # A JSON string, or one of the non-JSON literals Python's parser accepts.
@@ -184,7 +148,8 @@ def load_config(path: str, command: str) -> dict:
         raise ConfigError(f"line {exc.lineno}: malformed JSON in {path}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    return SCHEMAS[command].validate(doc, raw)
+    _check_shape(doc, raw, command)
+    return doc
 
 
 def cmd_calibrate(config: dict, seed: int, jobs: int = 1) -> tuple:
@@ -193,31 +158,28 @@ def cmd_calibrate(config: dict, seed: int, jobs: int = 1) -> tuple:
         "episode_len", "sigma_sq", "alpha", "beta", "sigma_prime_sq",
         "feasible", "roundtrip_epsilon",
     ])
+    runs = [
+        (eps, t, PrivacyBudget(float(eps), config["delta"]), MechanismParams(
+            clip_norm=float(config["clip_norm"]),
+            sample_rate_data=config["gamma1"],
+            sample_rate_agents=config["gamma2"],
+            num_agents=config["num_agents"],
+            episode_len=t,
+        ))
+        for eps in config["epsilons"] for t in config.get("episode_lens", [1])
+    ]
     any_infeasible = False
-    episode_lens = config.get("episode_lens", [1])
-    for eps in config["epsilons"]:
-        for t in episode_lens:
-            budget = PrivacyBudget(float(eps), config["delta"])
-            params = MechanismParams(
-                clip_norm=float(config["clip_norm"]),
-                sample_rate_data=config["gamma1"],
-                sample_rate_agents=config["gamma2"],
-                num_agents=config["num_agents"],
-                episode_len=int(t),
-            )
-            episode = t > 1
-            try:
-                result = (calibrate_episode if episode else calibrate_step)(budget, params)
-                eps_back = round_trip(result, budget, params, episode=episode).epsilon
-                table.append(eps, config["delta"], config["gamma1"], config["gamma2"],
-                             config["num_agents"], config["clip_norm"], t,
-                             result.sigma_sq, result.alpha, result.beta,
-                             result.sigma_prime_sq, True, eps_back)
-            except CalibrationInfeasibleError:
-                any_infeasible = True
-                table.append(eps, config["delta"], config["gamma1"], config["gamma2"],
-                             config["num_agents"], config["clip_norm"], t,
-                             None, None, None, None, False, None)
+    for eps, t, budget, params in runs:
+        episode = t > 1
+        try:
+            result = (calibrate_episode if episode else calibrate_step)(budget, params)
+            solved = (result.sigma_sq, result.alpha, result.beta, result.sigma_prime_sq, True,
+                      round_trip(result, budget, params, episode=episode).epsilon)
+        except CalibrationInfeasibleError:
+            any_infeasible = True
+            solved = (None, None, None, None, False, None)
+        table.append(eps, config["delta"], config["gamma1"], config["gamma2"],
+                     config["num_agents"], config["clip_norm"], t, *solved)
     svg = None
     if "svg" in config:
         feasible = [(e, s) for e, s, ok in zip(
@@ -237,10 +199,11 @@ def cmd_binary_sums(config: dict, seed: int, jobs: int = 1) -> tuple:
     epsilons = config["epsilons"]
     if len(epsilons) == 1:
         epsilons = epsilons * len(bits)
-    modes = config.get("receiver_modes", ["naive", "aware"])
+    instances = [BinarySumsInstance(tuple(bits), tuple(epsilons), mode)
+                 for mode in config.get("receiver_modes", ["naive", "aware"])]
     agree = True
-    for mode in modes:
-        instance = BinarySumsInstance(tuple(bits), tuple(epsilons), mode)
+    for instance in instances:
+        mode = instance.receiver_mode
         exact = analytic_outcome(instance)
         mc = run_game(instance, config["trials"], seed, jobs=jobs)
         for i in range(instance.num_agents):
@@ -261,10 +224,11 @@ def cmd_equilibrium(config: dict, seed: int, jobs: int = 1) -> tuple:
     instance = make_binary_sums_cgp(config["benefit_weights"], config["privacy_weights"])
     grid_step = config.get("grid_step", 0.01)
     tol = config.get("tol", 1e-8)
+    num_starts = require_count("num_starts", config.get("num_starts", 10), 1)
     pg, deviation = is_potential_game(instance, grid_step=0.05, tol=1e-6)
     rng = substream(seed)
     all_converged = True
-    for _ in range(config.get("num_starts", 10)):
+    for _ in range(num_starts):
         start = StrategyProfile(tuple(rng.random(2)))
         res = find_nash(instance, start, tol=tol, grid_step=grid_step)
         all_converged &= res.converged
@@ -275,20 +239,10 @@ def cmd_equilibrium(config: dict, seed: int, jobs: int = 1) -> tuple:
 
 
 def cmd_multi_round(config: dict, seed: int, jobs: int = 1) -> tuple:
-    cfg = MrsConfig(
-        num_agents=config["num_agents"],
-        horizon=config["horizon"],
-        discount=float(config.get("discount", 1.0)),
-        reward_alpha=float(config["reward_alpha"]),
-        reward_beta=float(config["reward_beta"]),
-        initial_savings=tuple(config["initial_savings"]),
-        spend_grid=tuple(config["spend_grid"]),
-        privacy_grid=tuple(config["privacy_grid"]),
-        team_weights=tuple(config["team_weights"]) if "team_weights" in config else None,
-    )
+    fields = {f.name for f in dataclasses.fields(MrsConfig)}
+    cfg = MrsConfig(**{"discount": 1.0, **{k: v for k, v in config.items() if k in fields}})
     start = cfg.start_state()
-    tol = config.get("tol", 1e-12)
-    is_mpg, violation = verify_mpg(cfg, start, tol=tol)
+    is_mpg, violation = verify_mpg(cfg, start, tol=config.get("tol", 1e-12))
     res = find_mpg_nash(cfg, start, max_sweeps=config.get("max_sweeps", 20))
     table = ResultTable([
         "record", "agent", "saving", "round", "spend", "privacy",
@@ -312,19 +266,18 @@ def cmd_multi_round(config: dict, seed: int, jobs: int = 1) -> tuple:
 
 
 def cmd_sender(config: dict, seed: int, jobs: int = 1) -> tuple:
-    d = config["dim"]
+    d = require_count("dim", config["dim"], 1)
     variances = config.get("target_variances", [1.0] * d)
     mean = config.get("target_mean", [0.0] * d)
     if len(variances) != d or len(mean) != d:
-        raise ConfigError("target_mean and target_variances must have length dim")
-    target = GaussianMessageDist.from_diagonal(np.array(mean, dtype=float),
-                                               np.array(variances, dtype=float))
+        raise ConfigError(f"target_mean and target_variances must have length dim = {d}")
+    target = GaussianMessageDist.from_diagonal(mean, variances)
+    problems = [SenderProblem(target, float(noise)) for noise in config["noise_vars"]]
     table = ResultTable([
         "noise_var", "oblivious_kl", "aware_kl", "gd_kl", "gd_vs_closed_form",
     ])
     agree = True
-    for noise in config["noise_vars"]:
-        problem = SenderProblem(target, float(noise))
+    for noise, problem in zip(config["noise_vars"], problems):
         obl = oblivious_optimum(problem)
         aware = aware_optimum(problem)
         gd = aware_optimum_gd(problem, steps=config.get("gd_steps", 6000),
@@ -368,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (default: $DPCOMM_OUT or '.')")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker bound for Monte-Carlo fan-out (results identical)")
+                       help="threads for the binary-sums Monte-Carlo blocks (results "
+                            "identical for any count); other subcommands ignore it")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
@@ -385,7 +339,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"dpcomm {args.command}: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidParameterError, ValueError) as exc:
+    except (ValueError, EnumerationBudgetError) as exc:  # the library's typed input errors
         print(f"dpcomm {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StepSizeError as exc:

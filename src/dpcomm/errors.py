@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check for integer counts.
 
 Callers that only care about "bad input" can catch ValueError; the concrete
 subclasses exist so that tests and the CLI can tell failure modes apart.
 """
+
+import numbers
 
 
 class InvalidParameterError(ValueError):
@@ -49,3 +51,11 @@ class SingularTargetError(ValueError):
 
 class EvaluationError(ValueError):
     """A user-supplied callable returned a non-finite value."""
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """``value``; InvalidParameterError unless it is an integer >= ``minimum``
+    (an integral float such as 2.0, or a bool, is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value

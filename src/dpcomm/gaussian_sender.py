@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, SingularTargetError, StepSizeError
+from .errors import InvalidParameterError, SingularTargetError, StepSizeError, require_count
 from .rng import substream
 
 _SYM_TOL = 1e-12
@@ -55,6 +55,11 @@ class GaussianMessageDist:
             raise InvalidParameterError(
                 f"covariance shape {cov.shape} does not match dimension {mean.size}"
             )
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise InvalidParameterError(
+                f"mean and covariance must be finite, got mean {mean.tolist()} "
+                f"and covariance {cov.tolist()}"
+            )
         if not np.allclose(cov, cov.T, atol=_SYM_TOL, rtol=0.0):
             raise InvalidParameterError("covariance must be symmetric")
         eigvals = np.linalg.eigvalsh((cov + cov.T) / 2.0)
@@ -82,8 +87,8 @@ class SenderProblem:
     noise_var: float
 
     def __post_init__(self):
-        if self.noise_var < 0:
-            raise InvalidParameterError(f"noise_var must be nonnegative, got {self.noise_var}")
+        if not 0 <= self.noise_var < math.inf:
+            raise InvalidParameterError(f"noise_var must be finite and >= 0, got {self.noise_var}")
         eigvals = np.linalg.eigvalsh(self.target.cov)
         if eigvals.min() < _TARGET_MIN_EIG:
             raise InvalidParameterError(
@@ -222,13 +227,18 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: f
     can reach the boundary exactly; on diagonal targets it matches
     ``aware_optimum`` to high accuracy. ``full`` mode descends on a dense
     covariance factor A with Sigma = A A^T. Raises StepSizeError when the
-    objective increases for 10 consecutive steps.
+    objective increases for 10 consecutive steps, or when a step overflows
+    the iterate or leaves a singular post-noise covariance to invert, so a
+    returned iterate is always finite.
 
     The target is checked once; the loop then runs on raw arrays and
     evaluates the post-noise KL once per step.
     """
     if mode not in ("diagonal", "full"):
-        raise InvalidParameterError("mode must be 'diagonal' or 'full'")
+        raise InvalidParameterError(f"mode must be 'diagonal' or 'full', got {mode!r}")
+    require_count("steps", steps, 1)
+    if not 0 <= learning_rate < math.inf:
+        raise InvalidParameterError(f"learning_rate must be finite and >= 0, got {learning_rate}")
     d = problem.dim
     noise = problem.noise_var
     target_mean = problem.target.mean
@@ -241,24 +251,34 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: f
     else:
         factor = np.eye(d)
 
-    def objective() -> float:
-        sent = variances + noise if mode == "diagonal" else factor @ factor.T + noise_eye
-        return _sent_kl(target_inv, logdet_q, mean - target_mean, sent)
+    def sent_cov() -> np.ndarray:
+        """Post-noise covariance: a vector of variances in diagonal mode."""
+        return variances + noise if mode == "diagonal" else factor @ factor.T + noise_eye
 
-    prev = objective()
+    sent = sent_cov()
+    prev = _sent_kl(target_inv, logdet_q, mean - target_mean, sent)
     bad_steps = 0
     for _ in range(steps):
         grad_mean = target_inv @ (mean - target_mean)
         if mode == "diagonal":
-            grad_var = 0.5 * (target_inv_diag - 1.0 / (variances + noise))
+            grad_var = 0.5 * (target_inv_diag - 1.0 / sent)
             mean = mean - learning_rate * grad_mean
             variances = np.clip(variances - learning_rate * grad_var, 0.0, None)
         else:
-            sent_cov = factor @ factor.T + noise_eye
-            grad_sigma = 0.5 * (target_inv - np.linalg.inv(sent_cov))
+            try:
+                sent_inv = np.linalg.inv(sent)
+            except np.linalg.LinAlgError:
+                raise StepSizeError(
+                    "post-noise covariance became singular; reduce the learning rate"
+                ) from None
+            grad_sigma = 0.5 * (target_inv - sent_inv)
             mean = mean - learning_rate * grad_mean
             factor = factor - learning_rate * 2.0 * (grad_sigma @ factor)
-        value = objective()
+        sent = sent_cov()
+        value = _sent_kl(target_inv, logdet_q, mean - target_mean, sent)
+        # A non-finite iterate gives a non-finite KL, so only then is it looked for.
+        if not math.isfinite(value) and not (np.isfinite(mean).all() and np.isfinite(sent).all()):
+            raise StepSizeError("a step overflowed the iterate; reduce the learning rate")
         if math.isnan(value) or value > prev:
             bad_steps += 1
             if bad_steps >= 10:

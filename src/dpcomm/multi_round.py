@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import EnumerationBudgetError, InvalidActionError, InvalidParameterError
+from .errors import EnumerationBudgetError, InvalidActionError, InvalidParameterError, require_count
 
 _KEY_DECIMALS = 9
 _SPEND_TOL = 1e-9
@@ -59,32 +59,37 @@ class MrsConfig:
     team_weights: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "initial_savings", tuple(float(x) for x in self.initial_savings))
-        object.__setattr__(self, "spend_grid", tuple(sorted(float(b) for b in set(self.spend_grid))))
-        object.__setattr__(self, "privacy_grid", tuple(sorted(float(p) for p in set(self.privacy_grid))))
-        if self.num_agents < 1:
-            raise InvalidParameterError("num_agents must be >= 1")
-        if self.horizon < 0:
-            raise InvalidParameterError("horizon must be >= 0")
+        require_count("num_agents", self.num_agents, 1)
+        require_count("horizon", self.horizon, 0)
+        if self.team_weights is None:
+            object.__setattr__(self, "team_weights", (1.0,) * self.num_agents)
+        for name in ("discount", "reward_alpha", "reward_beta"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("initial_savings", "team_weights"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+        for name in ("spend_grid", "privacy_grid"):
+            object.__setattr__(self, name, tuple(sorted({float(x) for x in getattr(self, name)})))
         if not (0.0 < self.discount <= 1.0):
-            raise InvalidParameterError("discount must be in (0, 1]")
-        if len(self.initial_savings) != self.num_agents:
-            raise InvalidParameterError("need one initial saving per agent")
-        if any(x < 0 for x in self.initial_savings):
-            raise InvalidParameterError("initial savings must be nonnegative")
+            raise InvalidParameterError(f"discount must be in (0, 1], got {self.discount}")
+        if not all(map(math.isfinite, (self.reward_alpha, self.reward_beta, *self.team_weights))):
+            raise InvalidParameterError(
+                f"reward_alpha, reward_beta and team_weights must be finite, got "
+                f"{self.reward_alpha}, {self.reward_beta} and {self.team_weights}")
+        for name in ("initial_savings", "team_weights"):
+            if len(getattr(self, name)) != self.num_agents:
+                raise InvalidParameterError(
+                    f"{name} needs one value per agent, got {getattr(self, name)}")
+        if any(not 0 <= x < math.inf for x in self.initial_savings):
+            raise InvalidParameterError(
+                f"initial_savings must be finite and >= 0, got {self.initial_savings}")
         if not self.spend_grid or not self.privacy_grid:
             raise InvalidParameterError("spend and privacy grids must be non-empty")
-        if any(b < 0 for b in self.spend_grid):
-            raise InvalidParameterError("spend grid values must be nonnegative")
+        if any(not 0 <= b < math.inf for b in self.spend_grid):
+            raise InvalidParameterError(
+                f"spend_grid values must be finite and >= 0, got {self.spend_grid}")
         if any(not 0.0 <= p <= 1.0 for p in self.privacy_grid):
-            raise InvalidParameterError("privacy grid values must lie in [0, 1]")
-        weights = self.team_weights
-        if weights is None:
-            weights = (1.0,) * self.num_agents
-        weights = tuple(float(w) for w in weights)
-        if len(weights) != self.num_agents:
-            raise InvalidParameterError("need one team weight per agent")
-        object.__setattr__(self, "team_weights", weights)
+            raise InvalidParameterError(
+                f"privacy_grid values must lie in [0, 1], got {self.privacy_grid}")
 
     def start_state(self) -> "MrsState":
         return MrsState(self.initial_savings, 0)
@@ -98,8 +103,8 @@ class MrsState:
     def __post_init__(self):
         cleaned = tuple(0.0 if abs(x) < 1e-12 else float(x) for x in self.savings)
         object.__setattr__(self, "savings", cleaned)
-        if any(x < 0 for x in cleaned):
-            raise InvalidParameterError(f"savings must be nonnegative, got {cleaned}")
+        if not all(0.0 <= x < math.inf for x in cleaned):
+            raise InvalidParameterError(f"savings must be finite and >= 0, got {cleaned}")
         if self.step < 0:
             raise InvalidParameterError("step must be nonnegative")
 
@@ -112,8 +117,8 @@ class MrsAction:
     def __post_init__(self):
         if not 0.0 <= self.privacy <= 1.0:
             raise InvalidParameterError(f"privacy must be in [0,1], got {self.privacy}")
-        if self.spend < 0:
-            raise InvalidParameterError(f"spend must be nonnegative, got {self.spend}")
+        if not 0.0 <= self.spend < math.inf:
+            raise InvalidParameterError(f"spend must be finite and >= 0, got {self.spend}")
 
 
 @dataclass
@@ -136,13 +141,17 @@ class TabularPolicy:
 
 def valid_actions(cfg: MrsConfig, saving: float) -> list:
     """Actions available at a saving level: spends that do not overdraw,
-    in ascending (spend, privacy) order."""
-    return [
+    in ascending (spend, privacy) order; InvalidActionError if there is none."""
+    actions = [
         MrsAction(b, p)
         for b in cfg.spend_grid
         if b <= saving + _SPEND_TOL
         for p in cfg.privacy_grid
     ]
+    if not actions:
+        raise InvalidActionError(
+            f"no spend in spend_grid {cfg.spend_grid} is affordable at saving {saving:.6g}")
+    return actions
 
 
 def transition(state: MrsState, actions: Sequence[MrsAction]) -> MrsState:
@@ -274,6 +283,8 @@ def verify_mpg(cfg: MrsConfig, start: MrsState, tol: float = 1e-12,
 
     Returns (is_mpg, max_violation).
     """
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
     total = policy_space_size(cfg, start)
     if total > budget:
         raise EnumerationBudgetError(
@@ -339,7 +350,7 @@ def best_response_policy(policies: Sequence[TabularPolicy], agent: int, cfg: Mrs
                 ))
                 if offset + 1 < len(levels):
                     q += cfg.discount * value_next[_rounded(s - a.spend)]
-                if q > best_q:
+                if best_a is None or q > best_q:  # an overflowed q = -inf still picks an action
                     best_q = q
                     best_a = a
             level_value[_rounded(s)] = best_q
@@ -405,6 +416,7 @@ def find_mpg_nash(cfg: MrsConfig, start: MrsState, max_sweeps: int = 20) -> MpgN
     Converged when a full sweep changes no policy. On the (unweighted) game
     the potential trace is non-decreasing after every single best response.
     """
+    require_count("max_sweeps", max_sweeps, 1)
     profile = lex_min_profile(cfg, start)
     trace = [potential_value(profile, cfg, start)]
     converged = False

@@ -302,6 +302,18 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             MechanismParams(1.0, 0.5, 0.5, 0)
 
+    def test_infinite_clip_norm_rejected(self):
+        # It used to calibrate to feasible=True with sigma_sq = inf.
+        with pytest.raises(InvalidParameterError, match="clip_norm"):
+            calibrate_step(FEASIBLE_BUDGET, MechanismParams(math.inf, 0.005, 0.5, 500))
+
+    @pytest.mark.parametrize("kwargs", [{"num_agents": True}, {"num_agents": 3.0},
+                                        {"episode_len": 1.5}, {"episode_len": 0}])
+    def test_counts_must_be_integers(self, kwargs):
+        with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
+            MechanismParams(**{**dict(clip_norm=1.0, sample_rate_data=0.5,
+                                      sample_rate_agents=0.5, num_agents=3), **kwargs})
+
     def test_compose_copies_rounds_up(self):
         assert MechanismParams(1.0, 0.5, 0.5, 3).compose_copies == 2
         assert MechanismParams(1.0, 0.5, 0.5, 4).compose_copies == 2
@@ -311,3 +323,5 @@ class TestValidation:
             RdpPoint(1.0, 0.1)
         with pytest.raises(InvalidParameterError):
             RdpPoint(2.0, -0.1)
+        with pytest.raises(InvalidParameterError):
+            RdpPoint(2.0, math.inf)

@@ -140,6 +140,14 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             BinarySumsInstance((1, 2), (1.0, 1.0), "naive")
 
+    def test_fractional_bit_rejected_not_floored(self):
+        with pytest.raises(InvalidParameterError, match="0.5"):
+            BinarySumsInstance((0.5, 1), (1.0, 1.0), "naive")
+
+    def test_non_integer_trials_rejected(self):
+        with pytest.raises(InvalidParameterError, match="trials"):
+            run_game(make([1], 1.0, "naive"), 2.0, 0)
+
     def test_bad_mode(self):
         with pytest.raises(InvalidParameterError):
             BinarySumsInstance((1,), (1.0,), "trusting")

@@ -263,6 +263,17 @@ class TestBinarySumsConstruction:
         with pytest.raises(InvalidParameterError):
             make_binary_sums_cgp((1.0, 1.0), (1.0, -1.0))
 
+    @pytest.mark.parametrize("kwargs", [{"grid_step": -0.01}, {"tol": -1e-8},
+                                        {"tol": math.inf}, {"grid_step": 0.0}])
+    def test_find_nash_parameters_checked(self, kwargs):
+        game = make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0))
+        with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
+            find_nash(game, StrategyProfile((0.2, 0.2)), **kwargs)
+
+    def test_infinite_weight_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            make_binary_sums_cgp((math.inf, 1.0), (1.0, 1.0))
+
     def test_profile_bounds(self):
         with pytest.raises(InvalidParameterError):
             StrategyProfile((1.2, 0.0))

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpcomm.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from dpcomm.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, ConfigError, main
 
 
 def write_config(path, doc):
@@ -278,3 +285,211 @@ class TestHarness:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"line 3: {literal} is not a JSON number" in err
+
+
+class TestValueChecks:
+    """Values are checked by the library objects the commands build."""
+
+    def run_raw(self, tmp_path, command, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        return main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+    def test_overflowing_number_exits_1(self, tmp_path, capsys):
+        # 1e999 parses to inf; reward_alpha = inf used to end in an AttributeError.
+        text = json.dumps(MULTI_ROUND, indent=2).replace('"reward_alpha": 0.1',
+                                                         '"reward_alpha": 1e999')
+        assert self.run_raw(tmp_path, "multi-round", text) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "reward_alpha" in err[0] and "inf" in err[0]
+
+    def test_infinite_clip_norm_exits_1(self, tmp_path, capsys):
+        text = json.dumps(CALIBRATE, indent=2).replace('"clip_norm": 1.0', '"clip_norm": 1e999')
+        assert self.run_raw(tmp_path, "calibrate", text) == EXIT_USAGE
+        assert "clip_norm" in capsys.readouterr().err
+
+    def test_empty_list_exits_1(self, tmp_path, capsys):
+        code, path = run(tmp_path, "binary-sums", dict(BINARY_SUMS, receiver_modes=[]))
+        assert code == EXIT_USAGE and not path.exists()
+        assert "receiver_modes" in capsys.readouterr().err
+
+    def test_boolean_is_not_a_number(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "multi-round", dict(MULTI_ROUND, horizon=True))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "line 3:" in err and "'horizon' must be a number, got true" in err
+
+    def test_fractional_count_exits_1(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "binary-sums", dict(BINARY_SUMS, trials=1.5))
+        assert code == EXIT_USAGE
+        assert "trials must be an integer >= 1, got 1.5" in capsys.readouterr().err
+
+    def test_integer_for_a_real_is_accepted(self, tmp_path):
+        code, _ = run(tmp_path, "equilibrium", dict(EQUILIBRIUM, num_starts=2, tol=1))
+        assert code == EXIT_OK
+
+    def test_over_budget_instance_exits_1(self, tmp_path, capsys):
+        # horizon 3: 4,194,304 joint policy profiles, over verify_mpg's 1e6 budget.
+        shipped = pathlib.Path(__file__).resolve().parents[1] / "configs" / "multi_round.json"
+        config = dict(json.loads(shipped.read_text()), horizon=3)
+        code, path = run(tmp_path, "multi-round", config)
+        assert code == EXIT_USAGE and not path.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("dpcomm multi-round: ")
+        assert "exceed the budget" in err[0]
+
+
+# The schema the CLI used to check values with, before that moved into the
+# library, kept as an oracle: whatever it rejected, except an integer given for
+# a float key, must still exit 1.
+class OldSchema:
+    """A flat key -> (type, required, predicate) config schema."""
+
+    def __init__(self, fields: dict):
+        self.fields = fields
+
+    def validate(self, config: dict) -> None:
+        unknown = sorted(set(config) - set(self.fields))
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
+        for key, (types, required, check) in self.fields.items():
+            if key not in config:
+                if required:
+                    raise ConfigError(f"missing required config key {key!r}")
+                continue
+            value = config[key]
+            types = types if isinstance(types, tuple) else (types,)
+            if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
+                raise ConfigError(f"config key {key!r} has wrong type {type(value).__name__}")
+            if check is not None and not check(value):
+                raise ConfigError(f"config key {key!r} is invalid")
+
+
+def _positive(x) -> bool:
+    return x > 0
+
+
+def _number_list(values) -> bool:
+    return isinstance(values, list) and len(values) > 0 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    )
+
+
+NUM = (int, float)
+
+OLD_SCHEMAS = {
+    "calibrate": OldSchema({
+        "epsilons": (list, True, _number_list),
+        "delta": (float, True, lambda v: 0 < v < 1),
+        "gamma1": (float, True, lambda v: 0 < v < 1),
+        "gamma2": (float, True, lambda v: 0 < v < 1),
+        "num_agents": (int, True, _positive),
+        "clip_norm": (NUM, True, _positive),
+        "episode_lens": (list, False, lambda v: _number_list(v) and all(
+            isinstance(t, int) and t >= 1 for t in v)),
+        "svg": (str, False, None),
+    }),
+    "binary-sums": OldSchema({
+        "bits": (list, True, lambda v: len(v) > 0 and all(b in (0, 1) for b in v)),
+        "epsilons": (list, True, _number_list),
+        "receiver_modes": (list, False, lambda v: all(m in ("naive", "aware") for m in v)),
+        "trials": (int, True, lambda v: v >= 1),
+    }),
+    "equilibrium": OldSchema({
+        "benefit_weights": (list, True, lambda v: _number_list(v) and len(v) == 2),
+        "privacy_weights": (list, True, lambda v: _number_list(v) and len(v) == 2),
+        "num_starts": (int, False, _positive),
+        "grid_step": (float, False, _positive),
+        "tol": (float, False, _positive),
+    }),
+    "multi-round": OldSchema({
+        "num_agents": (int, True, _positive),
+        "horizon": (int, True, lambda v: v >= 0),
+        "discount": (NUM, False, lambda v: 0 < v <= 1),
+        "reward_alpha": (NUM, True, None),
+        "reward_beta": (NUM, True, None),
+        "initial_savings": (list, True, _number_list),
+        "spend_grid": (list, True, _number_list),
+        "privacy_grid": (list, True, _number_list),
+        "team_weights": (list, False, _number_list),
+        "tol": (float, False, _positive),
+        "max_sweeps": (int, False, _positive),
+        "svg": (str, False, None),
+    }),
+    "sender": OldSchema({
+        "dim": (int, True, _positive),
+        "target_variances": (list, False, _number_list),
+        "target_mean": (list, False, _number_list),
+        "noise_vars": (list, True, lambda v: _number_list(v) and all(x >= 0 for x in v)),
+        "gd_steps": (int, False, _positive),
+        "gd_learning_rate": (float, False, _positive),
+        "svg": (str, False, None),
+    }),
+}
+
+# Small valid configs that set every key, so that each can be mutated.
+SMALL = {
+    "calibrate": dict(CALIBRATE, epsilons=[2.0], episode_lens=[1], svg="c.svg"),
+    "binary-sums": dict(BINARY_SUMS, trials=1000, receiver_modes=["naive"]),
+    "equilibrium": dict(EQUILIBRIUM, num_starts=1, grid_step=0.1, tol=1e-6),
+    "multi-round": dict(MULTI_ROUND, horizon=1, discount=1.0, team_weights=[1.0, 1.0],
+                        tol=1e-12, max_sweeps=2, svg="p.svg"),
+    "sender": {"dim": 1, "target_variances": [1.0], "target_mean": [0.0], "noise_vars": [0.5],
+               "gd_steps": 50, "gd_learning_rate": 0.1, "svg": "s.svg"},
+}
+
+# inf stands for the raw JSON number 1e999, which parses to inf.
+SCALARS = [0, -1, 0.5, 1.5, "1", True, False, None, [], ["a"], {}, float("inf"), float("-inf")]
+VALUES = st.one_of(
+    st.sampled_from(SCALARS),
+    st.lists(st.sampled_from([0, 1, -1, 0.5, 1.5, True, "1", None, float("inf")]),
+             min_size=1, max_size=2),
+)
+
+
+@st.composite
+def mutated_configs(draw, command):
+    config = dict(SMALL[command])
+    schema = OLD_SCHEMAS[command].fields
+    action = draw(st.sampled_from(["set"] * 4 + ["drop", "add"]))
+    if action == "set":
+        config[draw(st.sampled_from(sorted(config)))] = draw(VALUES)
+    elif action == "drop":
+        del config[draw(st.sampled_from(sorted(k for k in config if schema[k][1])))]
+    else:
+        config["unknown_key"] = draw(VALUES)
+    return config
+
+
+def int_for_real(command, config) -> bool:
+    """Whether the old schema rejects an integer given for a float-only key."""
+    schema = OLD_SCHEMAS[command].fields
+    return any(key in schema and schema[key][0] is float and type(value) is int
+               for key, value in config.items())
+
+
+@pytest.mark.parametrize("command", sorted(SMALL))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_never_escapes(command, data):
+    config = data.draw(mutated_configs(command))
+    try:
+        OLD_SCHEMAS[command].validate(config)
+        old_rejects = False
+    except ConfigError:
+        old_rejects = not int_for_real(command, config)
+    text = json.dumps(config).replace("Infinity", "1e999")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main([command, "--config", path, "--out", f"{tmp}/out"])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE)
+    if old_rejects:
+        assert code == EXIT_USAGE, text
+        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+        assert not caught, [str(w.message) for w in caught]

@@ -339,6 +339,14 @@ class TestFastPathMatchesReference:
         with pytest.raises(StepSizeError):
             aware_optimum_gd(SenderProblem(target, 0.0), steps=50)
 
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    def test_zero_noise_variance_stuck_at_zero_short_run(self):
+        # Three steps end before 10 bad steps: the run still reports divergence
+        # instead of returning a NaN KL and an infinite covariance.
+        target = GaussianMessageDist.from_diagonal([0.5, -1.0], [0.01, 1.0])
+        with pytest.raises(StepSizeError):
+            aware_optimum_gd(SenderProblem(target, 0.0), steps=3)
+
     @pytest.mark.parametrize("mode", ["diagonal", "full"])
     def test_same_step_size_error(self, mode):
         # Every run length up to and past the 10th consecutive bad step.
@@ -373,6 +381,26 @@ class TestFastPathMatchesReference:
                                                    rng.uniform(0.2, 3.0, d))
         assert_matches_reference(SenderProblem(target, noise), steps=steps,
                                  learning_rate=learning_rate)
+
+
+class TestDivergingFullMode:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_singular_post_noise_covariance_is_a_step_size_error(self):
+        # At learning rate 20 the factor blows up until A A^T swamps the noise
+        # and the post-noise covariance is singular to working precision. Every
+        # run must end in a finite iterate or StepSizeError, never LinAlgError.
+        rng = np.random.default_rng(30)
+        singular = 0
+        for _ in range(300):
+            d = int(rng.integers(1, 5))
+            problem = SenderProblem(random_spd_target(rng, d), float(rng.choice([0.3, 1.5])))
+            try:
+                sol = aware_optimum_gd(problem, steps=200, learning_rate=20.0, mode="full")
+            except StepSizeError as exc:
+                singular += "singular" in str(exc)
+            else:
+                assert np.isfinite(sol.dist.cov).all() and not math.isnan(sol.kl)
+        assert singular > 0
 
 
 class TestSampler:
@@ -441,3 +469,19 @@ class TestValidation:
     def test_negative_noise_rejected(self):
         with pytest.raises(InvalidParameterError):
             SenderProblem(GaussianMessageDist(np.zeros(1), np.eye(1)), -0.1)
+
+    def test_non_finite_inputs_rejected(self):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            GaussianMessageDist.from_diagonal([math.inf], [1.0])
+        with pytest.raises(InvalidParameterError, match="finite"):
+            GaussianMessageDist.from_diagonal([0.0], [math.inf])
+        with pytest.raises(InvalidParameterError, match="noise_var"):
+            SenderProblem(GaussianMessageDist(np.zeros(1), np.eye(1)), math.inf)
+
+    @pytest.mark.parametrize("kwargs", [{"steps": 0}, {"steps": 2.0}, {"steps": True},
+                                        {"learning_rate": -0.1}, {"learning_rate": math.inf}])
+    def test_bad_descent_parameters_rejected(self, kwargs):
+        problem = SenderProblem(GaussianMessageDist(np.zeros(1), np.eye(1)), 0.1)
+        name = next(iter(kwargs))
+        with pytest.raises(InvalidParameterError, match=name):
+            aware_optimum_gd(problem, **kwargs)

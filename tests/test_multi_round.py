@@ -334,9 +334,43 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             small_config(privacy_grid=(0.0, 1.5))
 
+    def test_zero_sweeps_rejected(self):
+        cfg = small_config()
+        with pytest.raises(InvalidParameterError, match="max_sweeps"):
+            find_mpg_nash(cfg, cfg.start_state(), max_sweeps=0)
+
+    @pytest.mark.parametrize("tol", [-1e-12, 0.0, float("inf")])
+    def test_verify_tolerance_checked(self, tol):
+        cfg = small_config()
+        with pytest.raises(InvalidParameterError, match="tol"):
+            verify_mpg(cfg, cfg.start_state(), tol=tol)
+
+    @pytest.mark.parametrize("overrides", [
+        {"reward_alpha": float("inf")}, {"reward_beta": float("-inf")},
+        {"team_weights": (1.0, float("inf"))}, {"spend_grid": (0.0, float("inf"))},
+        {"num_agents": 2.0}, {"horizon": 1.5}, {"horizon": True},
+    ])
+    def test_non_finite_or_non_integer_config_rejected(self, overrides):
+        with pytest.raises(InvalidParameterError, match=next(iter(overrides))):
+            small_config(**overrides)
+
+    def test_overflowing_reward_still_picks_an_action(self):
+        # alpha * saving overflows to -inf for every action; the best response
+        # used to keep no action at all and crash later.
+        cfg = small_config(reward_alpha=-1e308)
+        br = best_response_policy(lex_min_profile(cfg, cfg.start_state()), 0, cfg,
+                                  cfg.start_state())
+        assert all(a == MrsAction(0.0, 0.0) for a in br.actions.values())
+
     def test_negative_state(self):
         with pytest.raises(InvalidParameterError):
             MrsState((-1.0, 2.0), 0)
+
+    def test_state_without_affordable_spend_rejected(self):
+        # Every spend exceeds the saving: the state has no action at all.
+        cfg = small_config(initial_savings=(1.0, 1.0), spend_grid=(1.5,))
+        with pytest.raises(InvalidActionError, match="affordable"):
+            find_mpg_nash(cfg, cfg.start_state())
 
     def test_masked_actions_at_zero_saving(self):
         cfg = small_config()
