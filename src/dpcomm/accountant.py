@@ -23,6 +23,7 @@ Everything here is a pure function of its inputs; no shared mutable state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -80,8 +81,9 @@ class MechanismParams:
     episode_len: int = 1      # T, used only by calibrate_episode
 
     def __post_init__(self):
-        if not 0 < self.clip_norm < math.inf:
-            raise InvalidParameterError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
+        if not (self.clip_norm > 0 and 0.0 < self.clip_norm * self.clip_norm <= sys.float_info.max):
+            raise InvalidParameterError(
+                f"clip_norm must be > 0 with a finite, nonzero square, got {self.clip_norm}")
         for name in ("sample_rate_data", "sample_rate_agents"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):

@@ -227,9 +227,10 @@ def find_nash(instance: CgpInstance, start: StrategyProfile, max_iters: int = 10
     ``tol`` within ``max_iters`` sweeps; the returned profile is additionally
     checked by a unilateral-deviation grid scan (``max_gain``).
     """
-    for name, value in (("grid_step", grid_step), ("tol", tol)):
-        if not 0 < value < math.inf:
-            raise InvalidParameterError(f"{name} must be finite and > 0, got {value}")
+    # Each best response scans about 1/grid_step points.
+    for name, value, low in (("grid_step", grid_step, 1e-6), ("tol", tol, 0)):
+        if not low < value < math.inf:
+            raise InvalidParameterError(f"{name} must be finite and > {low}, got {value}")
     p1, p2 = start.p
     converged = False
     sweeps = 0

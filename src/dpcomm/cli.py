@@ -30,7 +30,7 @@ from .accountant import (
 )
 from .binary_sums import BinarySumsInstance, analytic_outcome, run_game
 from .cgp import StrategyProfile, find_nash, is_potential_game, make_binary_sums_cgp
-from .errors import EnumerationBudgetError, StepSizeError, require_count
+from .errors import StepSizeError, require_count
 from .gaussian_sender import (
     GaussianMessageDist,
     SenderProblem,
@@ -136,6 +136,12 @@ def _reject_constant(raw_text: str):
     return reject
 
 
+def _parse_int(text: str):
+    """parse_int hook: an integer beyond the float range reads as +-inf, like 1e999."""
+    value = int(text)
+    return value if abs(value) <= sys.float_info.max else float(text)
+
+
 def load_config(path: str, command: str) -> dict:
     try:
         with open(path) as fh:
@@ -143,7 +149,7 @@ def load_config(path: str, command: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(raw, parse_constant=_reject_constant(raw))
+        doc = json.loads(raw, parse_constant=_reject_constant(raw), parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}: malformed JSON in {path}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -339,7 +345,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"dpcomm {args.command}: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, EnumerationBudgetError) as exc:  # the library's typed input errors
+    except ValueError as exc:  # the library's typed input errors
         print(f"dpcomm {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StepSizeError as exc:

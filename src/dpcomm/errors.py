@@ -55,7 +55,9 @@ class EvaluationError(ValueError):
 
 def require_count(name: str, value, minimum: int) -> int:
     """``value``; InvalidParameterError unless it is an integer >= ``minimum``
-    (an integral float such as 2.0, or a bool, is not)."""
+    (an integral float such as 2.0, or a bool, is not) and <= 2**53."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if value > 2**53:  # the largest integer a float holds exactly
+        raise InvalidParameterError(f"{name} must be at most 2**53, got {value!r}")
     return value

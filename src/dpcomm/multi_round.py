@@ -18,25 +18,23 @@ agent i controls. Policies are tabular in each agent's own component of the
 state, (own saving, round); that is what makes the difference exact, because
 no other agent's behaviour can react to agent i's choices.
 
-``verify_mpg`` checks the potential property exhaustively over the tabular
-policy space, ``best_response_policy`` solves one agent by backward
-induction, and ``find_mpg_nash`` runs sequential best-response sweeps, which
-on a potential game must drive J monotonically upward until a Nash
-equilibrium is reached.
-
 Per-agent ``team_weights`` (default all 1) scale the team term of the named
-agent's reward only; any weight != 1 deliberately breaks the potential
-structure, which ``verify_mpg`` then detects.
+agent's reward only, so V_i - Phi = (w_i - 1) T_i(pi_i) + (terms the other
+agents fix), with T_i = sum_t gamma^t (1 - p_t) b_t the agent's discounted
+team contribution. ``verify_mpg`` takes the spread |w_i - 1| (max T_i -
+min T_i) from one backward pass per agent, enumerating no joint profile;
+``best_response_policy`` solves one agent by backward induction, and
+``find_mpg_nash`` runs sequential best-response sweeps, which on a potential
+game must drive J monotonically upward until a Nash equilibrium is reached.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import EnumerationBudgetError, InvalidActionError, InvalidParameterError, require_count
+from .errors import InvalidActionError, InvalidParameterError, require_count
 
 _KEY_DECIMALS = 9
 _SPEND_TOL = 1e-9
@@ -95,16 +93,22 @@ class MrsConfig:
         return MrsState(self.initial_savings, 0)
 
 
+def _clean_savings(savings) -> tuple:
+    """Savings as floats with |x| < 1e-12 snapped to 0; InvalidParameterError
+    unless every one is finite and >= 0."""
+    cleaned = tuple(0.0 if abs(x) < 1e-12 else float(x) for x in savings)
+    if not all(0.0 <= x < math.inf for x in cleaned):
+        raise InvalidParameterError(f"savings must be finite and >= 0, got {cleaned}")
+    return cleaned
+
+
 @dataclass(frozen=True)
 class MrsState:
     savings: tuple
     step: int
 
     def __post_init__(self):
-        cleaned = tuple(0.0 if abs(x) < 1e-12 else float(x) for x in self.savings)
-        object.__setattr__(self, "savings", cleaned)
-        if not all(0.0 <= x < math.inf for x in cleaned):
-            raise InvalidParameterError(f"savings must be finite and >= 0, got {cleaned}")
+        object.__setattr__(self, "savings", _clean_savings(self.savings))
         if self.step < 0:
             raise InvalidParameterError("step must be nonnegative")
 
@@ -154,32 +158,45 @@ def valid_actions(cfg: MrsConfig, saving: float) -> list:
     return actions
 
 
+def _spent(savings: tuple, actions: Sequence[MrsAction]) -> tuple:
+    """Savings after one round; InvalidActionError if an agent overspends."""
+    for j, (x, a) in enumerate(zip(savings, actions)):
+        if a.spend > x + _SPEND_TOL:
+            raise InvalidActionError(f"agent {j}'s spend {a.spend:.6g} exceeds saving {x:.6g}")
+    return _clean_savings(x - a.spend for x, a in zip(savings, actions))
+
+
 def transition(state: MrsState, actions: Sequence[MrsAction]) -> MrsState:
     """Deterministic update: each saving drops by the agent's spend."""
     if len(actions) != len(state.savings):
         raise InvalidParameterError("need one action per agent")
-    for x, a in zip(state.savings, actions):
-        if a.spend > x + _SPEND_TOL:
-            raise InvalidActionError(f"spend {a.spend:.6g} exceeds saving {x:.6g}")
-    return MrsState(tuple(x - a.spend for x, a in zip(state.savings, actions)), state.step + 1)
+    return MrsState(_spent(state.savings, actions), state.step + 1)
 
 
-def step_reward(state: MrsState, actions: Sequence[MrsAction], agent: int, cfg: MrsConfig) -> float:
-    """Per-round reward of one agent (team term plus own saving/privacy)."""
+def _reward(savings: tuple, actions: Sequence[MrsAction], agent: int, cfg: MrsConfig) -> float:
     team = math.fsum((1.0 - a.privacy) * a.spend for a in actions)
     return math.fsum((
         cfg.team_weights[agent] * team,
-        cfg.reward_alpha * state.savings[agent],
+        cfg.reward_alpha * savings[agent],
         cfg.reward_beta * actions[agent].privacy,
     ))
 
 
-def potential(state: MrsState, actions: Sequence[MrsAction], cfg: MrsConfig) -> float:
-    """Potential J: the team term plus everyone's saving and privacy terms."""
+def _potential(savings: tuple, actions: Sequence[MrsAction], cfg: MrsConfig) -> float:
     terms = [(1.0 - a.privacy) * a.spend for a in actions]
-    terms += [cfg.reward_alpha * x for x in state.savings]
+    terms += [cfg.reward_alpha * x for x in savings]
     terms += [cfg.reward_beta * a.privacy for a in actions]
     return math.fsum(terms)
+
+
+def step_reward(state: MrsState, actions: Sequence[MrsAction], agent: int, cfg: MrsConfig) -> float:
+    """Per-round reward of one agent (team term plus own saving/privacy)."""
+    return _reward(state.savings, actions, agent, cfg)
+
+
+def potential(state: MrsState, actions: Sequence[MrsAction], cfg: MrsConfig) -> float:
+    """Potential J: the team term plus everyone's saving and privacy terms."""
+    return _potential(state.savings, actions, cfg)
 
 
 def theta(state: MrsState, actions: Sequence[MrsAction], agent: int, cfg: MrsConfig) -> float:
@@ -195,11 +212,8 @@ def theta(state: MrsState, actions: Sequence[MrsAction], agent: int, cfg: MrsCon
     )
 
 
-def _profile_actions(policies: Sequence[TabularPolicy], state: MrsState) -> list:
-    return [
-        policies[j].action_at(state.savings[j], state.step)
-        for j in range(len(state.savings))
-    ]
+def _profile_actions(policies: Sequence[TabularPolicy], savings: tuple, step: int) -> list:
+    return [policies[j].action_at(x, step) for j, x in enumerate(savings)]
 
 
 def rollout(policies: Sequence[TabularPolicy], cfg: MrsConfig, start: MrsState):
@@ -207,14 +221,14 @@ def rollout(policies: Sequence[TabularPolicy], cfg: MrsConfig, start: MrsState):
     n = len(start.savings)
     reward_terms = [[] for _ in range(n)]
     potential_terms = []
-    state = start
+    savings = start.savings
     for t in range(start.step, cfg.horizon):
-        actions = _profile_actions(policies, state)
+        actions = _profile_actions(policies, savings, t)
         gamma_t = cfg.discount ** (t - start.step)
         for i in range(n):
-            reward_terms[i].append(gamma_t * step_reward(state, actions, i, cfg))
-        potential_terms.append(gamma_t * potential(state, actions, cfg))
-        state = transition(state, actions)
+            reward_terms[i].append(gamma_t * _reward(savings, actions, i, cfg))
+        potential_terms.append(gamma_t * _potential(savings, actions, cfg))
+        savings = _spent(savings, actions)
     return tuple(math.fsum(terms) for terms in reward_terms), math.fsum(potential_terms)
 
 
@@ -244,67 +258,46 @@ def reachable_savings(cfg: MrsConfig, agent: int, start: MrsState) -> list:
     return [sorted(s) for s in levels]
 
 
-def enumerate_policies(cfg: MrsConfig, agent: int, start: MrsState) -> list:
-    """All tabular policies of one agent over its reachable decision points."""
-    keys = []
-    choices = []
-    levels = reachable_savings(cfg, agent, start)
-    for offset, savings in enumerate(levels):
-        t = start.step + offset
-        for s in savings:
-            keys.append((s, t))
-            choices.append(valid_actions(cfg, s))
-    policies = []
-    for combo in itertools.product(*choices):
-        policies.append(TabularPolicy(agent, dict(zip(keys, combo))))
-    return policies
-
-
 def policy_space_size(cfg: MrsConfig, start: MrsState) -> int:
     """Number of joint tabular policy profiles of the instance."""
-    total = 1
-    for agent in range(cfg.num_agents):
-        per_agent = 1
-        for offset, savings in enumerate(reachable_savings(cfg, agent, start)):
-            for s in savings:
-                per_agent *= len(valid_actions(cfg, s))
-        total *= per_agent
-    return total
+    return math.prod(len(valid_actions(cfg, s)) for agent in range(cfg.num_agents)
+                     for level in reachable_savings(cfg, agent, start) for s in level)
 
 
-def verify_mpg(cfg: MrsConfig, start: MrsState, tol: float = 1e-12,
-               budget: int = 10**6):
-    """Exhaustively test the potential property on the tabular policy space.
+def _team_contribution_range(cfg: MrsConfig, agent: int, start: MrsState) -> tuple:
+    """(min, max) of T = sum_t gamma^t (1 - p_t) b_t over the agent's spend paths."""
+    after = {}  # saving -> (min, max) of the remaining T one round later; empty past the horizon
+    for savings in reversed(reachable_savings(cfg, agent, start)):
+        level = {}
+        for s in savings:
+            lows, highs = [], []
+            for a in valid_actions(cfg, s):
+                own = (1.0 - a.privacy) * a.spend
+                low, high = after[_rounded(s - a.spend)] if after else (0.0, 0.0)
+                lows.append(own + cfg.discount * low)
+                highs.append(own + cfg.discount * high)
+            level[s] = (min(lows), max(highs))
+        after = level
+    return after[_rounded(start.savings[agent])] if after else (0.0, 0.0)
+
+
+def verify_mpg(cfg: MrsConfig, start: MrsState, tol: float = 1e-12):
+    """Test the potential property on the tabular policy space; returns
+    (is_mpg, max_violation).
 
     For every agent i and every fixed opponent profile, the gap V_i - Phi
-    must be constant across agent i's policies; the maximum spread observed
-    is returned as the violation. Raises EnumerationBudgetError when the
-    joint policy space exceeds ``budget`` profiles.
-
-    Returns (is_mpg, max_violation).
+    must be constant across agent i's policies. Its largest spread is
+    |w_i - 1| (max T_i - min T_i); the violation is the maximum over agents,
+    exactly 0 under unit team weights. InvalidActionError if a reachable
+    saving has no affordable spend.
     """
     if not 0 < tol < math.inf:
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
-    total = policy_space_size(cfg, start)
-    if total > budget:
-        raise EnumerationBudgetError(
-            f"{total} joint policy profiles exceed the budget of {budget}; "
-            "use a smaller instance"
-        )
-    policy_lists = [enumerate_policies(cfg, agent, start) for agent in range(cfg.num_agents)]
-    sizes = [len(pl) for pl in policy_lists]
-    values = {}
-    for combo in itertools.product(*(range(s) for s in sizes)):
-        profile = [policy_lists[j][combo[j]] for j in range(cfg.num_agents)]
-        values[combo] = rollout(profile, cfg, start)
     max_violation = 0.0
-    for i in range(cfg.num_agents):
-        gaps = {}
-        for combo, (vals, phi) in values.items():
-            others = combo[:i] + combo[i + 1:]
-            gaps.setdefault(others, []).append(vals[i] - phi)
-        for gap_list in gaps.values():
-            max_violation = max(max_violation, max(gap_list) - min(gap_list))
+    for agent, weight in enumerate(cfg.team_weights):
+        low, high = _team_contribution_range(cfg, agent, start)
+        if weight != 1.0:
+            max_violation = max(max_violation, abs(weight - 1.0) * (high - low))
     return max_violation <= tol, max_violation
 
 
@@ -318,19 +311,13 @@ def best_response_policy(policies: Sequence[TabularPolicy], agent: int, cfg: Mrs
     (spend, privacy) action.
     """
     team_others = []
-    others = [j for j in range(cfg.num_agents) if j != agent]
-    savings = {j: start.savings[j] for j in others}
+    savings = start.savings
+    no_spend = MrsAction(0.0, 0.0)  # the agent's own entry: adds nothing to the team sum
     for t in range(start.step, cfg.horizon):
-        contributions = []
-        for j in others:
-            a = policies[j].action_at(savings[j], t)
-            if a.spend > savings[j] + _SPEND_TOL:
-                raise InvalidActionError(
-                    f"policy of agent {j} overspends at round {t}"
-                )
-            contributions.append((1.0 - a.privacy) * a.spend)
-            savings[j] -= a.spend
-        team_others.append(math.fsum(contributions))
+        actions = [no_spend if j == agent else policies[j].action_at(x, t)
+                   for j, x in enumerate(savings)]
+        team_others.append(math.fsum((1.0 - a.privacy) * a.spend for a in actions))
+        savings = _spent(savings, actions)
 
     levels = reachable_savings(cfg, agent, start)
     best_actions = {}
@@ -375,7 +362,7 @@ def simulate_with_channel(policies: Sequence[TabularPolicy], cfg: MrsConfig,
     state = start
     n = len(start.savings)
     for t in range(start.step, cfg.horizon):
-        actions = _profile_actions(policies, state)
+        actions = _profile_actions(policies, state.savings, state.step)
         announced = []
         for i, a in enumerate(actions):
             rng = substream(rng_seed, i, t)

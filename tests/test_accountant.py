@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from dpcomm import (
@@ -285,6 +287,34 @@ class TestCalibrateEpisode:
         assert back.epsilon <= FEASIBLE_BUDGET.epsilon * (1 + 1e-9)
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    epsilon=st.floats(0.5, 20.0),
+    delta_exp=st.floats(-10.0, -1.0),
+    gamma1_exp=st.floats(-3.3, -1.3),
+    gamma2=st.floats(0.01, 0.99),
+    num_agents=st.integers(1, 1000),
+    clip_norm=st.floats(1e-3, 1e3),
+    episode_len=st.integers(1, 50),
+)
+def test_round_trip_never_exceeds_the_budget(epsilon, delta_exp, gamma1_exp, gamma2, num_agents,
+                                             clip_norm, episode_len):
+    # Random draws over the grid that test_criterion_4 pins: a feasible
+    # calibration re-derives epsilon' <= epsilon; any other draw must be
+    # reported as infeasible, never as some other failure.
+    budget = PrivacyBudget(epsilon, 10.0**delta_exp)
+    params = MechanismParams(clip_norm, 10.0**gamma1_exp, gamma2, num_agents, episode_len)
+    episode = episode_len > 1
+    try:
+        result = (calibrate_episode if episode else calibrate_step)(budget, params)
+    except CalibrationInfeasibleError:
+        event("infeasible")
+        return
+    event("feasible")
+    assert result.feasible
+    assert round_trip(result, budget, params, episode=episode).epsilon <= epsilon + 1e-9
+
+
 class TestValidation:
     def test_budget_ranges(self):
         with pytest.raises(InvalidParameterError):
@@ -313,6 +343,20 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
             MechanismParams(**{**dict(clip_norm=1.0, sample_rate_data=0.5,
                                       sample_rate_agents=0.5, num_agents=3), **kwargs})
+
+    @pytest.mark.parametrize("clip_norm", [1e200, 1e-200])
+    def test_clip_norm_square_must_be_a_positive_float(self, clip_norm):
+        # C^2 overflowed (OverflowError) or underflowed to 0 (ZeroDivisionError).
+        with pytest.raises(InvalidParameterError, match="clip_norm"):
+            MechanismParams(clip_norm, 0.005, 0.5, 500)
+
+    def test_count_beyond_float_precision_rejected(self):
+        # A 401-digit N used to overflow in compose_copies.
+        with pytest.raises(InvalidParameterError, match="num_agents must be at most 2"):
+            MechanismParams(1.0, 0.005, 0.5, 10**400)
+        with pytest.raises(InvalidParameterError, match="num_agents"):
+            MechanismParams(1.0, 0.005, 0.5, 2**53 + 1)
+        assert MechanismParams(1.0, 0.005, 0.5, 2**53).num_agents == 2**53
 
     def test_compose_copies_rounds_up(self):
         assert MechanismParams(1.0, 0.5, 0.5, 3).compose_copies == 2

@@ -148,6 +148,11 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="trials"):
             run_game(make([1], 1.0, "naive"), 2.0, 0)
 
+    def test_trials_beyond_float_precision_rejected(self):
+        # A 401-digit count used to overflow in rng.block_sizes.
+        with pytest.raises(InvalidParameterError, match="trials must be at most 2"):
+            run_game(make([1], 1.0, "naive"), 10**400, 0)
+
     def test_bad_mode(self):
         with pytest.raises(InvalidParameterError):
             BinarySumsInstance((1,), (1.0,), "trusting")

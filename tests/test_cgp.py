@@ -263,8 +263,10 @@ class TestBinarySumsConstruction:
         with pytest.raises(InvalidParameterError):
             make_binary_sums_cgp((1.0, 1.0), (1.0, -1.0))
 
+    # grid_step 1e-200 used to build a grid of 1e200 points and never return.
     @pytest.mark.parametrize("kwargs", [{"grid_step": -0.01}, {"tol": -1e-8},
-                                        {"tol": math.inf}, {"grid_step": 0.0}])
+                                        {"tol": math.inf}, {"grid_step": 0.0},
+                                        {"grid_step": 1e-200}])
     def test_find_nash_parameters_checked(self, kwargs):
         game = make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0))
         with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):

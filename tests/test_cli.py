@@ -328,15 +328,17 @@ class TestValueChecks:
         code, _ = run(tmp_path, "equilibrium", dict(EQUILIBRIUM, num_starts=2, tol=1))
         assert code == EXIT_OK
 
-    def test_over_budget_instance_exits_1(self, tmp_path, capsys):
-        # horizon 3: 4,194,304 joint policy profiles, over verify_mpg's 1e6 budget.
+    def test_horizon_three_instance_verifies(self, tmp_path, capsys):
+        # horizon 3: 4,194,304 joint policy profiles, which verify_mpg used to
+        # refuse (exit 1) for exceeding its enumeration budget.
         shipped = pathlib.Path(__file__).resolve().parents[1] / "configs" / "multi_round.json"
         config = dict(json.loads(shipped.read_text()), horizon=3)
         code, path = run(tmp_path, "multi-round", config)
-        assert code == EXIT_USAGE and not path.exists()
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("dpcomm multi-round: ")
-        assert "exceed the budget" in err[0]
+        assert code == EXIT_OK and not capsys.readouterr().err
+        _, header, rows = parse_csv(path)
+        summary = [r for r in rows if r[header.index("record")] == "summary"][0]
+        assert summary[header.index("is_mpg")] == "True"
+        assert float(summary[header.index("max_violation")]) == 0.0
 
 
 # The schema the CLI used to check values with, before that moved into the
@@ -438,8 +440,10 @@ SMALL = {
                "gd_steps": 50, "gd_learning_rate": 0.1, "svg": "s.svg"},
 }
 
-# inf stands for the raw JSON number 1e999, which parses to inf.
-SCALARS = [0, -1, 0.5, 1.5, "1", True, False, None, [], ["a"], {}, float("inf"), float("-inf")]
+# inf stands for the raw JSON number 1e999, which parses to inf; 10**400 is
+# written out as 401 digits.
+SCALARS = [0, -1, 0.5, 1.5, "1", True, False, None, [], ["a"], {}, float("inf"), float("-inf"),
+           1e200, 1e-200, 10**400]
 VALUES = st.one_of(
     st.sampled_from(SCALARS),
     st.lists(st.sampled_from([0, 1, -1, 0.5, 1.5, True, "1", None, float("inf")]),

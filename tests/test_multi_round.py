@@ -1,4 +1,9 @@
+import itertools
+import math
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dpcomm import (
     EnumerationBudgetError,
@@ -19,12 +24,72 @@ from dpcomm import (
     verify_mpg,
 )
 from dpcomm.multi_round import (
-    enumerate_policies,
     lex_min_profile,
     policy_space_size,
+    reachable_savings,
+    rollout,
     simulate_with_channel,
     valid_actions,
 )
+
+
+# The brute-force code the library used before verify_mpg was factored and
+# rollout stopped building an MrsState per round, kept as test oracles.
+def enumerate_policies(cfg, agent, start):
+    """All tabular policies of one agent over its reachable decision points."""
+    keys = []
+    choices = []
+    levels = reachable_savings(cfg, agent, start)
+    for offset, savings in enumerate(levels):
+        t = start.step + offset
+        for s in savings:
+            keys.append((s, t))
+            choices.append(valid_actions(cfg, s))
+    policies = []
+    for combo in itertools.product(*choices):
+        policies.append(TabularPolicy(agent, dict(zip(keys, combo))))
+    return policies
+
+
+def _reference_rollout(policies, cfg, start):
+    n = len(start.savings)
+    reward_terms = [[] for _ in range(n)]
+    potential_terms = []
+    state = start
+    for t in range(start.step, cfg.horizon):
+        actions = [policies[j].action_at(state.savings[j], state.step) for j in range(n)]
+        gamma_t = cfg.discount ** (t - start.step)
+        for i in range(n):
+            reward_terms[i].append(gamma_t * step_reward(state, actions, i, cfg))
+        potential_terms.append(gamma_t * potential(state, actions, cfg))
+        state = transition(state, actions)
+    return tuple(math.fsum(terms) for terms in reward_terms), math.fsum(potential_terms)
+
+
+def _reference_verify_mpg(cfg, start, tol=1e-12, budget=10**6):
+    """Exhaustive check: the spread of V_i - Phi over agent i's policies, for
+    every fixed opponent profile, over the joint tabular policy space."""
+    total = policy_space_size(cfg, start)
+    if total > budget:
+        raise EnumerationBudgetError(
+            f"{total} joint policy profiles exceed the budget of {budget}; "
+            "use a smaller instance"
+        )
+    policy_lists = [enumerate_policies(cfg, agent, start) for agent in range(cfg.num_agents)]
+    sizes = [len(pl) for pl in policy_lists]
+    values = {}
+    for combo in itertools.product(*(range(s) for s in sizes)):
+        profile = [policy_lists[j][combo[j]] for j in range(cfg.num_agents)]
+        values[combo] = _reference_rollout(profile, cfg, start)
+    max_violation = 0.0
+    for i in range(cfg.num_agents):
+        gaps = {}
+        for combo, (vals, phi) in values.items():
+            others = combo[:i] + combo[i + 1:]
+            gaps.setdefault(others, []).append(vals[i] - phi)
+        for gap_list in gaps.values():
+            max_violation = max(max_violation, max(gap_list) - min(gap_list))
+    return max_violation <= tol, max_violation
 
 
 def small_config(**overrides):
@@ -225,7 +290,107 @@ class TestMpgProperty:
         )
         assert policy_space_size(cfg, cfg.start_state()) > 10**6
         with pytest.raises(EnumerationBudgetError):
+            _reference_verify_mpg(cfg, cfg.start_state())
+
+    def test_no_budget_beyond_enumeration(self):
+        # 1.7e66 joint profiles at horizon 10; nothing is enumerated.
+        cfg = small_config(horizon=10, initial_savings=(10.0, 10.0))
+        assert policy_space_size(cfg, cfg.start_state()) > 10**66
+        assert verify_mpg(cfg, cfg.start_state()) == (True, 0.0)
+        weighted = small_config(horizon=10, initial_savings=(10.0, 10.0), team_weights=(1.0, 3.0))
+        # T ranges over [0, 10]: all ten unit spends in the open, or none.
+        assert verify_mpg(weighted, weighted.start_state()) == (False, 20.0)
+
+    def test_unaffordable_saving_rejected(self):
+        cfg = small_config(initial_savings=(1.0, 1.0), spend_grid=(1.5,))
+        with pytest.raises(InvalidActionError, match="affordable"):
             verify_mpg(cfg, cfg.start_state())
+
+
+_MPG_BASE = dict(num_agents=2, horizon=2, discount=1.0, reward_alpha=0.1, reward_beta=0.2,
+                 initial_savings=(2.0, 2.0), spend_grid=(0.0, 1.0), privacy_grid=(0.0, 0.5))
+
+#: The shipped instance (acceptance criterion 6), the benchmark's verify_mpg
+#: instances, and one case per branch of the factored check.
+REFERENCE_CASES = {
+    "shipped": _MPG_BASE,
+    "grid3": dict(_MPG_BASE, privacy_grid=(0.0, 0.5, 1.0)),
+    "n3": dict(_MPG_BASE, num_agents=3, initial_savings=(1.0, 1.0, 1.0)),
+    "weighted": dict(_MPG_BASE, team_weights=(1.0, 2.0)),
+    "weighted_discounted": dict(_MPG_BASE, team_weights=(0.5, 1.25), discount=0.7),
+    "discounted": dict(_MPG_BASE, discount=0.9),
+    "horizon0": dict(_MPG_BASE, horizon=0),
+    "single_agent": dict(_MPG_BASE, num_agents=1, initial_savings=(2.0,), team_weights=(1.5,)),
+}
+
+
+class TestReferenceVerify:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+    def test_matches_brute_force(self, name):
+        cfg = MrsConfig(**REFERENCE_CASES[name])
+        start = cfg.start_state()
+        ok, violation = verify_mpg(cfg, start)
+        want_ok, want_violation = _reference_verify_mpg(cfg, start)
+        assert ok == want_ok
+        assert abs(violation - want_violation) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        horizon=st.integers(0, 3),
+        discount=st.sampled_from([1.0, 0.9, 0.5]),
+        savings=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=3, max_size=3),
+        spends=st.sets(st.sampled_from([0.5, 1.0, 2.0]), max_size=2),
+        privacy=st.sets(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=2),
+        weights=st.lists(st.sampled_from([1.0, 1.0, 0.5, 2.0, 1.1]), min_size=3, max_size=3),
+        alpha=st.sampled_from([0.0, 0.1, -0.3]),
+        beta=st.sampled_from([0.0, 0.2, 1.0]),
+    )
+    def test_matches_brute_force_on_random_instances(self, n, horizon, discount, savings, spends,
+                                                     privacy, weights, alpha, beta):
+        cfg = MrsConfig(n, horizon, discount, alpha, beta, tuple(savings[:n]),
+                        (0.0, *spends), tuple(privacy), tuple(weights[:n]))
+        start = cfg.start_state()
+        assume(policy_space_size(cfg, start) <= 5000)
+        ok, violation = verify_mpg(cfg, start)
+        want_ok, want_violation = _reference_verify_mpg(cfg, start)
+        assert ok == want_ok
+        assert abs(violation - want_violation) <= 1e-12
+
+
+class TestReferenceRollout:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"discount": 0.9, "team_weights": (1.5, 0.5)},
+        # Spending 0.30000000000000004 of 0.3 leaves -5.6e-17, which MrsState
+        # snaps to 0; unsnapped, the second round's reward would be one ulp off.
+        {"num_agents": 1, "reward_alpha": 1.0, "reward_beta": -0.3, "initial_savings": (0.3,),
+         "spend_grid": (0.0, 0.1 + 0.2), "privacy_grid": (1.0,)},
+    ])
+    def test_bit_equal_on_every_profile(self, overrides):
+        cfg = small_config(**overrides)
+        start = cfg.start_state()
+        policies = [enumerate_policies(cfg, a, start) for a in range(cfg.num_agents)]
+        for profile in itertools.product(*policies):
+            got = rollout(profile, cfg, start)
+            assert got == _reference_rollout(profile, cfg, start)
+            assert policy_value(profile, cfg.num_agents - 1, cfg, start) == got[0][-1]
+            assert potential_value(profile, cfg, start) == got[1]
+
+    def test_hand_rolled_profile_bit_equal(self):
+        for discount in (1.0, 0.9):
+            cfg = small_config(initial_savings=(2.0, 1.0), discount=discount)
+            profile = hand_rolled_profile(cfg)
+            assert rollout(profile, cfg, cfg.start_state()) == _reference_rollout(
+                profile, cfg, cfg.start_state())
+
+    def test_overspend_rejected(self):
+        cfg = small_config(horizon=1, initial_savings=(1.0, 1.0))
+        profile = [TabularPolicy(0, {(1.0, 0): MrsAction(2.0, 0.0)}),
+                   TabularPolicy(1, {(1.0, 0): MrsAction(0.0, 0.0)})]
+        for roll in (rollout, _reference_rollout):
+            with pytest.raises(InvalidActionError, match="exceeds saving"):
+                roll(profile, cfg, cfg.start_state())
 
 
 class TestBestResponse:
@@ -256,6 +421,12 @@ class TestBestResponse:
         for candidate in enumerate_policies(cfg, 0, start):
             value = policy_value([candidate, opponents[1]], 0, cfg, start)
             assert value <= best + 1e-12
+
+    def test_overspending_opponent_rejected(self):
+        cfg = small_config(horizon=1, initial_savings=(1.0, 1.0))
+        opponents = [TabularPolicy(0, {}), TabularPolicy(1, {(1.0, 0): MrsAction(2.0, 0.0)})]
+        with pytest.raises(InvalidActionError):
+            best_response_policy(opponents, 0, cfg, cfg.start_state())
 
     def test_horizon_zero_empty_policy(self):
         cfg = small_config(horizon=0)
