@@ -269,11 +269,12 @@ def round_trip(result: CalibrationResult, budget: PrivacyBudget, params: Mechani
 
     Feeds sigma back through the subsampled-Gaussian bound at sensitivity 2C,
     composes ceil(gamma2*N) copies (times T for an episode), and converts at
-    delta. For any feasible calibration, epsilon' <= epsilon.
+    delta. For any feasible calibration, epsilon' <= epsilon. The copies are
+    composed as copies * rho, which for copies <= 2**53 is the correctly
+    rounded sum that ``compose`` would return, in O(1).
     """
     point = subsampled_gaussian_rdp(
         params.sensitivity, math.sqrt(result.sigma_sq), result.alpha, params.sample_rate_data
     )
     copies = params.compose_copies * (params.episode_len if episode else 1)
-    composed = compose([point] * copies)
-    return rdp_to_dp(composed, budget.delta)
+    return rdp_to_dp(RdpPoint(point.alpha, copies * point.rho), budget.delta)

@@ -7,7 +7,10 @@ and the team reward is the sum over agents.
 ``run_game`` estimates expected guesses by seeded Monte-Carlo; results are
 reproducible for a given seed regardless of block scheduling because each
 (agent, block) pair draws from its own substream and block aggregates are
-combined with exact summation.
+combined with exact summation. Every guess is affine in the 0/1 messages,
+so a block is reduced to sufficient statistics, each agent's count of 1s and
+the Gram matrix of the messages, from which the per-agent sum and sum of
+squares of the guesses follow in closed form (see ``_simulate_block``).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMechanismError, InvalidParameterError, require_count
+from .errors import DegenerateMechanismError, InvalidParameterError, require_count, require_float
 from .mechanisms import _check_bit, rr_flip_prob
 from .rng import block_sizes, substream
 
@@ -32,7 +35,8 @@ class BinarySumsInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "bits", tuple(_check_bit(b) for b in self.bits))
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
+        object.__setattr__(self, "epsilons",
+                           tuple(require_float("epsilons", e) for e in self.epsilons))
         if any(not e > 0 for e in self.epsilons):  # +inf is allowed: exact messages
             raise InvalidParameterError(f"epsilons must be > 0, got {self.epsilons}")
         if len(self.epsilons) != len(self.bits):
@@ -101,23 +105,38 @@ def analytic_outcome(instance: BinarySumsInstance) -> BinarySumsOutcome:
 
 
 def _simulate_block(instance: BinarySumsInstance, rng_seed: int, block: int, m: int):
-    """Per-agent (sum, sum-of-squares) of the guesses over one trial block."""
+    """Per-agent (sum, sum-of-squares) of the guesses over one trial block.
+
+    Agent j's messages form row j of an N x m 0/1 array X. The block keeps
+    only its Gram matrix G = X X^T and the counts c = X 1, which are the
+    diagonal of G since x^2 = x; both are exact integers in float64. A message
+    of agent j is worth v0_j or v1_j to a receiver (0 and 1 when naive,
+    (x - p_j/2) / (1 - p_j) when aware), so agent i's guess in one trial is
+    k_i + w_i . x, with k_i = b_i + sum_{j != i} v0_j and w_i = v1 - v0 with
+    entry i zeroed. Over the block its sum is m k_i + w_i . c and its sum of
+    squares is m k_i^2 + 2 k_i (w_i . c) + w_i^T G w_i.
+    """
     n = instance.num_agents
     probs = np.array(instance.flip_probs)
-    bits = np.array(instance.bits, dtype=float)
-    # One broadcast message per (agent, trial): flip decision + coin.
-    x = np.empty((m, n))
-    for j in range(n):
+    x = np.empty((n, m))
+    for j, bit in enumerate(instance.bits):
         rng = substream(rng_seed, j, block)
         flips = rng.random(m) < probs[j]
         coins = rng.integers(0, 2, size=m)
-        x[:, j] = np.where(flips, coins, bits[j])
+        x[j] = (~flips | coins) if bit else (flips & coins)
+    gram = x @ x.T
+    counts = gram.diagonal()
     if instance.receiver_mode == "aware":
-        debiased = (x - probs / 2.0) / (1.0 - probs)
-        guesses = bits + (debiased.sum(axis=1)[:, None] - debiased)
+        low = (0.0 - probs / 2.0) / (1.0 - probs)
+        high = (1.0 - probs / 2.0) / (1.0 - probs)
     else:
-        guesses = bits + (x.sum(axis=1)[:, None] - x)
-    return guesses.sum(axis=0), (guesses**2).sum(axis=0)
+        low, high = np.zeros(n), np.ones(n)
+    others = 1.0 - np.eye(n)  # receiver i does not count its own message
+    base = np.array(instance.bits, dtype=float) + others @ low
+    weights = others * (high - low)
+    linear = weights @ counts
+    quadratic = ((weights @ gram) * weights).sum(axis=1)
+    return m * base + linear, m * base * base + 2.0 * base * linear + quadratic
 
 
 def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import EvaluationError, InvalidParameterError
+from .errors import EvaluationError, InvalidParameterError, require_float
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -40,7 +40,7 @@ class StrategyProfile:
     p: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
+        object.__setattr__(self, "p", tuple(require_float("p", v) for v in self.p))
         if len(self.p) != 2:
             raise InvalidParameterError("profiles are two-player")
         if any(not 0.0 <= v <= 1.0 for v in self.p):
@@ -58,11 +58,12 @@ class CgpInstance:
 
     def __post_init__(self):
         for name in ("benefit_weight", "privacy_weight"):
-            weights = tuple(float(w) for w in getattr(self, name))
+            weights = tuple(require_float(name, w) for w in getattr(self, name))
             if len(weights) != 2 or any(not 0 < w < math.inf for w in weights):
                 raise InvalidParameterError(f"{name} must be two finite numbers > 0, got {weights}")
             object.__setattr__(self, name, weights)
-        object.__setattr__(self, "standalone_values", tuple(float(v) for v in self.standalone_values))
+        object.__setattr__(self, "standalone_values",
+                           tuple(require_float("standalone_values", v) for v in self.standalone_values))
         for p, want in ((0.0, 1.0), (1.0, 0.0)):
             got = self.privacy_loss_fn(p)
             if abs(got - want) > 1e-9:
@@ -227,6 +228,9 @@ def find_nash(instance: CgpInstance, start: StrategyProfile, max_iters: int = 10
     ``tol`` within ``max_iters`` sweeps; the returned profile is additionally
     checked by a unilateral-deviation grid scan (``max_gain``).
     """
+    grid_step = require_float("grid_step", grid_step)
+    tol = require_float("tol", tol)
+    scan_step = require_float("scan_step", scan_step)
     # Each best response scans about 1/grid_step points.
     for name, value, low in (("grid_step", grid_step, 1e-6), ("tol", tol, 0)):
         if not low < value < math.inf:

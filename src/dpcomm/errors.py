@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the check for integer counts.
+"""Exception types shared across the package, and the checks for integer counts
+and float conversions.
 
 Callers that only care about "bad input" can catch ValueError; the concrete
 subclasses exist so that tests and the CLI can tell failure modes apart.
@@ -61,3 +62,12 @@ def require_count(name: str, value, minimum: int) -> int:
     if value > 2**53:  # the largest integer a float holds exactly
         raise InvalidParameterError(f"{name} must be at most 2**53, got {value!r}")
     return value
+
+
+def require_float(name: str, value) -> float:
+    """``float(value)``; InvalidParameterError, not OverflowError, for an
+    integer beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidParameterError(f"{name} holds an integer beyond the float range") from None

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InvalidActionError, InvalidParameterError, require_count
+from .errors import InvalidActionError, InvalidParameterError, require_count, require_float
 
 _KEY_DECIMALS = 9
 _SPEND_TOL = 1e-9
@@ -62,11 +62,12 @@ class MrsConfig:
         if self.team_weights is None:
             object.__setattr__(self, "team_weights", (1.0,) * self.num_agents)
         for name in ("discount", "reward_alpha", "reward_beta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, require_float(name, getattr(self, name)))
         for name in ("initial_savings", "team_weights"):
-            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+            object.__setattr__(self, name, tuple(require_float(name, x) for x in getattr(self, name)))
         for name in ("spend_grid", "privacy_grid"):
-            object.__setattr__(self, name, tuple(sorted({float(x) for x in getattr(self, name)})))
+            object.__setattr__(self, name, tuple(sorted({require_float(name, x)
+                                                         for x in getattr(self, name)})))
         if not (0.0 < self.discount <= 1.0):
             raise InvalidParameterError(f"discount must be in (0, 1], got {self.discount}")
         if not all(map(math.isfinite, (self.reward_alpha, self.reward_beta, *self.team_weights))):
@@ -96,7 +97,7 @@ class MrsConfig:
 def _clean_savings(savings) -> tuple:
     """Savings as floats with |x| < 1e-12 snapped to 0; InvalidParameterError
     unless every one is finite and >= 0."""
-    cleaned = tuple(0.0 if abs(x) < 1e-12 else float(x) for x in savings)
+    cleaned = tuple(0.0 if abs(x) < 1e-12 else require_float("savings", x) for x in savings)
     if not all(0.0 <= x < math.inf for x in cleaned):
         raise InvalidParameterError(f"savings must be finite and >= 0, got {cleaned}")
     return cleaned
@@ -158,12 +159,18 @@ def valid_actions(cfg: MrsConfig, saving: float) -> list:
     return actions
 
 
+def _after_spend(saving: float, spend: float) -> float:
+    """Saving left after an affordable spend: a spend up to _SPEND_TOL above
+    the saving leaves 0, not a negative remainder."""
+    return max(saving - spend, 0.0)
+
+
 def _spent(savings: tuple, actions: Sequence[MrsAction]) -> tuple:
     """Savings after one round; InvalidActionError if an agent overspends."""
     for j, (x, a) in enumerate(zip(savings, actions)):
         if a.spend > x + _SPEND_TOL:
             raise InvalidActionError(f"agent {j}'s spend {a.spend:.6g} exceeds saving {x:.6g}")
-    return _clean_savings(x - a.spend for x, a in zip(savings, actions))
+    return _clean_savings(_after_spend(x, a.spend) for x, a in zip(savings, actions))
 
 
 def transition(state: MrsState, actions: Sequence[MrsAction]) -> MrsState:
@@ -253,7 +260,7 @@ def reachable_savings(cfg: MrsConfig, agent: int, start: MrsState) -> list:
         for x in levels[-1]:
             for b in cfg.spend_grid:
                 if b <= x + _SPEND_TOL:
-                    nxt.add(_rounded(x - b))
+                    nxt.add(_rounded(_after_spend(x, b)))
         levels.append(nxt)
     return [sorted(s) for s in levels]
 
@@ -273,7 +280,7 @@ def _team_contribution_range(cfg: MrsConfig, agent: int, start: MrsState) -> tup
             lows, highs = [], []
             for a in valid_actions(cfg, s):
                 own = (1.0 - a.privacy) * a.spend
-                low, high = after[_rounded(s - a.spend)] if after else (0.0, 0.0)
+                low, high = after[_rounded(_after_spend(s, a.spend))] if after else (0.0, 0.0)
                 lows.append(own + cfg.discount * low)
                 highs.append(own + cfg.discount * high)
             level[s] = (min(lows), max(highs))
@@ -336,7 +343,7 @@ def best_response_policy(policies: Sequence[TabularPolicy], agent: int, cfg: Mrs
                     cfg.reward_beta * a.privacy,
                 ))
                 if offset + 1 < len(levels):
-                    q += cfg.discount * value_next[_rounded(s - a.spend)]
+                    q += cfg.discount * value_next[_rounded(_after_spend(s, a.spend))]
                 if best_a is None or q > best_q:  # an overflowed q = -inf still picks an action
                     best_q = q
                     best_a = a

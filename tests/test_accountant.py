@@ -315,6 +315,41 @@ def test_round_trip_never_exceeds_the_budget(epsilon, delta_exp, gamma1_exp, gam
     assert round_trip(result, budget, params, episode=episode).epsilon <= epsilon + 1e-9
 
 
+def _composed_round_trip(result, budget, params, episode=False):
+    """round_trip as it was: the copies listed and composed one by one."""
+    point = subsampled_gaussian_rdp(
+        params.sensitivity, math.sqrt(result.sigma_sq), result.alpha, params.sample_rate_data)
+    copies = params.compose_copies * (params.episode_len if episode else 1)
+    return rdp_to_dp(compose([point] * copies), budget.delta)
+
+
+class TestRoundTripComposition:
+    @settings(max_examples=300, deadline=None)
+    @given(rho=st.floats(1e-12, 1e3), copies=st.integers(1, 5000))
+    def test_scaled_rho_is_the_exact_sum(self, rho, copies):
+        assert copies * rho == compose([RdpPoint(2.0, rho)] * copies).rho
+
+    @settings(max_examples=100, deadline=None)
+    @given(gamma2=st.floats(0.01, 0.99), num_agents=st.integers(1, 1000),
+           episode_len=st.integers(1, 40))
+    def test_equals_composed_copies(self, gamma2, num_agents, episode_len):
+        params = MechanismParams(1.0, 0.005, gamma2, num_agents, episode_len)
+        for episode, calibrate in ((False, calibrate_step), (True, calibrate_episode)):
+            try:
+                result = calibrate(FEASIBLE_BUDGET, params)
+            except CalibrationInfeasibleError:
+                continue
+            assert round_trip(result, FEASIBLE_BUDGET, params, episode=episode) == \
+                _composed_round_trip(result, FEASIBLE_BUDGET, params, episode=episode)
+
+    def test_large_population(self):
+        # 2e6 composed copies, which round_trip no longer lists.
+        params = MechanismParams(1.0, 1e-4, 0.5, 4_000_000)
+        result = calibrate_step(FEASIBLE_BUDGET, params)
+        assert round_trip(result, FEASIBLE_BUDGET, params) == \
+            _composed_round_trip(result, FEASIBLE_BUDGET, params)
+
+
 class TestValidation:
     def test_budget_ranges(self):
         with pytest.raises(InvalidParameterError):

@@ -263,14 +263,22 @@ class TestBinarySumsConstruction:
         with pytest.raises(InvalidParameterError):
             make_binary_sums_cgp((1.0, 1.0), (1.0, -1.0))
 
-    # grid_step 1e-200 used to build a grid of 1e200 points and never return.
+    # grid_step 1e-200 used to build a grid of 1e200 points and never return;
+    # 10**400 made float() raise OverflowError.
     @pytest.mark.parametrize("kwargs", [{"grid_step": -0.01}, {"tol": -1e-8},
                                         {"tol": math.inf}, {"grid_step": 0.0},
-                                        {"grid_step": 1e-200}])
+                                        {"grid_step": 1e-200}, {"grid_step": 10**400},
+                                        {"tol": 10**400}, {"scan_step": 10**400}])
     def test_find_nash_parameters_checked(self, kwargs):
         game = make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0))
         with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
             find_nash(game, StrategyProfile((0.2, 0.2)), **kwargs)
+
+    def test_instance_integer_beyond_float_range_rejected(self):
+        with pytest.raises(InvalidParameterError, match="benefit_weight"):
+            make_binary_sums_cgp((10**400, 1.0), (1.0, 1.0))
+        with pytest.raises(InvalidParameterError, match="p holds"):
+            StrategyProfile((10**400, 0.0))
 
     def test_infinite_weight_rejected(self):
         with pytest.raises(InvalidParameterError):

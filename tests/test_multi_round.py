@@ -321,6 +321,12 @@ REFERENCE_CASES = {
     "discounted": dict(_MPG_BASE, discount=0.9),
     "horizon0": dict(_MPG_BASE, horizon=0),
     "single_agent": dict(_MPG_BASE, num_agents=1, initial_savings=(2.0,), team_weights=(1.5,)),
+    # A spend up to _SPEND_TOL above the saving is affordable and leaves 0.
+    "spend_tol": dict(_MPG_BASE, horizon=3, initial_savings=(1.0, 1.0),
+                      spend_grid=(0.0, 1.0000000005)),
+    "spend_tol_weighted": dict(_MPG_BASE, horizon=3, initial_savings=(1.0, 1.0),
+                               spend_grid=(0.0, 1.0000000005), privacy_grid=(0.0,),
+                               team_weights=(1.0, 2.0)),
 }
 
 
@@ -391,6 +397,28 @@ class TestReferenceRollout:
         for roll in (rollout, _reference_rollout):
             with pytest.raises(InvalidActionError, match="exceeds saving"):
                 roll(profile, cfg, cfg.start_state())
+
+
+class TestSpendTolerance:
+    # The remainder of a spend up to _SPEND_TOL above the saving (-5e-10 here)
+    # is 0, not a negative saving that the next state would reject.
+    CFG = REFERENCE_CASES["spend_tol"]
+
+    def test_remainder_is_zero(self):
+        cfg = MrsConfig(**self.CFG)
+        assert reachable_savings(cfg, 0, cfg.start_state()) == [[1.0], [0.0, 1.0], [0.0, 1.0]]
+        after = transition(cfg.start_state(), [MrsAction(1.0000000005, 0.0), MrsAction(0.0, 0.0)])
+        assert after.savings == (0.0, 1.0)
+
+    def test_find_mpg_nash_converges(self):
+        cfg = MrsConfig(**self.CFG)
+        result = find_mpg_nash(cfg, cfg.start_state())
+        assert result.converged
+        trace = result.potential_trace
+        assert all(b >= a for a, b in zip(trace, trace[1:]))
+        # Both agents keep their saving, then spend it in the open in the last round.
+        for policy in result.policies:
+            assert policy.action_at(1.0, 2) == MrsAction(1.0000000005, 0.0)
 
 
 class TestBestResponse:
@@ -520,10 +548,18 @@ class TestValidation:
         {"reward_alpha": float("inf")}, {"reward_beta": float("-inf")},
         {"team_weights": (1.0, float("inf"))}, {"spend_grid": (0.0, float("inf"))},
         {"num_agents": 2.0}, {"horizon": 1.5}, {"horizon": True},
+        # integers beyond the float range, which float() rejects with OverflowError
+        {"discount": 10**400}, {"reward_alpha": 10**400}, {"reward_beta": -10**400},
+        {"initial_savings": (1.0, 10**400)}, {"team_weights": (10**400, 1.0)},
+        {"spend_grid": (0.0, 10**400)}, {"privacy_grid": (0.0, 10**400)},
     ])
     def test_non_finite_or_non_integer_config_rejected(self, overrides):
         with pytest.raises(InvalidParameterError, match=next(iter(overrides))):
             small_config(**overrides)
+
+    def test_state_integer_beyond_float_range_rejected(self):
+        with pytest.raises(InvalidParameterError, match="savings"):
+            MrsState((10**400, 1.0), 0)
 
     def test_overflowing_reward_still_picks_an_action(self):
         # alpha * saving overflows to -inf for every action; the best response
