@@ -33,6 +33,7 @@ from .errors import (
     InfeasibleOrderError,
     InvalidParameterError,
     require_count,
+    require_float,
 )
 
 #: Search grid for the budget-split parameter beta in (0, 1).
@@ -50,7 +51,7 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
+        if not 0 < require_float("epsilon", self.epsilon) < math.inf:
             raise InvalidParameterError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not (0.0 < self.delta < 1.0):
             raise InvalidParameterError(f"delta must be in (0,1), got {self.delta}")

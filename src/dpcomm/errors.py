@@ -58,10 +58,18 @@ def require_count(name: str, value, minimum: int) -> int:
     """``value``; InvalidParameterError unless it is an integer >= ``minimum``
     (an integral float such as 2.0, or a bool, is not) and <= 2**53."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
     if value > 2**53:  # the largest integer a float holds exactly
-        raise InvalidParameterError(f"{name} must be at most 2**53, got {value!r}")
+        raise InvalidParameterError(f"{name} must be at most 2**53, got {_shown(value)}")
     return value
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or the bit length of an integer too long for Python to print."""
+    try:
+        return repr(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return f"an integer of {abs(value).bit_length()} bits"
 
 
 def require_float(name: str, value) -> float:

@@ -14,16 +14,21 @@ one, and strictly better whenever noise_var > 0.
 ``aware_optimum_gd`` reproduces the closed form with projected gradient
 descent (mean plus diagonal variances, or a full covariance factor), mirroring
 how a learned sender would optimize the same objective.
+
+A ``GaussianMessageDist`` is checked and eigendecomposed once, when built, and
+keeps the decomposition for the target checks, the closed-form shrink and the
+sampler. Every KL, ``kl_gaussian``'s included, goes through ``_sent_kl``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, SingularTargetError, StepSizeError, require_count
+from .errors import (InvalidParameterError, SingularTargetError, StepSizeError, require_count,
+                     require_float)
 from .rng import substream
 
 _SYM_TOL = 1e-12
@@ -31,22 +36,31 @@ _EIG_FLOOR = -1e-12
 _TARGET_MIN_EIG = 1e-9
 
 
+def _clipped_eigh(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """One ``eigh`` of the symmetric part of ``matrix``: its smallest
+    eigenvalue, its eigenvalues clipped at 0, and its eigenvectors."""
+    eigvals, eigvecs = np.linalg.eigh((matrix + matrix.T) / 2.0)
+    return eigvals.min(initial=0.0), np.clip(eigvals, 0.0, None), eigvecs
+
+
 def positive_part(matrix: np.ndarray) -> np.ndarray:
     """Project a symmetric matrix onto the PSD cone (eigenvalue clipping).
 
     Idempotent: applying it twice gives the same matrix as applying it once.
     """
-    sym = (matrix + matrix.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    return (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
+    _, eigvals, eigvecs = _clipped_eigh(matrix)
+    return (eigvecs * eigvals) @ eigvecs.T
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianMessageDist:
-    """Mean and covariance of a stochastic message."""
+    """Mean and covariance of a stochastic message, with the eigenvalues
+    (clipped at 0) and eigenvectors the covariance was projected with."""
 
     mean: np.ndarray
     cov: np.ndarray
+    _eigvals: np.ndarray = field(init=False, repr=False)
+    _eigvecs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -60,15 +74,15 @@ class GaussianMessageDist:
                 f"mean and covariance must be finite, got mean {mean.tolist()} "
                 f"and covariance {cov.tolist()}"
             )
-        if not np.allclose(cov, cov.T, atol=_SYM_TOL, rtol=0.0):
+        if np.abs(cov - cov.T).max(initial=0.0) > _SYM_TOL:
             raise InvalidParameterError("covariance must be symmetric")
-        eigvals = np.linalg.eigvalsh((cov + cov.T) / 2.0)
-        if eigvals.min(initial=0.0) < _EIG_FLOOR:
-            raise InvalidParameterError(
-                f"covariance has negative eigenvalue {eigvals.min():.3g}"
-            )
+        lowest, eigvals, eigvecs = _clipped_eigh(cov)
+        if lowest < _EIG_FLOOR:
+            raise InvalidParameterError(f"covariance has negative eigenvalue {lowest:.3g}")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", positive_part(cov))
+        object.__setattr__(self, "cov", (eigvecs * eigvals) @ eigvecs.T)
+        object.__setattr__(self, "_eigvals", eigvals)
+        object.__setattr__(self, "_eigvecs", eigvecs)
 
     @classmethod
     def from_diagonal(cls, mean, variances) -> "GaussianMessageDist":
@@ -87,13 +101,13 @@ class SenderProblem:
     noise_var: float
 
     def __post_init__(self):
-        if not 0 <= self.noise_var < math.inf:
+        if not 0 <= require_float("noise_var", self.noise_var) < math.inf:
             raise InvalidParameterError(f"noise_var must be finite and >= 0, got {self.noise_var}")
-        eigvals = np.linalg.eigvalsh(self.target.cov)
-        if eigvals.min() < _TARGET_MIN_EIG:
+        lowest = self.target._eigvals.min()
+        if lowest < _TARGET_MIN_EIG:
             raise InvalidParameterError(
                 f"target covariance must be positive-definite (min eigenvalue "
-                f"{eigvals.min():.3g} < {_TARGET_MIN_EIG})"
+                f"{lowest:.3g} < {_TARGET_MIN_EIG})"
             )
 
     @property
@@ -118,22 +132,14 @@ def kl_gaussian(p: GaussianMessageDist, q: GaussianMessageDist) -> float:
     """
     if p.dim != q.dim:
         raise InvalidParameterError("distributions must share one dimension")
-    sign_q, logdet_q = np.linalg.slogdet(q.cov)
-    if sign_q <= 0 or np.linalg.eigvalsh(q.cov).min() <= 0:
-        raise SingularTargetError("q covariance must be positive-definite")
-    sign_p, logdet_p = np.linalg.slogdet(p.cov)
-    if sign_p <= 0:
-        return math.inf
-    diff = p.mean - q.mean
-    solve = np.linalg.solve
-    trace = float(np.trace(solve(q.cov, p.cov)))
-    quad = float(diff @ solve(q.cov, diff))
-    return 0.5 * (logdet_q - logdet_p + trace + quad - p.dim)
+    return _sent_kl(*_target_terms(q), p.mean - q.mean, p.cov)
 
 
-def _sent(dist: GaussianMessageDist, noise_var: float) -> GaussianMessageDist:
-    """Post-noise message distribution, N(mu, Sigma + noise_var * I)."""
-    return GaussianMessageDist(dist.mean, dist.cov + noise_var * np.eye(dist.dim))
+def _solution(problem: SenderProblem, dist: GaussianMessageDist) -> SenderSolution:
+    """``dist`` with the KL of its post-noise message N(mu, Sigma + noise_var * I)."""
+    sent = dist.cov + problem.noise_var * np.eye(dist.dim)
+    kl = _sent_kl(*_target_terms(problem.target), dist.mean - problem.target.mean, sent)
+    return SenderSolution(dist, kl)
 
 
 def oblivious_optimum(problem: SenderProblem) -> SenderSolution:
@@ -142,8 +148,7 @@ def oblivious_optimum(problem: SenderProblem) -> SenderSolution:
     Returned KL is the divergence actually incurred by the post-noise message
     N(mu*, Sigma* + noise_var * I) from the target.
     """
-    dist = GaussianMessageDist(problem.target.mean, problem.target.cov)
-    return SenderSolution(dist, kl_gaussian(_sent(dist, problem.noise_var), problem.target))
+    return _solution(problem, problem.target)
 
 
 def aware_optimum(problem: SenderProblem) -> SenderSolution:
@@ -153,31 +158,27 @@ def aware_optimum(problem: SenderProblem) -> SenderSolution:
     target's eigenbasis. The KL is 0 exactly when Sigma* - noise_var * I is
     PSD; otherwise only the over-noised eigendirections contribute.
     """
-    eigvals, eigvecs = np.linalg.eigh(problem.target.cov)
-    shrunk = np.clip(eigvals - problem.noise_var, 0.0, None)
-    cov = (eigvecs * shrunk) @ eigvecs.T
-    dist = GaussianMessageDist(problem.target.mean, cov)
-    return SenderSolution(dist, kl_gaussian(_sent(dist, problem.noise_var), problem.target))
+    target = problem.target
+    shrunk = np.clip(target._eigvals - problem.noise_var, 0.0, None)
+    cov = (target._eigvecs * shrunk) @ target._eigvecs.T
+    return _solution(problem, GaussianMessageDist(target.mean, cov))
 
 
 def _target_terms(target: GaussianMessageDist) -> tuple[np.ndarray, float]:
-    """Inverse and log-determinant of the target covariance, checked once.
-
-    The same positive-definiteness test ``kl_gaussian`` applies to its q.
-    """
+    """Inverse and log-determinant of a covariance; SingularTargetError unless it is PD."""
     sign, logdet = np.linalg.slogdet(target.cov)
-    if sign <= 0 or np.linalg.eigvalsh(target.cov).min() <= 0:
+    if sign <= 0 or target._eigvals.min() <= 0:
         raise SingularTargetError("q covariance must be positive-definite")
     return np.linalg.inv(target.cov), float(logdet)
 
 
 def _sent_kl(target_inv: np.ndarray, logdet_q: float, diff: np.ndarray,
              sent: np.ndarray) -> float:
-    """``kl_gaussian`` of a post-noise message against a checked target, on raw arrays.
+    """KL of a message against a checked target, on raw arrays.
 
-    diff = mu - mu*. ``sent`` is the post-noise covariance: a vector of
-    variances for a diagonal sender (O(d) work past the quadratic form) or a
-    dense matrix (one Cholesky). A degenerate message gives +inf.
+    diff = mu - mu*. ``sent`` is the message (for a sender, post-noise) covariance:
+    a vector of variances for a diagonal sender (O(d) work past the quadratic
+    form) or a dense matrix (one Cholesky). A degenerate message gives +inf.
     """
     if sent.ndim == 1:
         if sent.min() <= 0:
@@ -304,13 +305,12 @@ def sample_message(dist: GaussianMessageDist, noise_var: float, rng_seed: int,
     noise_var * I) is added, so the output is distributed
     N(mu, Sigma + noise_var * I). Deterministic given the seed.
     """
-    if noise_var < 0:
-        raise InvalidParameterError(f"noise_var must be nonnegative, got {noise_var}")
+    if not 0 <= require_float("noise_var", noise_var) < math.inf:
+        raise InvalidParameterError(f"noise_var must be finite and >= 0, got {noise_var}")
     rng = substream(rng_seed)
     d = dist.dim
     n = 1 if size is None else int(size)
-    eigvals, eigvecs = np.linalg.eigh(dist.cov)
-    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
+    root = (dist._eigvecs * np.sqrt(dist._eigvals)) @ dist._eigvecs.T
     xi = rng.standard_normal((n, d))
     out = dist.mean + xi @ root.T
     if noise_var > 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMechanismError, InvalidParameterError
+from .errors import DegenerateMechanismError, InvalidParameterError, require_float
 from .rng import substream
 
 
@@ -42,7 +42,7 @@ def rr_flip_prob(epsilon: float) -> float:
 
     eps = 0 gives p = 1 (pure coin flips); eps -> inf gives p -> 0.
     """
-    if epsilon < 0:
+    if not require_float("epsilon", epsilon) >= 0:
         raise InvalidParameterError(f"epsilon must be nonnegative, got {epsilon}")
     if epsilon > 700.0:  # exp would overflow; the +1 is far below resolution
         return 2.0 * math.exp(-epsilon)
@@ -111,8 +111,8 @@ def clip(values, clip_norm: float) -> ClippedVector:
 
     Vectors already within the ball pass through unchanged (bit-exact).
     """
-    if not clip_norm > 0:
-        raise InvalidParameterError(f"clip_norm must be positive, got {clip_norm}")
+    if not 0 < require_float("clip_norm", clip_norm) < math.inf:
+        raise InvalidParameterError(f"clip_norm must be finite and positive, got {clip_norm}")
     values = np.asarray(values, dtype=float)
     norm = float(np.linalg.norm(values))
     if norm > clip_norm:
@@ -126,8 +126,8 @@ def gaussian_perturb(msg: ClippedVector, sigma: float, rng_seed: int, size: int 
     ``size=None`` returns one perturbed vector; integer ``size`` returns a
     (size, d) array of independent perturbations.
     """
-    if sigma < 0:
-        raise InvalidParameterError(f"sigma must be nonnegative, got {sigma}")
+    if not 0 <= require_float("sigma", sigma) < math.inf:
+        raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
     rng = substream(rng_seed)
     d = msg.values.shape[0]
     shape = (d,) if size is None else (int(size), d)

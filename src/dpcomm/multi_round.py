@@ -353,36 +353,6 @@ def best_response_policy(policies: Sequence[TabularPolicy], agent: int, cfg: Mrs
     return TabularPolicy(agent, best_actions)
 
 
-def simulate_with_channel(policies: Sequence[TabularPolicy], cfg: MrsConfig,
-                          start: MrsState, rng_seed: int) -> list:
-    """Roll the profile out while privatizing each spend announcement.
-
-    Purely a realism hook: at privacy level p the announced spend is replaced
-    by a uniform draw from the spend grid with probability p (randomized
-    response over the grid). Rewards and transitions use the true spends, so
-    values are identical to ``rollout``'s; only the message column differs.
-    Returns one record per round: (state, actions, announcements, rewards).
-    """
-    from .rng import substream
-
-    trajectory = []
-    state = start
-    n = len(start.savings)
-    for t in range(start.step, cfg.horizon):
-        actions = _profile_actions(policies, state.savings, state.step)
-        announced = []
-        for i, a in enumerate(actions):
-            rng = substream(rng_seed, i, t)
-            if rng.random() < a.privacy:
-                announced.append(float(rng.choice(cfg.spend_grid)))
-            else:
-                announced.append(a.spend)
-        rewards = tuple(step_reward(state, actions, i, cfg) for i in range(n))
-        trajectory.append((state, tuple(actions), tuple(announced), rewards))
-        state = transition(state, actions)
-    return trajectory
-
-
 @dataclass(frozen=True)
 class MpgNashResult:
     policies: tuple

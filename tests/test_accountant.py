@@ -359,6 +359,11 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             PrivacyBudget(1.0, 1.0)
 
+    def test_epsilon_beyond_float_range_rejected(self):
+        # calibrate_step used to raise a bare OverflowError on this budget.
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            PrivacyBudget(10**400, 1e-4)
+
     def test_params_ranges(self):
         with pytest.raises(InvalidParameterError):
             MechanismParams(0.0, 0.5, 0.5, 3)

@@ -292,6 +292,13 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="trials must be at most 2"):
             run_game(make([1], 1.0, "naive"), 10**400, 0)
 
+    def test_trials_beyond_int_print_limit_rejected(self):
+        # Formatting the message used to raise Python's 4300-digit ValueError.
+        with pytest.raises(InvalidParameterError, match="trials must be at most 2"):
+            run_game(make([1], 1.0, "naive"), 10**5000, 0)
+        with pytest.raises(InvalidParameterError, match="trials must be an integer >= 1"):
+            run_game(make([1], 1.0, "naive"), -10**5000, 0)
+
     def test_epsilon_beyond_float_range_rejected(self):
         with pytest.raises(InvalidParameterError, match="epsilons"):
             BinarySumsInstance((1, 0), (1.0, 10**400), "naive")

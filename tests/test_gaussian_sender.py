@@ -1,9 +1,11 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpcomm import (
     GaussianMessageDist,
@@ -46,12 +48,51 @@ def mc_kl_estimate(p, q, n, seed):
     return draws.mean(), 3.0 * draws.std(ddof=1) / math.sqrt(n)
 
 
+_RefDist = namedtuple("_RefDist", "mean cov")
+
+
+def _reference_gaussian_dist(mean, cov):
+    """The ``GaussianMessageDist`` constructor before it kept its eigh, as an
+    oracle: the checks and the stored (mean, covariance), or
+    InvalidParameterError. ``allclose`` tests symmetry, ``eigvalsh`` the
+    eigenvalue floor, and a second ``eigh`` projects onto the PSD cone."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape != (mean.size, mean.size):
+        raise InvalidParameterError(f"covariance shape {cov.shape} does not match {mean.size}")
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise InvalidParameterError("mean and covariance must be finite")
+    if not np.allclose(cov, cov.T, atol=1e-12, rtol=0.0):
+        raise InvalidParameterError("covariance must be symmetric")
+    sym = (cov + cov.T) / 2.0
+    eigvals = np.linalg.eigvalsh(sym)
+    if eigvals.min(initial=0.0) < -1e-12:
+        raise InvalidParameterError(f"covariance has negative eigenvalue {eigvals.min():.3g}")
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    return _RefDist(mean, (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T)
+
+
+def _reference_kl_gaussian(p, q):
+    """``kl_gaussian`` before it shared ``_sent_kl``, as an oracle: slogdet for
+    both log-determinants, ``solve`` for the trace and the quadratic form."""
+    sign_q, logdet_q = np.linalg.slogdet(q.cov)
+    if sign_q <= 0 or np.linalg.eigvalsh(q.cov).min() <= 0:
+        raise SingularTargetError("q covariance must be positive-definite")
+    sign_p, logdet_p = np.linalg.slogdet(p.cov)
+    if sign_p <= 0:
+        return math.inf
+    diff = p.mean - q.mean
+    trace = float(np.trace(np.linalg.solve(q.cov, p.cov)))
+    quad = float(diff @ np.linalg.solve(q.cov, diff))
+    return 0.5 * (logdet_q - logdet_p + trace + quad - p.mean.size)
+
+
 def _reference_aware_optimum_gd(problem, steps=5000, learning_rate=0.1, mode="diagonal"):
     """Slow-path oracle for ``aware_optimum_gd``: the loop it replaced.
 
-    Every iterate is rebuilt as a validated GaussianMessageDist (symmetry and
-    eigenvalue checks, PSD projection) and scored by ``kl_gaussian``. The
-    gradient formulas, update order and bad-step rule are the fast path's.
+    Every iterate is rebuilt by ``_reference_gaussian_dist`` (symmetry and
+    eigenvalue checks, PSD projection) and scored by ``_reference_kl_gaussian``.
+    The gradient formulas, update order and bad-step rule are the fast path's.
     """
     d = problem.dim
     noise = problem.noise_var
@@ -62,13 +103,13 @@ def _reference_aware_optimum_gd(problem, steps=5000, learning_rate=0.1, mode="di
 
     def current():
         if mode == "diagonal":
-            return GaussianMessageDist.from_diagonal(mean, variances)
-        return GaussianMessageDist(mean, factor @ factor.T)
+            return _reference_gaussian_dist(mean, np.diag(variances))
+        return _reference_gaussian_dist(mean, factor @ factor.T)
 
     def objective():
         dist = current()
-        sent = GaussianMessageDist(dist.mean, dist.cov + noise * np.eye(d))
-        return kl_gaussian(sent, problem.target)
+        sent = _reference_gaussian_dist(dist.mean, dist.cov + noise * np.eye(d))
+        return _reference_kl_gaussian(sent, problem.target)
 
     prev = objective()
     bad_steps = 0
@@ -161,6 +202,127 @@ class TestKlGaussian:
         assert kl_gaussian(p, q) == math.inf
 
 
+def _stored_cov(build, mean, cov):
+    """The covariance ``build`` stores, or None when it rejects the input."""
+    try:
+        return build(mean, cov).cov
+    except InvalidParameterError:
+        return None
+
+
+def _near_eig_floor(cov):
+    """Whether the smallest eigenvalue is within rounding of the -1e-12 floor.
+
+    ``eigvalsh`` and ``eigh`` of one matrix can return smallest eigenvalues a
+    few ulps apart (up to 2e-15 at norm 3 over 3000 random matrices), so the
+    reference constructor and the new one may rule differently when the
+    smallest eigenvalue is that close to the floor. The margin is 64 ulps of
+    the largest eigenvalue.
+    """
+    eigvals = np.linalg.eigvalsh((cov + cov.T) / 2.0)
+    margin = 64 * np.finfo(float).eps * max(1.0, np.abs(eigvals).max())
+    return abs(eigvals.min() + 1e-12) <= margin
+
+
+def _rotated(rng, eigvals):
+    q, _ = np.linalg.qr(rng.normal(size=(eigvals.size, eigvals.size)))
+    return (q * eigvals) @ q.T
+
+
+class TestReferenceOracles:
+    """The constructor and ``kl_gaussian`` against the code they replaced."""
+
+    def assert_same_constructor(self, mean, cov):
+        """Same verdict and an equal stored covariance; True on a near-floor split."""
+        ref = _stored_cov(_reference_gaussian_dist, mean, cov)
+        new = _stored_cov(GaussianMessageDist, mean, cov)
+        if (ref is None) != (new is None):
+            assert _near_eig_floor(cov)
+            return True
+        assert new is None or np.array_equal(new, ref)
+        return False
+
+    def test_psd_covariances(self):
+        rng = np.random.default_rng(40)
+        for _ in range(300):
+            d = int(rng.integers(1, 9))
+            eigvals = rng.uniform(0.0, 3.0, d)
+            eigvals[rng.random(d) < 0.2] = 0.0
+            for cov in (_rotated(rng, eigvals), np.diag(eigvals)):
+                assert not self.assert_same_constructor(rng.normal(size=d), cov)
+
+    def test_near_psd_covariances(self):
+        # Smallest eigenvalue on, just inside and just outside the floor.
+        rng = np.random.default_rng(41)
+        verdicts = set()
+        for _ in range(300):
+            d = int(rng.integers(1, 9))
+            eigvals = rng.uniform(0.1, 3.0, d)
+            eigvals[0] = -1e-12 * rng.choice([1.0, 1.0 + 1e-3, 1.0 - 1e-3, 0.5, 2.0, 0.0])
+            for cov in (_rotated(rng, eigvals), np.diag(eigvals)):
+                if not self.assert_same_constructor(np.zeros(d), cov):
+                    verdicts.add(_stored_cov(GaussianMessageDist, np.zeros(d), cov) is None)
+        assert verdicts == {True, False}
+
+    def test_asymmetric_covariances(self):
+        # An off-diagonal pair apart by just under, at, or just over 1e-12.
+        rng = np.random.default_rng(42)
+        verdicts = set()
+        for _ in range(300):
+            d = int(rng.integers(2, 9))
+            cov = _rotated(rng, rng.uniform(0.1, 3.0, d))
+            i, j = rng.permutation(d)[:2]
+            cov[i, j] = cov[j, i] + rng.choice([-1.0, 1.0]) * 1e-12 * rng.choice(
+                [0.5, 1.0 - 1e-3, 1.0, 1.0 + 1e-3, 2.0, 1e6])
+            assert not self.assert_same_constructor(np.zeros(d), cov)
+            verdicts.add(_stored_cov(GaussianMessageDist, np.zeros(d), cov) is None)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs(self, bad):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            d = int(rng.integers(1, 6))
+            mean, cov = rng.normal(size=d), _rotated(rng, rng.uniform(0.1, 3.0, d))
+            if rng.random() < 0.5:
+                mean[rng.integers(d)] = bad
+            else:
+                cov[rng.integers(d), rng.integers(d)] = bad
+            assert _stored_cov(_reference_gaussian_dist, mean, cov) is None
+            assert _stored_cov(GaussianMessageDist, mean, cov) is None
+
+    def test_kl_matches_reference(self):
+        rng = np.random.default_rng(44)
+        for _ in range(300):
+            d = int(rng.integers(1, 9))
+            p, q = (GaussianMessageDist(rng.normal(size=d),
+                                        _rotated(rng, rng.uniform(0.05, 5.0, d)))
+                    for _ in range(2))
+            for p_, q_ in ((p, q), (GaussianMessageDist.from_diagonal(p.mean, np.diag(p.cov)), q)):
+                ref = _reference_kl_gaussian(p_, q_)
+                assert abs(kl_gaussian(p_, q_) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_singular_covariances(self):
+        # A diagonal covariance is stored exactly, so its zero variances stay
+        # exact zeros. A rotated rank-deficient matrix is stored with smallest
+        # eigenvalues of order 1e-16 and either sign; on those, slogdet, eigvalsh
+        # and Cholesky each call the matrix singular or not by rounding, in both
+        # versions, so they are not compared.
+        rng = np.random.default_rng(45)
+        for _ in range(100):
+            d = int(rng.integers(1, 9))
+            variances = rng.uniform(0.3, 3.0, d)
+            variances[rng.permutation(d)[:rng.integers(1, d + 1)]] = 0.0
+            singular = GaussianMessageDist.from_diagonal(rng.normal(size=d), variances)
+            regular = GaussianMessageDist(rng.normal(size=d),
+                                          _rotated(rng, rng.uniform(0.3, 3.0, d)))
+            assert _reference_kl_gaussian(singular, regular) == math.inf
+            assert kl_gaussian(singular, regular) == math.inf
+            for kl in (_reference_kl_gaussian, kl_gaussian):
+                with pytest.raises(SingularTargetError):
+                    kl(regular, singular)
+
+
 class TestOptima:
     def test_oblivious_zero_noise(self):
         rng = np.random.default_rng(2)
@@ -226,6 +388,22 @@ class TestOptima:
             sym = (m + m.T) / 2
             once = positive_part(sym)
             assert np.allclose(positive_part(once), once, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), noise=st.floats(1e-3, 2.0))
+    def test_dominance_property(self, d, seed, noise):
+        # At noise 1e-3 the oblivious KL is at least (1e-3 / 3)^2 / 4 = 2.8e-8
+        # on these targets (eigenvalues at most 3), far above rounding.
+        problem = SenderProblem(random_spd_target(np.random.default_rng(seed), d), noise)
+        assert aware_optimum(problem).kl < oblivious_optimum(problem).kl
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda d: arrays(np.float64, (d, d), elements=st.floats(-10.0, 10.0))))
+    def test_projection_idempotent_property(self, m):
+        once = positive_part((m + m.T) / 2)
+        np.testing.assert_allclose(positive_part(once), once, rtol=0.0,
+                                   atol=1e-12 * max(1.0, np.abs(once).max()))
 
     def test_aware_projection_stable(self):
         # Re-deriving the optimum from the already-shrunk spectrum changes nothing.
@@ -447,6 +625,15 @@ class TestSampler:
         ]
         assert sample_message(dist, 0.0, 5).tolist() == [
             -1.1038628505068948, -1.0, 1.8758191889523756, 0.013295645836587744]
+
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, 10**400],
+                             ids=["nan", "inf", "401-digit"])
+    def test_bad_noise_rejected(self, noise):
+        # NaN used to give a draw with no noise added.
+        dist = GaussianMessageDist(np.zeros(2), np.eye(2))
+        with pytest.raises(InvalidParameterError, match="noise_var"):
+            sample_message(dist, noise, 0)
 
 
 class TestValidation:

@@ -40,6 +40,16 @@ class TestRrFlipProb:
         with pytest.raises(InvalidParameterError):
             rr_flip_prob(-0.1)
 
+    def test_nan_budget_rejected(self):
+        # It used to return nan.
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            rr_flip_prob(math.nan)
+
+    def test_budget_beyond_float_range_rejected(self):
+        # It used to raise a bare OverflowError.
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            rr_flip_prob(10**400)
+
 
 class TestRrPerturb:
     def test_no_perturbation_passthrough(self):
@@ -159,6 +169,13 @@ class TestClip:
         with pytest.raises(InvalidParameterError):
             clip([1.0], 0.0)
 
+    @pytest.mark.parametrize("clip_norm", [math.inf, math.nan, 10**400],
+                             ids=["inf", "nan", "401-digit"])
+    def test_non_finite_norm_rejected(self, clip_norm):
+        # math.inf used to be accepted.
+        with pytest.raises(InvalidParameterError, match="clip_norm"):
+            clip([1.0], clip_norm)
+
 
 class TestGaussianPerturb:
     def test_zero_noise_passthrough(self):
@@ -182,6 +199,13 @@ class TestGaussianPerturb:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidParameterError):
             gaussian_perturb(clip([1.0], 2.0), -0.1, 0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 10**400],
+                             ids=["nan", "inf", "401-digit"])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # NaN used to return a NaN message.
+        with pytest.raises(InvalidParameterError, match="sigma"):
+            gaussian_perturb(clip([1.0], 2.0), sigma, 0)
 
 
 class TestSubsample:

@@ -28,7 +28,6 @@ from dpcomm.multi_round import (
     policy_space_size,
     reachable_savings,
     rollout,
-    simulate_with_channel,
     valid_actions,
 )
 
@@ -492,32 +491,6 @@ class TestFindNash:
         cfg = small_config()
         res = find_mpg_nash(cfg, cfg.start_state())
         assert res.policies[0].actions == res.policies[1].actions
-
-
-class TestChannelSimulation:
-    def test_rewards_unaffected_by_channel(self):
-        cfg = small_config()
-        start = cfg.start_state()
-        profile = find_mpg_nash(cfg, start).policies
-        trajectory = simulate_with_channel(profile, cfg, start, 3)
-        values = [policy_value(list(profile), i, cfg, start) for i in range(2)]
-        replayed = [sum(rec[3][i] for rec in trajectory) for i in range(2)]
-        assert replayed == pytest.approx(values, abs=1e-12)
-
-    def test_zero_privacy_announces_truthfully(self):
-        cfg = small_config(privacy_grid=(0.0,))
-        start = cfg.start_state()
-        profile = lex_min_profile(cfg, start)
-        for _, actions, announced, _ in simulate_with_channel(profile, cfg, start, 0):
-            assert announced == tuple(a.spend for a in actions)
-
-    def test_channel_deterministic(self):
-        cfg = small_config()
-        start = cfg.start_state()
-        profile = find_mpg_nash(cfg, start).policies
-        a = simulate_with_channel(profile, cfg, start, 9)
-        b = simulate_with_channel(profile, cfg, start, 9)
-        assert [r[2] for r in a] == [r[2] for r in b]
 
 
 class TestValidation:
