@@ -34,8 +34,8 @@ from .errors import StepSizeError, require_count
 from .gaussian_sender import (
     GaussianMessageDist,
     SenderProblem,
+    _diagonal_descent,
     aware_optimum,
-    aware_optimum_gd,
     oblivious_optimum,
 )
 from .multi_round import MrsConfig, find_mpg_nash, verify_mpg
@@ -282,15 +282,15 @@ def cmd_sender(config: dict, seed: int, jobs: int = 1) -> tuple:
     table = ResultTable([
         "noise_var", "oblivious_kl", "aware_kl", "gd_kl", "gd_vs_closed_form",
     ])
+    closed_forms = [(oblivious_optimum(p).kl, aware_optimum(p).kl) for p in problems]
+    _, _, gd_kls = _diagonal_descent(target, [p.noise_var for p in problems],
+                                     config.get("gd_steps", 6000),
+                                     config.get("gd_learning_rate", 0.1))
     agree = True
-    for noise, problem in zip(config["noise_vars"], problems):
-        obl = oblivious_optimum(problem)
-        aware = aware_optimum(problem)
-        gd = aware_optimum_gd(problem, steps=config.get("gd_steps", 6000),
-                              learning_rate=config.get("gd_learning_rate", 0.1))
-        gap = gd.kl - aware.kl
+    for noise, (obl_kl, aware_kl), gd_kl in zip(config["noise_vars"], closed_forms, gd_kls):
+        gap = gd_kl - aware_kl
         agree &= gap <= SENDER_GD_TOL  # False for a NaN gap too
-        table.append(noise, obl.kl, aware.kl, gd.kl, gap)
+        table.append(noise, obl_kl, aware_kl, gd_kl, gap)
     svg = None
     if "svg" in config:
         xs = [float(n) for n in config["noise_vars"]]

@@ -13,11 +13,16 @@ one, and strictly better whenever noise_var > 0.
 
 ``aware_optimum_gd`` reproduces the closed form with projected gradient
 descent (mean plus diagonal variances, or a full covariance factor), mirroring
-how a learned sender would optimize the same objective.
+how a learned sender would optimize the same objective. In diagonal mode the
+mean step reads neither the noise nor the variances, so ``_diagonal_descent``
+runs several noise levels of one target together, on one mean path, each row
+bit-equal to its run alone; ``aware_optimum_gd`` is its one-row case, and the
+CLI's sender table one call.
 
 A ``GaussianMessageDist`` is checked and eigendecomposed once, when built, and
 keeps the decomposition for the target checks, the closed-form shrink and the
-sampler. Every KL, ``kl_gaussian``'s included, goes through ``_sent_kl``.
+sampler. Every KL, ``kl_gaussian``'s included, goes through ``_sent_kl``, whose
+diagonal branch is the batched ``_diagonal_kls``.
 """
 
 from __future__ import annotations
@@ -69,6 +74,8 @@ class GaussianMessageDist:
             raise InvalidParameterError(
                 f"covariance shape {cov.shape} does not match dimension {mean.size}"
             )
+        if mean.size == 0:
+            raise InvalidParameterError("dimension must be at least 1, got 0")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise InvalidParameterError(
                 f"mean and covariance must be finite, got mean {mean.tolist()} "
@@ -101,8 +108,10 @@ class SenderProblem:
     noise_var: float
 
     def __post_init__(self):
-        if not 0 <= require_float("noise_var", self.noise_var) < math.inf:
+        noise_var = require_float("noise_var", self.noise_var)
+        if not 0 <= noise_var < math.inf:
             raise InvalidParameterError(f"noise_var must be finite and >= 0, got {self.noise_var}")
+        object.__setattr__(self, "noise_var", noise_var)
         lowest = self.target._eigvals.min()
         if lowest < _TARGET_MIN_EIG:
             raise InvalidParameterError(
@@ -177,22 +186,40 @@ def _sent_kl(target_inv: np.ndarray, logdet_q: float, diff: np.ndarray,
     """KL of a message against a checked target, on raw arrays.
 
     diff = mu - mu*. ``sent`` is the message (for a sender, post-noise) covariance:
-    a vector of variances for a diagonal sender (O(d) work past the quadratic
-    form) or a dense matrix (one Cholesky). A degenerate message gives +inf.
+    a vector of variances for a diagonal sender (``_diagonal_kls``, O(d) work past
+    the quadratic form) or a dense matrix (one Cholesky). A degenerate message
+    gives +inf.
     """
+    quad = float(diff @ target_inv @ diff)
     if sent.ndim == 1:
-        if sent.min() <= 0:
-            return math.inf
-        logdet_p = float(np.log(sent).sum())
-        trace = float(np.diag(target_inv) @ sent)
-    else:
-        try:
-            chol = np.linalg.cholesky(sent)
-        except np.linalg.LinAlgError:
-            return math.inf
-        logdet_p = 2.0 * float(np.log(np.diag(chol)).sum())
-        trace = float(np.sum(target_inv * sent))
-    return 0.5 * (logdet_q - logdet_p + trace + float(diff @ target_inv @ diff) - diff.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _diagonal_kls(np.diag(target_inv), logdet_q, quad, sent[None])[0]
+    try:
+        chol = np.linalg.cholesky(sent)
+    except np.linalg.LinAlgError:
+        return math.inf
+    logdet_p = 2.0 * float(np.log(np.diag(chol)).sum())
+    trace = float(np.sum(target_inv * sent))
+    return 0.5 * (logdet_q - logdet_p + trace + quad - diff.size)
+
+
+def _diagonal_kls(target_inv_diag: np.ndarray, logdet_q: float, quad: float,
+                  sent: np.ndarray) -> list[float]:
+    """KLs of K diagonal messages that share one mean, one per row of the (K, d)
+    post-noise variances ``sent``; ``quad`` is the shared quadratic form of the
+    mean difference. A row with a variance <= 0 gives +inf; run under
+    ``np.errstate(divide="ignore", invalid="ignore")``, since such a row's log
+    is taken too.
+
+    Each row is bit-equal to the KL of that row alone: the trace is one dot
+    product per row against the strided diagonal view, and the terms add in
+    one order, in Python floats.
+    """
+    logdet_p = np.log(sent).sum(axis=1).tolist()
+    trace = (sent[:, None, :] @ target_inv_diag[:, None])[:, 0, 0].tolist()
+    d = sent.shape[1]
+    return [math.inf if low <= 0 else 0.5 * (logdet_q - lp + tr + quad - d)
+            for low, lp, tr in zip(sent.min(axis=1).tolist(), logdet_p, trace)]
 
 
 def objective_grad_diag(problem: SenderProblem, mean: np.ndarray, variances: np.ndarray):
@@ -208,6 +235,11 @@ def objective_grad_diag(problem: SenderProblem, mean: np.ndarray, variances: np.
         raise InvalidParameterError(
             f"mean {mean.shape} and variances {variances.shape} must have shape ({problem.dim},)"
         )
+    if not (np.isfinite(mean).all() and np.isfinite(variances).all()):
+        raise InvalidParameterError(
+            f"mean and variances must be finite, got mean {mean.tolist()} "
+            f"and variances {variances.tolist()}"
+        )
     if variances.min() < _EIG_FLOOR:
         raise InvalidParameterError(f"variances must be nonnegative, got {variances.min():.3g}")
     target_inv, logdet_q = _target_terms(problem.target)
@@ -217,6 +249,88 @@ def objective_grad_diag(problem: SenderProblem, mean: np.ndarray, variances: np.
     grad_mean = target_inv @ diff
     grad_var = 0.5 * (np.diag(target_inv) - 1.0 / sent_vars)
     return value, grad_mean, grad_var
+
+
+def _descent_params(steps, learning_rate) -> tuple[int, float]:
+    """The step count and learning rate of a descent, checked."""
+    require_count("steps", steps, 1)
+    learning_rate = require_float("learning_rate", learning_rate)
+    if not 0 <= learning_rate < math.inf:
+        raise InvalidParameterError(f"learning_rate must be finite and >= 0, got {learning_rate}")
+    return steps, learning_rate
+
+
+def _bad_steps(value: float, prev: float, bad_steps: int, mean: np.ndarray,
+               sent: np.ndarray) -> int:
+    """Consecutive bad steps after a step from KL ``prev`` to ``value``.
+
+    Raises StepSizeError at the 10th bad step (a rise or a NaN), or when the
+    step overflowed the iterate (``mean`` or the post-noise ``sent``).
+    """
+    # A non-finite iterate gives a non-finite KL, so only then is it looked for.
+    if not math.isfinite(value) and not (np.isfinite(mean).all() and np.isfinite(sent).all()):
+        raise StepSizeError("a step overflowed the iterate; reduce the learning rate")
+    if not (math.isnan(value) or value > prev):
+        return 0
+    if bad_steps + 1 >= 10:
+        raise StepSizeError(
+            f"objective increased for {bad_steps + 1} consecutive steps; reduce the learning rate"
+        )
+    return bad_steps + 1
+
+
+def _diagonal_descent(target: GaussianMessageDist, noise_vars, steps: int,
+                      learning_rate: float) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Diagonal-mode descent on one target for K checked noise variances at once.
+
+    Row k is, bit for bit, the run ``aware_optimum_gd`` makes on
+    ``SenderProblem(target, noise_vars[k])``. The mean step reads neither the
+    noise nor the variances, so one mean path, with its quadratic form, serves
+    every row; the variances are a (K, d) array. Returns the mean, the
+    variances and the K final KLs. A row that fails is dropped, and the call
+    raises the StepSizeError of the lowest-index failing row, as that row
+    would alone.
+    """
+    steps, learning_rate = _descent_params(steps, learning_rate)
+    target_mean = target.mean
+    target_inv, logdet_q = _target_terms(target)
+    target_inv_diag = np.diag(target_inv)
+    noise = np.array(noise_vars, dtype=float)[:, None]
+    mean = np.zeros(target.dim)
+    variances = np.ones((noise.shape[0], target.dim))
+    # The loop looks for non-finite iterates itself, and _diagonal_kls takes the
+    # log of a zero variance, so numpy's warnings would say nothing new.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sent = variances + noise
+        diff = mean - target_mean
+        prev = _diagonal_kls(target_inv_diag, logdet_q, float(diff @ target_inv @ diff), sent)
+        bad = [0] * len(prev)
+        failure = None
+        for _ in range(steps):
+            grad_var = 0.5 * (target_inv_diag - 1.0 / sent)
+            mean = mean - learning_rate * (target_inv @ diff)
+            # The bits of np.clip(..., 0.0, None) (no -0.0 arises) in a third of the time.
+            variances = np.maximum(variances - learning_rate * grad_var, 0.0)
+            sent = variances + noise
+            diff = mean - target_mean
+            quad = float(diff @ target_inv @ diff)
+            values = _diagonal_kls(target_inv_diag, logdet_q, quad, sent)
+            for k, value in enumerate(values):
+                try:
+                    bad[k] = _bad_steps(value, prev[k], bad[k], mean, sent[k])
+                except StepSizeError as exc:
+                    # Row k's error stands unless a lower row fails later, so rows
+                    # from k on no longer matter.
+                    failure = exc
+                    del values[k:], bad[k:]
+                    variances, sent, noise = variances[:k], sent[:k], noise[:k]
+                    break
+            if not values:
+                break
+            prev = values
+    if failure is not None:
+        raise failure
+    return mean, variances, prev
 
 
 def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: float = 0.1,
@@ -233,68 +347,41 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: f
     returned iterate is always finite.
 
     The target is checked once; the loop then runs on raw arrays and
-    evaluates the post-noise KL once per step.
+    evaluates the post-noise KL once per step. Diagonal mode is the one-row
+    case of ``_diagonal_descent``.
     """
     if mode not in ("diagonal", "full"):
         raise InvalidParameterError(f"mode must be 'diagonal' or 'full', got {mode!r}")
-    require_count("steps", steps, 1)
-    if not 0 <= learning_rate < math.inf:
-        raise InvalidParameterError(f"learning_rate must be finite and >= 0, got {learning_rate}")
+    if mode == "diagonal":
+        mean, variances, kls = _diagonal_descent(problem.target, [problem.noise_var], steps,
+                                                 learning_rate)
+        return SenderSolution(GaussianMessageDist.from_diagonal(mean, variances[0]), kls[0])
+    steps, learning_rate = _descent_params(steps, learning_rate)
     d = problem.dim
-    noise = problem.noise_var
     target_mean = problem.target.mean
     target_inv, logdet_q = _target_terms(problem.target)
-    target_inv_diag = np.diag(target_inv)
-    noise_eye = noise * np.eye(d)
+    noise_eye = problem.noise_var * np.eye(d)
     mean = np.zeros(d)
-    if mode == "diagonal":
-        variances = np.ones(d)
-    else:
-        factor = np.eye(d)
-
-    def sent_cov() -> np.ndarray:
-        """Post-noise covariance: a vector of variances in diagonal mode."""
-        return variances + noise if mode == "diagonal" else factor @ factor.T + noise_eye
-
-    sent = sent_cov()
+    factor = np.eye(d)
+    sent = factor @ factor.T + noise_eye
     prev = _sent_kl(target_inv, logdet_q, mean - target_mean, sent)
     bad_steps = 0
     for _ in range(steps):
         grad_mean = target_inv @ (mean - target_mean)
-        if mode == "diagonal":
-            grad_var = 0.5 * (target_inv_diag - 1.0 / sent)
-            mean = mean - learning_rate * grad_mean
-            variances = np.clip(variances - learning_rate * grad_var, 0.0, None)
-        else:
-            try:
-                sent_inv = np.linalg.inv(sent)
-            except np.linalg.LinAlgError:
-                raise StepSizeError(
-                    "post-noise covariance became singular; reduce the learning rate"
-                ) from None
-            grad_sigma = 0.5 * (target_inv - sent_inv)
-            mean = mean - learning_rate * grad_mean
-            factor = factor - learning_rate * 2.0 * (grad_sigma @ factor)
-        sent = sent_cov()
+        try:
+            sent_inv = np.linalg.inv(sent)
+        except np.linalg.LinAlgError:
+            raise StepSizeError(
+                "post-noise covariance became singular; reduce the learning rate"
+            ) from None
+        grad_sigma = 0.5 * (target_inv - sent_inv)
+        mean = mean - learning_rate * grad_mean
+        factor = factor - learning_rate * 2.0 * (grad_sigma @ factor)
+        sent = factor @ factor.T + noise_eye
         value = _sent_kl(target_inv, logdet_q, mean - target_mean, sent)
-        # A non-finite iterate gives a non-finite KL, so only then is it looked for.
-        if not math.isfinite(value) and not (np.isfinite(mean).all() and np.isfinite(sent).all()):
-            raise StepSizeError("a step overflowed the iterate; reduce the learning rate")
-        if math.isnan(value) or value > prev:
-            bad_steps += 1
-            if bad_steps >= 10:
-                raise StepSizeError(
-                    f"objective increased for {bad_steps} consecutive steps; "
-                    "reduce the learning rate"
-                )
-        else:
-            bad_steps = 0
+        bad_steps = _bad_steps(value, prev, bad_steps, mean, sent)
         prev = value
-    if mode == "diagonal":
-        dist = GaussianMessageDist.from_diagonal(mean, variances)
-    else:
-        dist = GaussianMessageDist(mean, factor @ factor.T)
-    return SenderSolution(dist, prev)
+    return SenderSolution(GaussianMessageDist(mean, factor @ factor.T), prev)
 
 
 def sample_message(dist: GaussianMessageDist, noise_var: float, rng_seed: int,
@@ -309,7 +396,7 @@ def sample_message(dist: GaussianMessageDist, noise_var: float, rng_seed: int,
         raise InvalidParameterError(f"noise_var must be finite and >= 0, got {noise_var}")
     rng = substream(rng_seed)
     d = dist.dim
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else require_count("size", size, 0)
     root = (dist._eigvecs * np.sqrt(dist._eigvals)) @ dist._eigvecs.T
     xi = rng.standard_normal((n, d))
     out = dist.mean + xi @ root.T

@@ -133,6 +133,33 @@ class TestCompose:
             nested = compose([compose(pts[:k]), compose(pts[k:])]).rho
             assert nested == pytest.approx(whole, rel=5e-16, abs=0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rhos=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40),
+        dyadic=st.booleans(),
+        data=st.data(),
+    )
+    def test_partition_invariance_property(self, rhos, dyadic, data):
+        # Any order and any partition into consecutive parts. fsum is exact, so
+        # order never matters; each part's sum is rounded once and then the
+        # parts' sum once more, so nested composition is within 2 units of
+        # rounding, and exact when every partial sum is representable.
+        if dyadic:
+            rhos = [math.floor(r * 2**20) / 2**20 for r in rhos]
+        pts = [RdpPoint(2.0, r) for r in rhos]
+        whole = compose(pts).rho
+        order = data.draw(st.permutations(range(len(pts))))
+        assert compose([pts[i] for i in order]).rho == whole
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(pts) - 1), max_size=len(pts) - 1))
+                      if len(pts) > 1 else [])
+        bounds = [0, *cuts, len(pts)]
+        nested = compose([compose(pts[a:b]) for a, b in zip(bounds, bounds[1:])]).rho
+        event(f"{len(bounds) - 1} parts" if len(bounds) < 5 else "5+ parts")
+        if dyadic:
+            assert nested == whole
+        else:
+            assert nested == pytest.approx(whole, rel=5e-16, abs=0.0)
+
 
 class TestRdpToDp:
     def test_examples(self):

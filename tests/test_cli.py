@@ -235,6 +235,18 @@ class TestSender:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "reduce the learning rate" in err[0]
 
+    def test_lowest_diverging_row_is_reported(self, tmp_path, capsys):
+        # Run alone, the 0.5 row fails first (10 rising steps by step 12) and
+        # the 0.0 row later (an overflow at step 27). The 0.0 row comes first in
+        # the table, so its error is reported, as when the rows ran one by one.
+        config = {"dim": 1, "target_mean": [0.1], "target_variances": [0.249],
+                  "noise_vars": [0.1, 0.0, 0.5], "gd_steps": 200, "gd_learning_rate": 0.5}
+        code, path = run(tmp_path, "sender", config)
+        assert code == EXIT_INFEASIBLE
+        assert not path.exists()
+        assert capsys.readouterr().err == (
+            "dpcomm sender: a step overflowed the iterate; reduce the learning rate\n")
+
 
 class TestHarness:
     @pytest.mark.parametrize("command,config", [

@@ -20,7 +20,7 @@ from dpcomm import (
     oblivious_optimum,
     sample_message,
 )
-from dpcomm.gaussian_sender import objective_grad_diag, positive_part
+from dpcomm.gaussian_sender import _diagonal_descent, objective_grad_diag, positive_part
 
 
 def random_spd_target(rng, d):
@@ -154,6 +154,83 @@ def assert_matches_reference(problem, **kwargs):
         assert np.array_equal(fast.dist.cov, ref.dist.cov)
         np.testing.assert_allclose(fast.kl, ref.kl, rtol=0.0, atol=1e-12)
     return ref
+
+
+def _reference_diagonal_gd(problem, steps, learning_rate):
+    """Diagonal-mode ``aware_optimum_gd`` as it was before ``_diagonal_descent``,
+    as the single-row oracle: one row's loop on its own arrays, the diagonal KL
+    with its own early +inf, and the bad-step rule with its messages. Returns
+    (mean, variances, final KL) or raises StepSizeError."""
+    d = problem.dim
+    noise = problem.noise_var
+    target_mean = problem.target.mean
+    _, logdet_q = np.linalg.slogdet(problem.target.cov)
+    target_inv = np.linalg.inv(problem.target.cov)
+    target_inv_diag = np.diag(target_inv)
+
+    def kl(diff, sent):
+        if sent.min() <= 0:
+            return math.inf
+        logdet_p = float(np.log(sent).sum())
+        trace = float(np.diag(target_inv) @ sent)
+        return 0.5 * (float(logdet_q) - logdet_p + trace + float(diff @ target_inv @ diff) - d)
+
+    mean = np.zeros(d)
+    variances = np.ones(d)
+    sent = variances + noise
+    prev = kl(mean - target_mean, sent)
+    bad_steps = 0
+    for _ in range(steps):
+        grad_mean = target_inv @ (mean - target_mean)
+        grad_var = 0.5 * (target_inv_diag - 1.0 / sent)
+        mean = mean - learning_rate * grad_mean
+        variances = np.clip(variances - learning_rate * grad_var, 0.0, None)
+        sent = variances + noise
+        value = kl(mean - target_mean, sent)
+        if not math.isfinite(value) and not (np.isfinite(mean).all() and np.isfinite(sent).all()):
+            raise StepSizeError("a step overflowed the iterate; reduce the learning rate")
+        if math.isnan(value) or value > prev:
+            bad_steps += 1
+            if bad_steps >= 10:
+                raise StepSizeError(
+                    f"objective increased for {bad_steps} consecutive steps; "
+                    "reduce the learning rate"
+                )
+        else:
+            bad_steps = 0
+        prev = value
+    return mean, variances, prev
+
+
+def _outcome(solver, *args):
+    """A solver's result, or the message of the StepSizeError it raised."""
+    try:
+        return solver(*args)
+    except StepSizeError as exc:
+        return str(exc)
+
+
+def assert_rows_match_oracle(target, noise_vars, steps, learning_rate):
+    """Every row of ``_diagonal_descent`` against ``_reference_diagonal_gd`` on
+    that row alone: equal iterates and KL, or the lowest failing row's message.
+    The rows before the first failing one are then checked as a batch of their
+    own. Returns the rows' outcomes."""
+    refs = [_outcome(_reference_diagonal_gd, SenderProblem(target, noise), steps, learning_rate)
+            for noise in noise_vars]
+    batch = _outcome(_diagonal_descent, target, noise_vars, steps, learning_rate)
+    failed = [k for k, ref in enumerate(refs) if isinstance(ref, str)]
+    if failed:
+        assert batch == refs[failed[0]]
+        if failed[0] > 0:
+            assert_rows_match_oracle(target, noise_vars[:failed[0]], steps, learning_rate)
+        return refs
+    mean, variances, kls = batch
+    assert variances.shape == (len(noise_vars), target.dim) and len(kls) == len(noise_vars)
+    for k, (ref_mean, ref_variances, ref_kl) in enumerate(refs):
+        assert np.array_equal(mean, ref_mean)
+        assert np.array_equal(variances[k], ref_variances)
+        assert kls[k] == ref_kl  # +inf == +inf too; a returned KL is never NaN
+    return refs
 
 
 class TestKlGaussian:
@@ -561,6 +638,62 @@ class TestFastPathMatchesReference:
                                  learning_rate=learning_rate)
 
 
+class TestBatchedDescent:
+    """``_diagonal_descent`` row by row against ``_reference_diagonal_gd``."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_seeded_rows(self):
+        # d 1-16, diagonal and non-diagonal targets, noise 0-1.5 and learning
+        # rates up to 50, at which some rows diverge.
+        rng = np.random.default_rng(50)
+        outcomes = []
+        for d in range(1, 17):
+            diagonal = GaussianMessageDist.from_diagonal(rng.normal(size=d),
+                                                         rng.uniform(0.3, 3.0, d))
+            for target in (diagonal, random_spd_target(rng, d)):
+                noise_vars = [0.0, *rng.uniform(0.0, 1.5, 4)]
+                for learning_rate in (0.05, 0.3, float(rng.choice([2.0, 50.0]))):
+                    outcomes += assert_rows_match_oracle(target, noise_vars, 100, learning_rate)
+        failed = sum(isinstance(outcome, str) for outcome in outcomes)
+        assert 0 < failed < len(outcomes)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lowest_failing_row_raises(self):
+        # Alone, row 1 (no noise) overflows at step 27 and row 2 has 10 rising
+        # steps by step 12; row 0 runs all 200 steps.
+        target = GaussianMessageDist.from_diagonal([0.1], [0.249])
+        refs = assert_rows_match_oracle(target, [0.1, 0.0, 0.5], 200, 0.5)
+        assert refs[1] == "a step overflowed the iterate; reduce the learning rate"
+        assert refs[2] == "objective increased for 10 consecutive steps; reduce the learning rate"
+        assert not isinstance(refs[0], str)
+        with pytest.raises(StepSizeError, match="overflowed"):
+            _diagonal_descent(target, [0.1, 0.0, 0.5], 200, 0.5)
+        # A failing row after converging rows still fails the call.
+        with pytest.raises(StepSizeError, match="increased"):
+            _diagonal_descent(target, [0.1, 0.5], 200, 0.5)
+
+    def test_shipped_sender_rows(self):
+        target = GaussianMessageDist.from_diagonal([0.0, 0.0], [1.0, 1.0])
+        refs = assert_rows_match_oracle(target, [0.0, 0.1, 0.5, 1.0], 6000, 0.1)
+        assert not any(isinstance(ref, str) for ref in refs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        noise_vars=st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.5)), min_size=1,
+                            max_size=6),
+        learning_rate=st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 50.0)),
+        steps=st.integers(1, 80),
+    )
+    def test_random_batches(self, d, seed, noise_vars, learning_rate, steps):
+        rng = np.random.default_rng(seed)
+        target = GaussianMessageDist.from_diagonal(rng.uniform(-2.0, 2.0, d),
+                                                   rng.uniform(0.05, 3.0, d))
+        assert_rows_match_oracle(target, noise_vars, steps, learning_rate)
+
+
 class TestDivergingFullMode:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_singular_post_noise_covariance_is_a_step_size_error(self):
@@ -627,6 +760,18 @@ class TestSampler:
             -1.1038628505068948, -1.0, 1.8758191889523756, 0.013295645836587744]
 
 
+    def test_zero_size_is_an_empty_array(self):
+        dist = GaussianMessageDist(np.zeros(3), np.eye(3))
+        assert sample_message(dist, 0.5, 0, size=0).shape == (0, 3)
+
+    @pytest.mark.parametrize("size", [-1, 2.5, True, 10**400],
+                             ids=["negative", "fraction", "bool", "401-digit"])
+    def test_bad_size_rejected(self, size):
+        # -1 used to raise numpy's bare ValueError; 2.5 and True drew 2 and 1.
+        dist = GaussianMessageDist(np.zeros(2), np.eye(2))
+        with pytest.raises(InvalidParameterError, match="size"):
+            sample_message(dist, 0.5, 0, size=size)
+
     @pytest.mark.parametrize("noise", [math.nan, math.inf, 10**400],
                              ids=["nan", "inf", "401-digit"])
     def test_bad_noise_rejected(self, noise):
@@ -653,6 +798,15 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             SenderProblem(GaussianMessageDist(np.zeros(2), np.diag([1.0, 0.0])), 0.1)
 
+    def test_noise_var_is_stored_as_a_float(self):
+        # Every solver reads the stored value: a string used to pass the check
+        # and then fail in the closed forms with numpy's bare UFuncTypeError.
+        target = GaussianMessageDist(np.zeros(2), np.eye(2))
+        for noise in ("0.5", 1, np.float32(0.25)):
+            problem = SenderProblem(target, noise)
+            assert type(problem.noise_var) is float and problem.noise_var == float(noise)
+            assert aware_optimum(problem).kl <= oblivious_optimum(problem).kl
+
     def test_negative_noise_rejected(self):
         with pytest.raises(InvalidParameterError):
             SenderProblem(GaussianMessageDist(np.zeros(1), np.eye(1)), -0.1)
@@ -665,10 +819,30 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="noise_var"):
             SenderProblem(GaussianMessageDist(np.zeros(1), np.eye(1)), math.inf)
 
+    # A 401-digit learning rate used to escape as a bare OverflowError.
     @pytest.mark.parametrize("kwargs", [{"steps": 0}, {"steps": 2.0}, {"steps": True},
-                                        {"learning_rate": -0.1}, {"learning_rate": math.inf}])
+                                        {"learning_rate": -0.1}, {"learning_rate": math.inf},
+                                        {"learning_rate": 10**400}])
     def test_bad_descent_parameters_rejected(self, kwargs):
         problem = SenderProblem(GaussianMessageDist(np.zeros(1), np.eye(1)), 0.1)
         name = next(iter(kwargs))
         with pytest.raises(InvalidParameterError, match=name):
             aware_optimum_gd(problem, **kwargs)
+
+    def test_zero_dimension_rejected(self):
+        # Used to be accepted, then fail in SenderProblem or kl_gaussian with
+        # numpy's bare ValueError.
+        with pytest.raises(InvalidParameterError, match="dimension"):
+            GaussianMessageDist(np.zeros(0), np.zeros((0, 0)))
+        with pytest.raises(InvalidParameterError, match="dimension"):
+            GaussianMessageDist.from_diagonal([], [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["mean", "variances"])
+    def test_objective_rejects_non_finite_iterates(self, bad, where):
+        # Used to return a NaN objective.
+        problem = SenderProblem(GaussianMessageDist.from_diagonal([0.0, 1.0], [1.0, 2.0]), 0.3)
+        point = {"mean": np.zeros(2), "variances": np.ones(2)}
+        point[where][1] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            objective_grad_diag(problem, **point)
