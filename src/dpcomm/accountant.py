@@ -51,10 +51,14 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        if not 0 < require_float("epsilon", self.epsilon) < math.inf:
-            raise InvalidParameterError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidParameterError(f"delta must be in (0,1), got {self.delta}")
+        epsilon = require_float("epsilon", self.epsilon)
+        delta = require_float("delta", self.delta)
+        if not 0 < epsilon < math.inf:
+            raise InvalidParameterError(f"epsilon must be finite and > 0, got {epsilon}")
+        if not 0.0 < delta < 1.0:
+            raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "delta", delta)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMechanismError, InvalidParameterError, require_count, require_float
-from .mechanisms import _check_bit, rr_flip_prob
+from .mechanisms import _check_bit, _rr_row, rr_flip_prob
 from .rng import block_sizes, substream
 
 RECEIVER_MODES = ("naive", "aware")
@@ -120,10 +120,7 @@ def _simulate_block(instance: BinarySumsInstance, rng_seed: int, block: int, m: 
     probs = np.array(instance.flip_probs)
     x = np.empty((n, m))
     for j, bit in enumerate(instance.bits):
-        rng = substream(rng_seed, j, block)
-        flips = rng.random(m) < probs[j]
-        coins = rng.integers(0, 2, size=m)
-        x[j] = (~flips | coins) if bit else (flips & coins)
+        x[j] = _rr_row(substream(rng_seed, j, block), bit, probs[j], m)
     gram = x @ x.T
     counts = gram.diagonal()
     if instance.receiver_mode == "aware":

@@ -11,6 +11,15 @@ finite-difference potential-game check (equal mixed second partials), a
 matching check on the players' value functions, best-response search, and
 best-response dynamics with a unilateral-deviation Nash verification.
 
+Profiles are checked once, where they enter: a ``StrategyProfile`` on
+construction (the ``start`` of ``find_nash``, the ``profile`` of
+``max_unilateral_gain``, the argument of ``utility``), and the opponent's level
+and the step sizes by the function that takes them. The solvers then evaluate
+one player's utility at a time on raw floats, and the points they generate in
+[0, 1] are not checked again. The instance's callables must be pure functions
+of their arguments: ``find_nash`` reuses a best response it has already
+computed for its convergence residual instead of recomputing it.
+
 ``make_binary_sums_cgp`` builds the concrete instance induced by the
 two-player binary sums game, whose utility reduces to the quadratic
 
@@ -28,9 +37,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import EvaluationError, InvalidParameterError, require_float
+from .errors import EvaluationError, InvalidParameterError, require_count, require_float
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Smallest accepted steps, exclusive: a one-dimensional scan visits about
+# 1/step points, a two-dimensional grid about 1/step**2.
+_SCAN_FLOOR = 1e-6
+_GRID_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -72,23 +85,27 @@ class CgpInstance:
                 )
 
 
+def _payoff(instance: CgpInstance, n: int, p1: float, p2: float) -> float:
+    """Player n's utility at (p1, p2), on raw floats the caller has checked."""
+    u = instance.benefit_weight[n] * instance.benefit_fn(
+        instance.standalone_values[n], instance.value_fn(p1, p2)[n]
+    ) - instance.privacy_weight[n] * instance.privacy_loss_fn((p1, p2)[n])
+    if not math.isfinite(u):
+        raise EvaluationError(f"utility of player {n + 1} is not finite at {(p1, p2)}")
+    return u
+
+
 def utility(instance: CgpInstance, profile: StrategyProfile) -> tuple:
     """Evaluate both players' utilities at the given profile."""
-    p1, p2 = profile.p
-    coop = instance.value_fn(p1, p2)
-    out = []
-    for n in range(2):
-        u = instance.benefit_weight[n] * instance.benefit_fn(
-            instance.standalone_values[n], coop[n]
-        ) - instance.privacy_weight[n] * instance.privacy_loss_fn(profile.p[n])
-        if not math.isfinite(u):
-            raise EvaluationError(f"utility of player {n + 1} is not finite at {profile.p}")
-        out.append(u)
-    return tuple(out)
+    return tuple(_payoff(instance, n, *profile.p) for n in range(2))
 
 
-def _u(instance: CgpInstance, n: int, p1: float, p2: float) -> float:
-    return utility(instance, StrategyProfile((p1, p2)))[n]
+def _check_step(name: str, value, floor: float) -> float:
+    """``value`` as a float; InvalidParameterError unless floor < value < inf."""
+    value = require_float(name, value)
+    if not floor < value < math.inf:
+        raise InvalidParameterError(f"{name} must be finite and > {floor}, got {value}")
+    return value
 
 
 def _interior_grid(grid_step: float, margin: float) -> list:
@@ -108,6 +125,7 @@ def is_potential_game(instance: CgpInstance, grid_step: float = 0.05, tol: float
     Estimates d2u_n / dp1 dp2 by central differences over an interior grid of
     (0,1)^2. Returns (is_potential, max_deviation).
     """
+    grid_step = _check_step("grid_step", grid_step, _GRID_FLOOR)
     h = grid_step / 2.0
     pts = _interior_grid(grid_step, h)
     if len(pts) < 3:
@@ -118,10 +136,10 @@ def is_potential_game(instance: CgpInstance, grid_step: float = 0.05, tol: float
             cross = []
             for n in range(2):
                 d = (
-                    _u(instance, n, p1 + h, p2 + h)
-                    - _u(instance, n, p1 + h, p2 - h)
-                    - _u(instance, n, p1 - h, p2 + h)
-                    + _u(instance, n, p1 - h, p2 - h)
+                    _payoff(instance, n, p1 + h, p2 + h)
+                    - _payoff(instance, n, p1 + h, p2 - h)
+                    - _payoff(instance, n, p1 - h, p2 + h)
+                    + _payoff(instance, n, p1 - h, p2 - h)
                 ) / (4.0 * h * h)
                 cross.append(d)
             max_dev = max(max_dev, abs(cross[0] - cross[1]))
@@ -137,6 +155,7 @@ def value_partials_match(instance: CgpInstance, grid_step: float = 0.05, tol: fl
 
     checked by central finite differences across an interior grid.
     """
+    grid_step = _check_step("grid_step", grid_step, _GRID_FLOOR)
     h = grid_step / 2.0
     pts = _interior_grid(grid_step, h)
     if len(pts) < 3:
@@ -164,10 +183,14 @@ def best_response(instance: CgpInstance, player: int, opponent_p: float,
     """
     if player not in (0, 1):
         raise InvalidParameterError("player must be 0 or 1")
+    opponent_p = require_float("opponent_p", opponent_p)
+    if not 0.0 <= opponent_p <= 1.0:
+        raise InvalidParameterError(f"opponent_p must lie in [0,1], got {opponent_p}")
+    grid_step = _check_step("grid_step", grid_step, _SCAN_FLOOR)
 
     def f(p_own: float) -> float:
         pair = (p_own, opponent_p) if player == 0 else (opponent_p, p_own)
-        return _u(instance, player, *pair)
+        return _payoff(instance, player, *pair)
 
     n_cells = max(2, math.ceil(1.0 / grid_step))
     grid = [i / n_cells for i in range(n_cells + 1)]
@@ -200,14 +223,14 @@ def max_unilateral_gain(instance: CgpInstance, profile: StrategyProfile,
                         step: float = 1e-3) -> float:
     """Largest utility improvement any player can get by a unilateral
     deviation onto a grid of the given step over [0, 1]."""
-    base = utility(instance, profile)
-    n_cells = max(1, round(1.0 / step))
+    n_cells = max(1, round(1.0 / _check_step("step", step, _SCAN_FLOOR)))
     gain = 0.0
     for player in range(2):
+        base = _payoff(instance, player, *profile.p)
         for i in range(n_cells + 1):
             p = i / n_cells
             pair = (p, profile.p[1]) if player == 0 else (profile.p[0], p)
-            gain = max(gain, _u(instance, player, *pair) - base[player])
+            gain = max(gain, _payoff(instance, player, *pair) - base)
     return gain
 
 
@@ -226,26 +249,22 @@ def find_nash(instance: CgpInstance, start: StrategyProfile, max_iters: int = 10
 
     Converged when the best-response residual ||BR(p) - p||_inf drops to
     ``tol`` within ``max_iters`` sweeps; the returned profile is additionally
-    checked by a unilateral-deviation grid scan (``max_gain``).
+    checked by a unilateral-deviation grid scan (``max_gain``). A sweep sets
+    p1 = BR(0, p2), then p2 = BR(1, p1), so the residual's second term is 0
+    and its first, BR(0, p2), is the next sweep's p1: two best responses per
+    sweep, plus one to start.
     """
-    grid_step = require_float("grid_step", grid_step)
-    tol = require_float("tol", tol)
-    scan_step = require_float("scan_step", scan_step)
-    # Each best response scans about 1/grid_step points.
-    for name, value, low in (("grid_step", grid_step, 1e-6), ("tol", tol, 0)):
-        if not low < value < math.inf:
-            raise InvalidParameterError(f"{name} must be finite and > {low}, got {value}")
-    p1, p2 = start.p
+    max_iters = require_count("max_iters", max_iters, 1)
+    tol = _check_step("tol", tol, 0.0)
+    grid_step = _check_step("grid_step", grid_step, _SCAN_FLOOR)
+    scan_step = _check_step("scan_step", scan_step, _SCAN_FLOOR)
+    next_p1 = best_response(instance, 0, start.p[1], grid_step)
     converged = False
-    sweeps = 0
     for sweeps in range(1, max_iters + 1):
-        p1 = best_response(instance, 0, p2, grid_step)
+        p1 = next_p1
         p2 = best_response(instance, 1, p1, grid_step)
-        residual = max(
-            abs(best_response(instance, 0, p2, grid_step) - p1),
-            abs(best_response(instance, 1, p1, grid_step) - p2),
-        )
-        if residual <= tol:
+        next_p1 = best_response(instance, 0, p2, grid_step)
+        if abs(next_p1 - p1) <= tol:
             converged = True
             break
     profile = StrategyProfile((p1, p2))
@@ -282,6 +301,7 @@ def check_definitions(instance: CgpInstance, grid_step: float = 0.1) -> list:
     either player goes fully private, and exceeding it at (0, 0); benefit
     nonnegative and zero whenever standalone >= cooperative value.
     """
+    grid_step = _check_step("grid_step", grid_step, _GRID_FLOOR)
     violations = []
     pts = _interior_grid(grid_step, grid_step / 2.0)
     h = grid_step / 2.0

@@ -42,7 +42,8 @@ def rr_flip_prob(epsilon: float) -> float:
 
     eps = 0 gives p = 1 (pure coin flips); eps -> inf gives p -> 0.
     """
-    if not require_float("epsilon", epsilon) >= 0:
+    epsilon = require_float("epsilon", epsilon)
+    if not epsilon >= 0:
         raise InvalidParameterError(f"epsilon must be nonnegative, got {epsilon}")
     if epsilon > 700.0:  # exp would overflow; the +1 is far below resolution
         return 2.0 * math.exp(-epsilon)
@@ -55,20 +56,27 @@ def _check_bit(bit) -> int:
     return int(bit)
 
 
+def _rr_row(rng: np.random.Generator, bit: int, flip_prob: float, m: int) -> np.ndarray:
+    """``m`` randomized-response draws of a checked 0/1 ``bit``, as an int64
+    0/1 row. This is the draw protocol that seeded reruns rest on: the flip
+    decisions from ``rng.random(m)``, then the int64 coins from
+    ``rng.integers(0, 2, m)``, so the stream is consumed the same way at
+    every ``flip_prob``."""
+    flips = rng.random(m) < flip_prob
+    coins = rng.integers(0, 2, size=m)
+    # Equals np.where(flips, coins, bit) in value and int64 dtype, and costs less.
+    return (~flips | coins) if bit else (flips & coins)
+
+
 def rr_perturb(bit: int, mech: RrMechanism, rng_seed: int, size: int | None = None):
     """Apply randomized response to a bit.
 
     With ``size=None`` returns a single 0/1 int; with an integer ``size``
-    returns that many independent draws as an int array. Each trial consumes
-    one uniform (flip decision) and one coin, in that order, so trial t is a
-    fixed function of (seed, t) independent of the flip probability.
+    returns that many independent draws as an int array, drawn by ``_rr_row``
+    from ``substream(rng_seed)``.
     """
     bit = _check_bit(bit)
-    rng = substream(rng_seed)
-    n = 1 if size is None else int(size)
-    flips = rng.random(n) < mech.flip_prob
-    coins = rng.integers(0, 2, size=n)
-    out = np.where(flips, coins, bit)
+    out = _rr_row(substream(rng_seed), bit, mech.flip_prob, 1 if size is None else int(size))
     return int(out[0]) if size is None else out
 
 

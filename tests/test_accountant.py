@@ -391,6 +391,15 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="epsilon"):
             PrivacyBudget(10**400, 1e-4)
 
+    def test_budget_stores_the_floats_it_checked(self):
+        # A string epsilon used to be stored as given, and calibrate_step then
+        # raised a bare TypeError.
+        budget = PrivacyBudget("2.0", "1e-5")
+        assert (budget.epsilon, budget.delta) == (2.0, 1e-5)
+        assert type(budget.epsilon) is float and type(budget.delta) is float
+        assert calibrate_step(budget, FEASIBLE_PARAMS) == \
+            calibrate_step(PrivacyBudget(2.0, 1e-5), FEASIBLE_PARAMS)
+
     def test_params_ranges(self):
         with pytest.raises(InvalidParameterError):
             MechanismParams(0.0, 0.5, 0.5, 3)

@@ -1,12 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpcomm import (
     CgpInstance,
     EvaluationError,
     InvalidParameterError,
+    NashResult,
     StrategyProfile,
     best_response,
     find_nash,
@@ -16,7 +20,9 @@ from dpcomm import (
     utility,
     value_partials_match,
 )
-from dpcomm.cgp import check_definitions
+from dpcomm import cgp
+from dpcomm.cgp import GOLDEN, _interior_grid, check_definitions
+from dpcomm.errors import require_float
 
 
 def constant_game(level=2.5):
@@ -268,7 +274,8 @@ class TestBinarySumsConstruction:
     @pytest.mark.parametrize("kwargs", [{"grid_step": -0.01}, {"tol": -1e-8},
                                         {"tol": math.inf}, {"grid_step": 0.0},
                                         {"grid_step": 1e-200}, {"grid_step": 10**400},
-                                        {"tol": 10**400}, {"scan_step": 10**400}])
+                                        {"tol": 10**400}, {"scan_step": 10**400},
+                                        {"max_iters": 2.5}, {"max_iters": 0}])
     def test_find_nash_parameters_checked(self, kwargs):
         game = make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0))
         with pytest.raises(InvalidParameterError, match=next(iter(kwargs))):
@@ -294,3 +301,265 @@ class TestUnilateralGain:
         game = make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0))
         gain = max_unilateral_gain(game, StrategyProfile((0.9, 0.9)))
         assert gain > 0.1
+
+
+class TestStepArguments:
+    # Each of these used to hang in _interior_grid (grid_step <= 0), raise a
+    # bare ZeroDivisionError (a zero step), or quietly scan 2 points (a
+    # negative step).
+    @pytest.mark.parametrize("call, name", [
+        (lambda g: is_potential_game(g, grid_step=0.0), "grid_step"),
+        (lambda g: is_potential_game(g, grid_step=-0.01), "grid_step"),
+        (lambda g: is_potential_game(g, grid_step=1e-3), "grid_step"),
+        (lambda g: is_potential_game(g, grid_step=math.nan), "grid_step"),
+        (lambda g: value_partials_match(g, grid_step=-1.0), "grid_step"),
+        (lambda g: value_partials_match(g, grid_step=0.0), "grid_step"),
+        (lambda g: check_definitions(g, grid_step=0.0), "grid_step"),
+        (lambda g: check_definitions(g, grid_step=-0.1), "grid_step"),
+        (lambda g: best_response(g, 0, 0.2, grid_step=0.0), "grid_step"),
+        (lambda g: best_response(g, 0, 0.2, grid_step=-0.01), "grid_step"),
+        (lambda g: best_response(g, 0, 0.2, grid_step=math.inf), "grid_step"),
+        (lambda g: best_response(g, 0, 0.2, grid_step=10**400), "grid_step"),
+        (lambda g: max_unilateral_gain(g, StrategyProfile((0.2, 0.2)), step=0.0), "step"),
+        (lambda g: max_unilateral_gain(g, StrategyProfile((0.2, 0.2)), step=-1e-3), "step"),
+        (lambda g: max_unilateral_gain(g, StrategyProfile((0.2, 0.2)), step=1e-7), "step"),
+        (lambda g: find_nash(g, StrategyProfile((0.2, 0.2)), scan_step=0.0), "scan_step"),
+        (lambda g: find_nash(g, StrategyProfile((0.2, 0.2)), scan_step=-1e-3), "scan_step"),
+    ], ids=["potential-0", "potential-neg", "potential-floor", "potential-nan",
+            "partials-neg", "partials-0", "definitions-0", "definitions-neg",
+            "br-0", "br-neg", "br-inf", "br-huge", "gain-0", "gain-neg", "gain-floor",
+            "nash-scan-0", "nash-scan-neg"])
+    def test_bad_step_rejected(self, call, name):
+        game = make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0))
+        with pytest.raises(InvalidParameterError, match=name):
+            call(game)
+
+    @pytest.mark.parametrize("opponent", [-0.1, 1.5, math.nan, 10**400],
+                             ids=["negative", "above-1", "nan", "huge"])
+    def test_opponent_level_checked(self, opponent):
+        game = make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0))
+        with pytest.raises(InvalidParameterError, match="opponent_p"):
+            best_response(game, 0, opponent)
+
+    def test_steps_above_the_floor_accepted(self):
+        game = make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0))
+        assert best_response(game, 0, 0.0, grid_step=1e-5) == pytest.approx(0.5, abs=1e-9)
+        assert max_unilateral_gain(game, StrategyProfile((0.25, 0.25)), step=2.0) == 0.0
+        assert is_potential_game(game, grid_step=0.25)[0]
+
+
+# The solvers as they were before they evaluated one payoff on raw floats:
+# every evaluation built a StrategyProfile and computed both players'
+# utilities, and find_nash recomputed both best responses for its residual.
+# Kept verbatim (names prefixed) as oracles for the new functions.
+
+def _reference_utility(instance: CgpInstance, profile: StrategyProfile) -> tuple:
+    """Evaluate both players' utilities at the given profile."""
+    p1, p2 = profile.p
+    coop = instance.value_fn(p1, p2)
+    out = []
+    for n in range(2):
+        u = instance.benefit_weight[n] * instance.benefit_fn(
+            instance.standalone_values[n], coop[n]
+        ) - instance.privacy_weight[n] * instance.privacy_loss_fn(profile.p[n])
+        if not math.isfinite(u):
+            raise EvaluationError(f"utility of player {n + 1} is not finite at {profile.p}")
+        out.append(u)
+    return tuple(out)
+
+
+def _reference_u(instance: CgpInstance, n: int, p1: float, p2: float) -> float:
+    return _reference_utility(instance, StrategyProfile((p1, p2)))[n]
+
+
+def _reference_is_potential_game(instance: CgpInstance, grid_step: float = 0.05, tol: float = 1e-6):
+    h = grid_step / 2.0
+    pts = _interior_grid(grid_step, h)
+    if len(pts) < 3:
+        raise InvalidParameterError("grid_step leaves fewer than 3 interior points")
+    max_dev = 0.0
+    for p1 in pts:
+        for p2 in pts:
+            cross = []
+            for n in range(2):
+                d = (
+                    _reference_u(instance, n, p1 + h, p2 + h)
+                    - _reference_u(instance, n, p1 + h, p2 - h)
+                    - _reference_u(instance, n, p1 - h, p2 + h)
+                    + _reference_u(instance, n, p1 - h, p2 - h)
+                ) / (4.0 * h * h)
+                cross.append(d)
+            max_dev = max(max_dev, abs(cross[0] - cross[1]))
+    return max_dev <= tol, max_dev
+
+
+def _reference_best_response(instance: CgpInstance, player: int, opponent_p: float,
+                             grid_step: float = 0.01) -> float:
+    if player not in (0, 1):
+        raise InvalidParameterError("player must be 0 or 1")
+
+    def f(p_own: float) -> float:
+        pair = (p_own, opponent_p) if player == 0 else (opponent_p, p_own)
+        return _reference_u(instance, player, *pair)
+
+    n_cells = max(2, math.ceil(1.0 / grid_step))
+    grid = [i / n_cells for i in range(n_cells + 1)]
+    values = [f(p) for p in grid]
+    best_i = max(range(len(grid)), key=lambda i: (values[i], -grid[i]))
+    best_p, best_v = grid[best_i], values[best_i]
+
+    lo = max(0.0, best_p - 1.0 / n_cells)
+    hi = min(1.0, best_p + 1.0 / n_cells)
+    a, b = lo, hi
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(80):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = f(d)
+    refined = (a + b) / 2.0
+    if f(refined) > best_v:
+        return refined
+    return best_p
+
+
+def _reference_max_unilateral_gain(instance: CgpInstance, profile: StrategyProfile,
+                                   step: float = 1e-3) -> float:
+    base = _reference_utility(instance, profile)
+    n_cells = max(1, round(1.0 / step))
+    gain = 0.0
+    for player in range(2):
+        for i in range(n_cells + 1):
+            p = i / n_cells
+            pair = (p, profile.p[1]) if player == 0 else (profile.p[0], p)
+            gain = max(gain, _reference_u(instance, player, *pair) - base[player])
+    return gain
+
+
+def _reference_find_nash(instance: CgpInstance, start: StrategyProfile, max_iters: int = 100,
+                         tol: float = 1e-8, grid_step: float = 0.01,
+                         scan_step: float = 1e-3) -> NashResult:
+    grid_step = require_float("grid_step", grid_step)
+    tol = require_float("tol", tol)
+    scan_step = require_float("scan_step", scan_step)
+    # Each best response scans about 1/grid_step points.
+    for name, value, low in (("grid_step", grid_step, 1e-6), ("tol", tol, 0)):
+        if not low < value < math.inf:
+            raise InvalidParameterError(f"{name} must be finite and > {low}, got {value}")
+    p1, p2 = start.p
+    converged = False
+    sweeps = 0
+    for sweeps in range(1, max_iters + 1):
+        p1 = _reference_best_response(instance, 0, p2, grid_step)
+        p2 = _reference_best_response(instance, 1, p1, grid_step)
+        residual = max(
+            abs(_reference_best_response(instance, 0, p2, grid_step) - p1),
+            abs(_reference_best_response(instance, 1, p1, grid_step) - p2),
+        )
+        if residual <= tol:
+            converged = True
+            break
+    profile = StrategyProfile((p1, p2))
+    return NashResult(profile, converged, sweeps,
+                      _reference_max_unilateral_gain(instance, profile, scan_step))
+
+
+ORACLE_GAMES = {
+    "symmetric": make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0)),
+    "uneven": make_binary_sums_cgp((1.0, 2.0), (1.0, 1.0)),
+    "asymmetric": make_binary_sums_cgp((2.0, 1.5), (1.0, 0.5)),
+    "wavy": wavy_game(),
+    "constant": constant_game(),
+}
+ORACLE_STARTS = [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.25, 0.25)] + [
+    tuple(float(v) for v in pair) for pair in np.random.default_rng(11).random((10, 2))
+]
+NASH_OPTIONS = {
+    "default": {},
+    "coarse-3": {"grid_step": 0.03, "max_iters": 3},
+    "tol-1e-3": {"tol": 1e-3},
+    "one-sweep": {"max_iters": 1},
+}
+
+
+class TestAgainstReference:
+    """The raw-float solvers give exactly (==) what the old solvers gave."""
+
+    @pytest.mark.parametrize("options", NASH_OPTIONS.values(), ids=NASH_OPTIONS.keys())
+    @pytest.mark.parametrize("game", ORACLE_GAMES.values(), ids=ORACLE_GAMES.keys())
+    def test_find_nash(self, game, options):
+        for start in ORACLE_STARTS:
+            want = _reference_find_nash(game, StrategyProfile(start), **options)
+            assert find_nash(game, StrategyProfile(start), **options) == want
+
+    @pytest.mark.parametrize("game", ORACLE_GAMES.values(), ids=ORACLE_GAMES.keys())
+    def test_utility_best_response_and_gain(self, game):
+        for p1, p2 in ORACLE_STARTS:
+            profile = StrategyProfile((p1, p2))
+            assert utility(game, profile) == _reference_utility(game, profile)
+            for player in (0, 1):
+                for grid_step in (0.01, 0.07):
+                    assert (best_response(game, player, p2, grid_step)
+                            == _reference_best_response(game, player, p2, grid_step))
+            assert (max_unilateral_gain(game, profile, step=0.01)
+                    == _reference_max_unilateral_gain(game, profile, step=0.01))
+
+    @pytest.mark.parametrize("grid_step", [0.05, 0.1, 0.3])
+    @pytest.mark.parametrize("game", ORACLE_GAMES.values(), ids=ORACLE_GAMES.keys())
+    def test_is_potential_game(self, game, grid_step):
+        assert (is_potential_game(game, grid_step=grid_step)
+                == _reference_is_potential_game(game, grid_step=grid_step))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        benefit=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+        privacy=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+        start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        max_iters=st.integers(1, 6),
+    )
+    def test_binary_sums_property(self, benefit, privacy, start, max_iters):
+        game = make_binary_sums_cgp(benefit, privacy)
+        got = find_nash(game, StrategyProfile(start), max_iters=max_iters, scan_step=0.01)
+        want = _reference_find_nash(game, StrategyProfile(start), max_iters=max_iters,
+                                    scan_step=0.01)
+        assert got == want
+
+    def test_nonfinite_utility_message_kept(self):
+        game = CgpInstance(
+            benefit_weight=(1.0, 1.0),
+            privacy_weight=(1.0, 1.0),
+            value_fn=lambda p1, p2: (0.0, math.inf if p2 > 0.5 else 0.0),
+            standalone_values=(0.0, 0.0),
+            privacy_loss_fn=lambda p: 1.0 - p,
+            benefit_fn=lambda standalone, coop: coop,
+        )
+        with pytest.raises(EvaluationError) as want:
+            _reference_utility(game, StrategyProfile((0.25, 0.75)))
+        with pytest.raises(EvaluationError) as got:
+            utility(game, StrategyProfile((0.25, 0.75)))
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("game", ORACLE_GAMES.values(), ids=ORACLE_GAMES.keys())
+def test_find_nash_makes_two_best_responses_per_sweep(game):
+    # One to start, then BR(1, p1) and BR(0, p2) per sweep; the residual
+    # reuses them instead of computing two more.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return best_response(*args, **kwargs)
+
+    with mock.patch.object(cgp, "best_response", counting):
+        for options in NASH_OPTIONS.values():
+            for start in ORACLE_STARTS[:5]:
+                calls.clear()
+                res = find_nash(game, StrategyProfile(start), **options)
+                assert len(calls) == 2 * res.sweeps + 1
+                assert calls == [0] + [1, 0] * res.sweeps

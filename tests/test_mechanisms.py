@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from dpcomm import (
     rr_perturb,
     subsample,
 )
+from dpcomm.mechanisms import _rr_row
+from dpcomm.rng import substream
 
 TRIALS = 10**6
 
@@ -50,6 +53,11 @@ class TestRrFlipProb:
         with pytest.raises(InvalidParameterError, match="epsilon"):
             rr_flip_prob(10**400)
 
+    def test_budget_computed_on_the_converted_value(self):
+        # A numeric string used to pass the check and then raise a bare TypeError.
+        assert rr_flip_prob("1.0") == rr_flip_prob(1.0)
+        assert rr_flip_prob("701") == rr_flip_prob(701.0)
+
 
 class TestRrPerturb:
     def test_no_perturbation_passthrough(self):
@@ -76,6 +84,36 @@ class TestRrPerturb:
     def test_bad_bit(self):
         with pytest.raises(InvalidParameterError):
             rr_perturb(2, RrMechanism(0.5), 0)
+
+    def test_draws_match_snapshot(self):
+        # sha256 of the draws below, taken before rr_perturb and the
+        # binary-sums kernel shared one draw helper.
+        digest = hashlib.sha256()
+        singles = []
+        for seed in (0, 1, 7, 42, 2**63 + 5):
+            for size in (1, 2, 17, 1000):
+                for bit in (0, 1, True, np.int64(1)):
+                    for p in (0.0, 0.25, 0.5, 0.9, 1.0):
+                        draws = rr_perturb(bit, RrMechanism(p), seed, size=size)
+                        digest.update(draws.dtype.str.encode())
+                        digest.update(draws.tobytes())
+                        singles.append(rr_perturb(bit, RrMechanism(p), seed))
+        assert digest.hexdigest() == \
+            "dd82f840fbc0795bc408fb2c0e2dea69fc1e261d1dbf5566961ad7e47334918b"
+        assert all(type(x) is int for x in singles) and sum(singles) == 296
+
+    @pytest.mark.parametrize("seed", [0, 5, 99])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_draw_helper_matches_where(self, seed, p):
+        # rr_perturb used to build its draws as np.where(flips, coins, bit).
+        for bit in (0, 1):
+            rng = substream(seed, 3, 1)
+            flips = rng.random(500) < p
+            coins = rng.integers(0, 2, size=500)
+            want = np.where(flips, coins, bit)
+            got = _rr_row(substream(seed, 3, 1), bit, p, 500)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
 
 
 class TestGuessing:
