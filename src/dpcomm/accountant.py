@@ -41,6 +41,7 @@ BETA_GRID = tuple(b / 100.0 for b in range(1, 100))
 
 #: Minimum normalized noise for the subsampled-Gaussian bound to apply.
 MIN_SIGMA_PRIME_SQ = 0.7
+_SIGMA_PRIME_CONDITION = f"sigma'^2 >= {MIN_SIGMA_PRIME_SQ}"
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,11 @@ class MechanismParams:
     episode_len: int = 1      # T, used only by calibrate_episode
 
     def __post_init__(self):
-        if not (self.clip_norm > 0 and 0.0 < self.clip_norm * self.clip_norm <= sys.float_info.max):
+        # A subnormal C^2 would make (2C)^2 and 4 * C^2 round apart.
+        if not (self.clip_norm > 0
+                and sys.float_info.min <= self.clip_norm * self.clip_norm <= sys.float_info.max):
             raise InvalidParameterError(
-                f"clip_norm must be > 0 with a finite, nonzero square, got {self.clip_norm}")
+                f"clip_norm must be > 0 with a finite, normal square, got {self.clip_norm}")
         for name in ("sample_rate_data", "sample_rate_agents"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
@@ -128,14 +131,35 @@ def gaussian_rdp(sensitivity: float, sigma: float, alpha: float) -> RdpPoint:
     return RdpPoint(alpha, alpha * sensitivity**2 / (2.0 * sigma**2))
 
 
-def _order_bound(sigma_prime_sq: float, gamma: float, alpha: float) -> float:
-    """Largest order admitted by the subsampled-Gaussian bound.
+def _sigma_prime_sq(sigma_sq: float, sensitivity: float) -> float:
+    """Normalized noise sigma'^2 = sigma^2 / Delta^2, from the variance."""
+    return sigma_sq / sensitivity**2
 
-    The log argument 1/(gamma*alpha*(1+sigma'^2)) can fall below 1, making
-    the bound negative; callers treat that as plain infeasibility.
+
+def _invalidity(sigma_prime_sq: float, gamma: float, alpha: float) -> tuple[float, str] | None:
+    """The validity region of the subsampled-Gaussian bound, in one place.
+
+    Returns the condition that fails, as (margin, condition), or None when
+    sigma'^2 >= MIN_SIGMA_PRIME_SQ and alpha <= the order bound both hold. The
+    bound's log argument 1/(gamma*alpha*(1+sigma'^2)) can fall below 1, making
+    the bound negative, which is plain infeasibility.
     """
+    if sigma_prime_sq < MIN_SIGMA_PRIME_SQ:
+        return MIN_SIGMA_PRIME_SQ - sigma_prime_sq, _SIGMA_PRIME_CONDITION
     arg = 1.0 / (gamma * alpha * (1.0 + sigma_prime_sq))
-    return 2.0 * sigma_prime_sq * math.log(arg) / 3.0 + 1.0
+    bound = 2.0 * sigma_prime_sq * math.log(arg) / 3.0 + 1.0
+    if alpha > bound:
+        return alpha - bound, "alpha <= order bound"
+    return None
+
+
+def _subsampled_rdp(sensitivity: float, sigma_sq: float, alpha: float, gamma: float) -> RdpPoint:
+    """``subsampled_gaussian_rdp`` on the noise variance, for checked arguments."""
+    invalid = _invalidity(_sigma_prime_sq(sigma_sq, sensitivity), gamma, alpha)
+    if invalid is not None:
+        raise InfeasibleOrderError(f"the subsampled-Gaussian RDP holds only if {invalid[1]}, "
+                                   f"missed by {invalid[0]:.3g} at alpha = {alpha!r}")
+    return RdpPoint(alpha, 3.5 * gamma**2 * sensitivity**2 * alpha / sigma_sq)
 
 
 def subsampled_gaussian_rdp(sensitivity: float, sigma: float, alpha: float, gamma: float) -> RdpPoint:
@@ -151,18 +175,7 @@ def subsampled_gaussian_rdp(sensitivity: float, sigma: float, alpha: float, gamm
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
     if not (0.0 < gamma < 1.0):
         raise InvalidParameterError(f"gamma must be in (0,1), got {gamma}")
-    sigma_prime_sq = sigma**2 / sensitivity**2
-    if sigma_prime_sq < MIN_SIGMA_PRIME_SQ:
-        raise InfeasibleOrderError(
-            f"normalized noise sigma'^2 = {sigma_prime_sq:.6g} < {MIN_SIGMA_PRIME_SQ}"
-        )
-    bound = _order_bound(sigma_prime_sq, gamma, alpha)
-    if alpha > bound:
-        raise InfeasibleOrderError(
-            f"order alpha = {alpha:.6g} exceeds the admissible bound "
-            f"(2/3)*sigma'^2*ln(1/(gamma*alpha*(1+sigma'^2))) + 1 = {bound:.6g}"
-        )
-    return RdpPoint(alpha, 3.5 * gamma**2 * sensitivity**2 * alpha / sigma**2)
+    return _subsampled_rdp(sensitivity, sigma**2, alpha, gamma)
 
 
 def compose(points: Sequence[RdpPoint] | Iterable[RdpPoint]) -> RdpPoint:
@@ -216,39 +229,24 @@ def episode_noise_variance(params: MechanismParams, budget: PrivacyBudget, alpha
 def _calibrate(budget: PrivacyBudget, params: MechanismParams, episode: bool) -> CalibrationResult:
     variance = episode_noise_variance if episode else step_noise_variance
     best: CalibrationResult | None = None
-    # Track the least-violated constraint across the grid for the error path.
-    tightest_margin = math.inf
-    tightest_desc = ""
+    # The least-violated constraint across the grid, for the error path.
+    tightest = (math.inf, "", 0.0)
+    sensitivity = params.sensitivity
     for beta in BETA_GRID:
         alpha = order_for_beta(budget, beta)
         sigma_sq = variance(params, budget, alpha, beta)
-        sigma_prime_sq = sigma_sq / (4.0 * params.clip_norm**2)
-        if sigma_prime_sq < MIN_SIGMA_PRIME_SQ:
-            margin = MIN_SIGMA_PRIME_SQ - sigma_prime_sq
-            if margin < tightest_margin:
-                tightest_margin = margin
-                tightest_desc = (
-                    f"sigma'^2 >= {MIN_SIGMA_PRIME_SQ} (closest: sigma'^2 = "
-                    f"{sigma_prime_sq:.6g} at beta = {beta:.2f})"
-                )
-            continue
-        bound = _order_bound(sigma_prime_sq, params.sample_rate_data, alpha)
-        if alpha > bound:
-            margin = alpha - bound
-            if margin < tightest_margin:
-                tightest_margin = margin
-                tightest_desc = (
-                    f"alpha <= order bound (closest: alpha = {alpha:.6g} vs bound = "
-                    f"{bound:.6g} at beta = {beta:.2f})"
-                )
-            continue
-        if best is None or sigma_sq < best.sigma_sq:
+        sigma_prime_sq = _sigma_prime_sq(sigma_sq, sensitivity)
+        invalid = _invalidity(sigma_prime_sq, params.sample_rate_data, alpha)
+        if invalid is not None:
+            if invalid[0] < tightest[0]:
+                tightest = (*invalid, beta)
+        elif best is None or sigma_sq < best.sigma_sq:
             best = CalibrationResult(sigma_sq, alpha, beta, sigma_prime_sq, True)
     if best is None:
+        margin, condition, beta = tightest
         raise CalibrationInfeasibleError(
-            "no beta in the search grid satisfies the constraints; "
-            f"tightest constraint: {tightest_desc}"
-        )
+            "no beta in the search grid satisfies the constraints; tightest constraint: "
+            f"{condition}, missed by {margin:.3g} at beta = {beta:.2f}")
     return best
 
 
@@ -272,14 +270,14 @@ def round_trip(result: CalibrationResult, budget: PrivacyBudget, params: Mechani
                episode: bool = False) -> PrivacyBudget:
     """Re-derive the (epsilon', delta) actually guaranteed by a calibration.
 
-    Feeds sigma back through the subsampled-Gaussian bound at sensitivity 2C,
+    Feeds sigma^2 back through the subsampled-Gaussian bound at sensitivity 2C,
+    under the validity check the calibrator used on the same sigma'^2,
     composes ceil(gamma2*N) copies (times T for an episode), and converts at
     delta. For any feasible calibration, epsilon' <= epsilon. The copies are
     composed as copies * rho, which for copies <= 2**53 is the correctly
     rounded sum that ``compose`` would return, in O(1).
     """
-    point = subsampled_gaussian_rdp(
-        params.sensitivity, math.sqrt(result.sigma_sq), result.alpha, params.sample_rate_data
-    )
+    point = _subsampled_rdp(params.sensitivity, result.sigma_sq, result.alpha,
+                            params.sample_rate_data)
     copies = params.compose_copies * (params.episode_len if episode else 1)
     return rdp_to_dp(RdpPoint(point.alpha, copies * point.rho), budget.delta)

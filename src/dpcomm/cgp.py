@@ -126,6 +126,7 @@ def is_potential_game(instance: CgpInstance, grid_step: float = 0.05, tol: float
     (0,1)^2. Returns (is_potential, max_deviation).
     """
     grid_step = _check_step("grid_step", grid_step, _GRID_FLOOR)
+    tol = _check_step("tol", tol, 0.0)
     h = grid_step / 2.0
     pts = _interior_grid(grid_step, h)
     if len(pts) < 3:
@@ -156,6 +157,7 @@ def value_partials_match(instance: CgpInstance, grid_step: float = 0.05, tol: fl
     checked by central finite differences across an interior grid.
     """
     grid_step = _check_step("grid_step", grid_step, _GRID_FLOOR)
+    tol = _check_step("tol", tol, 0.0)
     h = grid_step / 2.0
     pts = _interior_grid(grid_step, h)
     if len(pts) < 3:
@@ -181,7 +183,7 @@ def best_response(instance: CgpInstance, player: int, opponent_p: float,
     optimum; ties break toward the smaller privacy level, and the refined
     point is only accepted when strictly better than the grid optimum.
     """
-    if player not in (0, 1):
+    if isinstance(player, bool) or player not in (0, 1):
         raise InvalidParameterError("player must be 0 or 1")
     opponent_p = require_float("opponent_p", opponent_p)
     if not 0.0 <= opponent_p <= 1.0:

@@ -39,6 +39,7 @@ from .rng import substream
 _SYM_TOL = 1e-12
 _EIG_FLOOR = -1e-12
 _TARGET_MIN_EIG = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 def _clipped_eigh(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -137,11 +138,15 @@ def kl_gaussian(p: GaussianMessageDist, q: GaussianMessageDist) -> float:
                 + (mu_p - mu_q)^T Sigma_q^-1 (mu_p - mu_q) - d )
 
     Requires a positive-definite q covariance; a singular p covariance gives
-    +inf (a degenerate distribution has no density against q).
+    +inf (a degenerate distribution has no density against q). Both are
+    decided by ``_rank_deficient`` on the stored spectrum.
     """
     if p.dim != q.dim:
         raise InvalidParameterError("distributions must share one dimension")
-    return _sent_kl(*_target_terms(q), p.mean - q.mean, p.cov)
+    target_terms = _target_terms(q)
+    if _rank_deficient(p):
+        return math.inf
+    return _sent_kl(*target_terms, p.mean - q.mean, p.cov)
 
 
 def _solution(problem: SenderProblem, dist: GaussianMessageDist) -> SenderSolution:
@@ -173,10 +178,16 @@ def aware_optimum(problem: SenderProblem) -> SenderSolution:
     return _solution(problem, GaussianMessageDist(target.mean, cov))
 
 
+def _rank_deficient(dist: GaussianMessageDist) -> bool:
+    """Whether a covariance is singular to working precision: its smallest
+    stored eigenvalue is at most d * eps times its largest."""
+    return dist._eigvals.min() <= dist.dim * _EPS * dist._eigvals.max()
+
+
 def _target_terms(target: GaussianMessageDist) -> tuple[np.ndarray, float]:
     """Inverse and log-determinant of a covariance; SingularTargetError unless it is PD."""
     sign, logdet = np.linalg.slogdet(target.cov)
-    if sign <= 0 or target._eigvals.min() <= 0:
+    if _rank_deficient(target) or sign <= 0:
         raise SingularTargetError("q covariance must be positive-definite")
     return np.linalg.inv(target.cov), float(logdet)
 

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import gammaln, logsumexp
 
 from dpcomm import (
     CalibrationInfeasibleError,
@@ -343,9 +345,10 @@ def test_round_trip_never_exceeds_the_budget(epsilon, delta_exp, gamma1_exp, gam
 
 
 def _composed_round_trip(result, budget, params, episode=False):
-    """round_trip as it was: the copies listed and composed one by one."""
-    point = subsampled_gaussian_rdp(
-        params.sensitivity, math.sqrt(result.sigma_sq), result.alpha, params.sample_rate_data)
+    """round_trip as it was: the copies listed and composed one by one. The
+    point is built from sigma^2, as round_trip builds it, with the same formula."""
+    rho = 3.5 * params.sample_rate_data**2 * params.sensitivity**2 * result.alpha / result.sigma_sq
+    point = RdpPoint(result.alpha, rho)
     copies = params.compose_copies * (params.episode_len if episode else 1)
     return rdp_to_dp(compose([point] * copies), budget.delta)
 
@@ -375,6 +378,186 @@ class TestRoundTripComposition:
         result = calibrate_step(FEASIBLE_BUDGET, params)
         assert round_trip(result, FEASIBLE_BUDGET, params) == \
             _composed_round_trip(result, FEASIBLE_BUDGET, params)
+
+
+# Rows on the edge of the subsampled-Gaussian validity region. The calibrator
+# used to test sigma^2/(4C^2) while round_trip squared sqrt(sigma^2) again, so
+# on these rows calibrate_step reported feasible=True and round_trip then
+# raised InfeasibleOrderError. The first witness sits on sigma'^2 >= 0.7
+# (beta = 0.06), the other two on the order bound.
+BOUNDARY_ROWS = [
+    pytest.param(27.918784390142296, 1.166202841374608e-05, 0.01708537566615429,
+                 0.6275827479635696, 1275, 1.8409039527949058, id="sigma-prime"),
+    pytest.param(16.99441468927147, 3.447371098480766e-05, 0.06101297249671843,
+                 0.27580456061693065, 948, 2.0, id="order-bound-C2"),
+    pytest.param(4.67893970590952, 8.784334395194177e-06, 0.015864823991648,
+                 0.49062178595410727, 1923, 1.0, id="order-bound-C1"),
+]
+BOUNDARY_ARGS = "epsilon, delta, gamma1, gamma2, num_agents, clip_norm"
+
+
+def _raw_constraints(budget, params, beta, episode):
+    """(sigma'^2 >= 0.7, alpha <= order bound) at one beta, from the raw formulas."""
+    alpha = order_for_beta(budget, beta)
+    sigma_sq = (episode_noise_variance if episode else step_noise_variance)(
+        params, budget, alpha, beta)
+    sp2 = sigma_sq / (4 * params.clip_norm**2)
+    arg = 1 / (params.sample_rate_data * alpha * (1 + sp2))
+    return sp2 >= MIN_SIGMA_PRIME_SQ, alpha <= 2 * sp2 * math.log(arg) / 3 + 1
+
+
+def _boundary_epsilons(delta, params, beta, constraint, episode, lo=0.01, hi=100.0):
+    """The two adjacent floats of epsilon between which one constraint (0:
+    sigma'^2, 1: order bound) at one beta changes its verdict, or () if it
+    does not change on [lo, hi]."""
+    holds = lambda eps: _raw_constraints(PrivacyBudget(eps, delta), params, beta,
+                                         episode)[constraint]
+    at_lo = holds(lo)
+    if holds(hi) == at_lo:
+        return ()
+    while math.nextafter(lo, math.inf) < hi:
+        mid = lo + (hi - lo) / 2
+        lo, hi = (mid, hi) if holds(mid) == at_lo else (lo, mid)
+    return lo, hi
+
+
+class TestValidityBoundary:
+    @pytest.mark.parametrize(BOUNDARY_ARGS, BOUNDARY_ROWS)
+    def test_boundary_row_round_trips(self, epsilon, delta, gamma1, gamma2, num_agents,
+                                      clip_norm):
+        budget = PrivacyBudget(epsilon, delta)
+        params = MechanismParams(clip_norm, gamma1, gamma2, num_agents)
+        result = calibrate_step(budget, params)
+        assert result.feasible
+        assert all(_raw_constraints(budget, params, result.beta, False))
+        back = round_trip(result, budget, params)
+        assert back.epsilon <= epsilon and back.delta == delta
+
+    def test_motivation_row_sits_on_the_sigma_prime_edge(self):
+        result = calibrate_step(PrivacyBudget(27.918784390142296, 1.166202841374608e-05),
+                                MechanismParams(1.8409039527949058, 0.01708537566615429,
+                                                0.6275827479635696, 1275))
+        assert (result.beta, result.sigma_prime_sq) == (0.06, MIN_SIGMA_PRIME_SQ)
+
+    def test_every_feasible_row_on_a_bisected_edge_round_trips(self):
+        # Epsilon is bisected onto each constraint's edge at several betas, and
+        # both neighbouring floats are calibrated.
+        rng = np.random.default_rng(20261018)
+        feasible = 0
+        for _ in range(60):
+            delta = 10.0 ** rng.uniform(-10, -2)
+            episode_len = int(rng.choice([1, 1, 7, 40]))
+            params = MechanismParams(10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-3, -0.7),
+                                     rng.uniform(0.01, 0.99), int(rng.integers(1, 3000)),
+                                     episode_len)
+            episode = episode_len > 1
+            calibrate = calibrate_episode if episode else calibrate_step
+            for beta in (0.01, 0.06, 0.2, 0.5, 0.9):
+                for constraint in (0, 1):
+                    for eps in _boundary_epsilons(delta, params, beta, constraint, episode):
+                        budget = PrivacyBudget(eps, delta)
+                        try:
+                            result = calibrate(budget, params)
+                        except CalibrationInfeasibleError:
+                            continue
+                        feasible += 1
+                        back = round_trip(result, budget, params, episode=episode)
+                        assert back.epsilon <= eps + 1e-9
+        assert feasible > 100
+
+
+def exact_sampled_gaussian_rdp(q, sigma_prime_sq, order):
+    """Exact RDP of the sampled Gaussian mechanism at an integer order > 1
+    (Mironov, Talwar & Zhang 2019, "Renyi Differential Privacy of the Sampled
+    Gaussian Mechanism"): log(A) / (order - 1), with
+
+        A = sum_k C(order, k) (1 - q)^(order - k) q^k exp(k (k - 1) / (2 sigma'^2)),
+
+    summed in log space. The formula is for Poisson sampling at rate q with
+    add/remove neighbours, while ``subsample`` samples without replacement
+    (Wang, Balle & Kasiviswanathan 2019 treat that case). So this oracle checks
+    the analytic bound the calibrator uses; it does not replace it.
+    """
+    k = np.arange(order + 1, dtype=float)
+    log_terms = (gammaln(order + 1) - gammaln(k + 1) - gammaln(order - k + 1)
+                 + (order - k) * math.log1p(-q) + k * math.log(q)
+                 + k * (k - 1) / (2 * sigma_prime_sq))
+    return float(logsumexp(log_terms)) / (order - 1)
+
+
+def assert_bound_dominates_exact(result, gamma1):
+    # RDP is non-decreasing in the order, so exact(ceil(alpha)) bounds exact(alpha).
+    exact = exact_sampled_gaussian_rdp(gamma1, result.sigma_prime_sq, math.ceil(result.alpha))
+    assert exact <= 3.5 * gamma1**2 * result.alpha / result.sigma_prime_sq
+
+
+class TestExactRdpOracle:
+    def test_oracle_at_order_two(self):
+        # A_2 = 1 + q^2 (exp(1/sigma'^2) - 1).
+        q, sp2 = 0.01, 0.9
+        assert exact_sampled_gaussian_rdp(q, sp2, 2) == pytest.approx(
+            math.log1p(q * q * math.expm1(1 / sp2)), rel=1e-12)
+
+    def test_oracle_without_sampling_is_the_gaussian_mechanism(self):
+        # q -> 1 is the plain Gaussian mechanism: order / (2 sigma'^2).
+        assert exact_sampled_gaussian_rdp(1 - 1e-15, 1.5, 5) == pytest.approx(
+            5 / (2 * 1.5), rel=1e-9)
+
+    @pytest.mark.parametrize(BOUNDARY_ARGS, BOUNDARY_ROWS)
+    def test_bound_dominates_exact_on_boundary_rows(self, epsilon, delta, gamma1, gamma2,
+                                                    num_agents, clip_norm):
+        params = MechanismParams(clip_norm, gamma1, gamma2, num_agents)
+        assert_bound_dominates_exact(calibrate_step(PrivacyBudget(epsilon, delta), params),
+                                     gamma1)
+
+    def test_bound_dominates_exact_on_criterion_grid(self):
+        checked = 0
+        for eps in (0.5, 1.0, 2.0, 4.0, 8.0):
+            for gamma1 in (0.001, 0.002, 0.005, 0.01, 0.05):
+                for num_agents, episode_len in ((200, 1), (500, 1), (1000, 40)):
+                    params = MechanismParams(1.0, gamma1, 0.5, num_agents, episode_len)
+                    calibrate = calibrate_episode if episode_len > 1 else calibrate_step
+                    try:
+                        result = calibrate(PrivacyBudget(eps, DELTA), params)
+                    except CalibrationInfeasibleError:
+                        continue
+                    checked += 1
+                    assert_bound_dominates_exact(result, gamma1)
+        assert checked == 18  # the grid mixes feasible and infeasible corners
+
+    # Two draws in three put epsilon on the two floats around a bisected edge
+    # of one validity constraint at one beta, where the bound has the least
+    # slack; the third draws epsilon log-uniformly.
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        delta_exp=st.floats(-10.0, -2.0),
+        gamma1_exp=st.floats(-3.3, -1.0),
+        gamma2=st.floats(0.01, 0.99),
+        num_agents=st.integers(1, 3000),
+        clip_norm_exp=st.floats(-2.0, 2.0),
+        episode_len=st.sampled_from([1, 1, 7, 40]),
+        edge=st.sampled_from([None, 0, 1]),
+        beta=st.sampled_from(BETA_GRID),
+        epsilon_exp=st.floats(-1.0, 1.8),
+    )
+    def test_bound_dominates_exact_property(self, delta_exp, gamma1_exp, gamma2, num_agents,
+                                            clip_norm_exp, episode_len, edge, beta,
+                                            epsilon_exp):
+        delta, gamma1 = 10.0**delta_exp, 10.0**gamma1_exp
+        params = MechanismParams(10.0**clip_norm_exp, gamma1, gamma2, num_agents, episode_len)
+        episode = episode_len > 1
+        epsilons = ((10.0**epsilon_exp,) if edge is None
+                    else _boundary_epsilons(delta, params, beta, edge, episode, 1e-3, 1e4))
+        for epsilon in epsilons:
+            budget = PrivacyBudget(epsilon, delta)
+            try:
+                result = (calibrate_episode if episode else calibrate_step)(budget, params)
+            except CalibrationInfeasibleError:
+                event("infeasible")
+                continue
+            event("feasible")
+            assert_bound_dominates_exact(result, gamma1)
+            assert round_trip(result, budget, params, episode=episode).epsilon <= epsilon + 1e-9
 
 
 class TestValidation:
@@ -420,11 +603,18 @@ class TestValidation:
             MechanismParams(**{**dict(clip_norm=1.0, sample_rate_data=0.5,
                                       sample_rate_agents=0.5, num_agents=3), **kwargs})
 
-    @pytest.mark.parametrize("clip_norm", [1e200, 1e-200])
+    @pytest.mark.parametrize("clip_norm", [1e200, 1e-200, 1e-160, 1.4e-154])
     def test_clip_norm_square_must_be_a_positive_float(self, clip_norm):
         # C^2 overflowed (OverflowError) or underflowed to 0 (ZeroDivisionError).
+        # A subnormal C^2 (1e-160, 1.4e-154) was accepted, but (2C)^2 and 4C^2
+        # round apart there, so sigma'^2 depended on which one was used.
         with pytest.raises(InvalidParameterError, match="clip_norm"):
             MechanismParams(clip_norm, 0.005, 0.5, 500)
+
+    def test_smallest_clip_norm_with_a_normal_square_accepted(self):
+        clip_norm = math.sqrt(sys.float_info.min)
+        assert clip_norm * clip_norm >= sys.float_info.min
+        assert MechanismParams(clip_norm, 0.005, 0.5, 500).clip_norm == clip_norm
 
     def test_count_beyond_float_precision_rejected(self):
         # A 401-digit N used to overflow in compose_copies.

@@ -325,14 +325,30 @@ class TestStepArguments:
         (lambda g: max_unilateral_gain(g, StrategyProfile((0.2, 0.2)), step=1e-7), "step"),
         (lambda g: find_nash(g, StrategyProfile((0.2, 0.2)), scan_step=0.0), "scan_step"),
         (lambda g: find_nash(g, StrategyProfile((0.2, 0.2)), scan_step=-1e-3), "scan_step"),
+        # tol = nan made value_partials_match pass any game, and nan or a
+        # negative tol made is_potential_game fail a potential game.
+        (lambda g: is_potential_game(g, tol=math.nan), "tol"),
+        (lambda g: is_potential_game(g, tol=-1e-6), "tol"),
+        (lambda g: is_potential_game(g, tol=math.inf), "tol"),
+        (lambda g: value_partials_match(g, tol=math.nan), "tol"),
+        (lambda g: value_partials_match(g, tol=-1e-6), "tol"),
+        (lambda g: value_partials_match(g, tol=math.inf), "tol"),
     ], ids=["potential-0", "potential-neg", "potential-floor", "potential-nan",
             "partials-neg", "partials-0", "definitions-0", "definitions-neg",
             "br-0", "br-neg", "br-inf", "br-huge", "gain-0", "gain-neg", "gain-floor",
-            "nash-scan-0", "nash-scan-neg"])
+            "nash-scan-0", "nash-scan-neg", "potential-tol-nan", "potential-tol-neg",
+            "potential-tol-inf", "partials-tol-nan", "partials-tol-neg", "partials-tol-inf"])
     def test_bad_step_rejected(self, call, name):
         game = make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0))
         with pytest.raises(InvalidParameterError, match=name):
             call(game)
+
+    @pytest.mark.parametrize("player", [True, False])
+    def test_bool_player_rejected(self, player):
+        # True == 1, so player=True used to return player 1's best response.
+        game = make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0))
+        with pytest.raises(InvalidParameterError, match="player"):
+            best_response(game, player, 0.2)
 
     @pytest.mark.parametrize("opponent", [-0.1, 1.5, math.nan, 10**400],
                              ids=["negative", "above-1", "nan", "huge"])

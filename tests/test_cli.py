@@ -105,6 +105,19 @@ class TestCalibrate:
         assert rows[0][header.index("feasible")] == "False"
         assert rows[0][header.index("sigma_sq")] == ""
 
+    def test_validity_edge_row_exits_0(self, tmp_path):
+        # The witness sits on sigma'^2 = 0.7, where round_trip used to disagree
+        # with the calibrator by one ulp and the run exited 1.
+        config = {"epsilons": [27.918784390142296], "delta": 1.166202841374608e-05,
+                  "gamma1": 0.01708537566615429, "gamma2": 0.6275827479635696,
+                  "num_agents": 1275, "clip_norm": 1.8409039527949058}
+        code, path = run(tmp_path, "calibrate", config)
+        assert code == EXIT_OK
+        _, header, rows = parse_csv(path)
+        assert len(rows) == 1 and rows[0][header.index("feasible")] == "True"
+        back = float(rows[0][header.index("roundtrip_epsilon")])
+        assert back <= config["epsilons"][0]
+
     def test_malformed_json_exits_1(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"epsilons": [2.0,\n  "delta": }')
