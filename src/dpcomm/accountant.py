@@ -87,15 +87,18 @@ class MechanismParams:
     episode_len: int = 1      # T, used only by calibrate_episode
 
     def __post_init__(self):
+        clip_norm = require_float("clip_norm", self.clip_norm)
         # A subnormal C^2 would make (2C)^2 and 4 * C^2 round apart.
-        if not (self.clip_norm > 0
-                and sys.float_info.min <= self.clip_norm * self.clip_norm <= sys.float_info.max):
+        if not (clip_norm > 0
+                and sys.float_info.min <= clip_norm * clip_norm <= sys.float_info.max):
             raise InvalidParameterError(
-                f"clip_norm must be > 0 with a finite, normal square, got {self.clip_norm}")
+                f"clip_norm must be > 0 with a finite, normal square, got {clip_norm}")
+        object.__setattr__(self, "clip_norm", clip_norm)
         for name in ("sample_rate_data", "sample_rate_agents"):
-            v = getattr(self, name)
+            v = require_float(name, getattr(self, name))
             if not (0.0 < v < 1.0):
                 raise InvalidParameterError(f"{name} must be in (0,1), got {v}")
+            object.__setattr__(self, name, v)
         require_count("num_agents", self.num_agents, 1)
         require_count("episode_len", self.episode_len, 1)
 

@@ -147,6 +147,7 @@ def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,
     independent substreams and block sums are combined exactly, in order.
     """
     require_count("trials", trials, 1)
+    require_count("jobs", jobs, 1)
     _check_aware_defined(instance)
     n = instance.num_agents
     bit_sum = int(sum(instance.bits))

@@ -28,19 +28,13 @@ from .accountant import (
     calibrate_step,
     round_trip,
 )
-from .binary_sums import BinarySumsInstance, analytic_outcome, run_game
 from .cgp import StrategyProfile, find_nash, is_potential_game, make_binary_sums_cgp
 from .errors import StepSizeError, require_count
-from .gaussian_sender import (
-    GaussianMessageDist,
-    SenderProblem,
-    _diagonal_descent,
-    aware_optimum,
-    oblivious_optimum,
-)
 from .multi_round import MrsConfig, find_mpg_nash, verify_mpg
 from .report import ResultTable, line_plot_svg, provenance_block
-from .rng import substream
+
+# binary_sums, gaussian_sender and rng load numpy; the commands that use them
+# import them in their own bodies, so calibrate and multi-round start without it.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -196,6 +190,8 @@ def cmd_calibrate(config: dict, seed: int, jobs: int = 1) -> tuple:
 
 
 def cmd_binary_sums(config: dict, seed: int, jobs: int = 1) -> tuple:
+    from .binary_sums import BinarySumsInstance, analytic_outcome, run_game
+
     table = ResultTable([
         "mode", "agent", "analytic_guess", "mc_guess", "mc_std_error",
         "bias_vs_analytic", "analytic_utility", "mc_utility",
@@ -223,6 +219,8 @@ def cmd_binary_sums(config: dict, seed: int, jobs: int = 1) -> tuple:
 
 
 def cmd_equilibrium(config: dict, seed: int, jobs: int = 1) -> tuple:
+    from .rng import substream
+
     table = ResultTable([
         "start_p1", "start_p2", "p1", "p2", "p_sum", "converged",
         "max_unilateral_gain", "is_potential_game", "max_cross_deviation",
@@ -272,6 +270,14 @@ def cmd_multi_round(config: dict, seed: int, jobs: int = 1) -> tuple:
 
 
 def cmd_sender(config: dict, seed: int, jobs: int = 1) -> tuple:
+    from .gaussian_sender import (
+        GaussianMessageDist,
+        SenderProblem,
+        _diagonal_descent,
+        aware_optimum,
+        oblivious_optimum,
+    )
+
     d = require_count("dim", config["dim"], 1)
     variances = config.get("target_variances", [1.0] * d)
     mean = config.get("target_mean", [0.0] * d)

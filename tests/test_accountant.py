@@ -583,6 +583,26 @@ class TestValidation:
         assert calibrate_step(budget, FEASIBLE_PARAMS) == \
             calibrate_step(PrivacyBudget(2.0, 1e-5), FEASIBLE_PARAMS)
 
+    @pytest.mark.parametrize("args", [("1.0", 0.005, 0.5, 10), (1.0, "0.005", 0.5, 10),
+                                      (1.0, 0.005, "0.5", 10)])
+    def test_params_store_the_floats_they_checked(self, args):
+        # A string clip norm or sample rate used to reach a comparison with a
+        # float and raise a bare TypeError.
+        params = MechanismParams(*args)
+        floats = (params.clip_norm, params.sample_rate_data, params.sample_rate_agents)
+        assert floats == (1.0, 0.005, 0.5)
+        assert all(type(v) is float for v in floats)
+        assert params == MechanismParams(1.0, 0.005, 0.5, 10)
+        assert calibrate_step(FEASIBLE_BUDGET, MechanismParams(*args[:3], 500)) == \
+            calibrate_step(FEASIBLE_BUDGET, FEASIBLE_PARAMS)
+
+    @pytest.mark.parametrize("name", ["clip_norm", "sample_rate_data", "sample_rate_agents"])
+    def test_params_real_beyond_float_range_rejected(self, name):
+        kwargs = dict(clip_norm=1.0, sample_rate_data=0.005, sample_rate_agents=0.5,
+                      num_agents=10)
+        with pytest.raises(InvalidParameterError, match=name):
+            MechanismParams(**{**kwargs, name: 10**400})
+
     def test_params_ranges(self):
         with pytest.raises(InvalidParameterError):
             MechanismParams(0.0, 0.5, 0.5, 3)

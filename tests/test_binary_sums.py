@@ -181,6 +181,12 @@ class TestRunGame:
         inst = make([1, 0, 1, 1], 1.0, "naive")
         assert run_game(inst, 10**5, 4) == run_game(inst, 10**5, 4, jobs=4)
 
+    @pytest.mark.parametrize("jobs", [0, -1, True, 2.5, "2"])
+    def test_bad_jobs(self, jobs):
+        # These used to run serially, and "2" raised a bare TypeError.
+        with pytest.raises(InvalidParameterError, match="jobs"):
+            run_game(make([1, 0, 1], 1.0, "naive"), 1000, 0, jobs=jobs)
+
     def test_degenerate_aware(self):
         # exp(1e-18) rounds to 1.0, so the flip probability is exactly 1
         inst = make([1, 0], 1e-18, "aware")

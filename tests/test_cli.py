@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -160,6 +163,15 @@ class TestBinarySums:
         code, _ = run(tmp_path, "binary-sums", dict(BINARY_SUMS, trials=0))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs_exits_1(self, tmp_path, capsys, jobs):
+        # A jobs count below 1 used to run serially and exit 0.
+        code, _ = run(tmp_path, "binary-sums", dict(BINARY_SUMS, trials=1000),
+                      extra=("--jobs", jobs))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "jobs" in err[0]
+
     def test_jobs_flag_does_not_change_output(self, tmp_path):
         config = dict(BINARY_SUMS, trials=100000)
         _, path1 = run(tmp_path / "a", "binary-sums", config)
@@ -310,6 +322,50 @@ class TestHarness:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"line 3: {literal} is not a JSON number" in err
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+# Runs ``python -m dpcomm ARGS`` in this interpreter and then prints whether
+# numpy was loaded and the exit code.
+_FRESH_CLI = """
+import runpy, sys
+try:
+    runpy.run_module("dpcomm", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print("numpy" in sys.modules, exc.code)
+"""
+
+
+def fresh_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+class TestNumpyFreeStart:
+    """calibrate and multi-round use no numpy-backed module, so they never load numpy."""
+
+    def test_import_dpcomm_does_not_load_numpy(self):
+        assert fresh_python("-c", "import sys, dpcomm; print('numpy' in sys.modules)") == "False"
+
+    @pytest.mark.parametrize("command,config", [
+        ("calibrate", "calibrate.json"),
+        ("calibrate", "calibrate_episode.json"),
+        ("multi-round", "multi_round.json"),
+    ])
+    def test_command_runs_without_numpy(self, tmp_path, command, config):
+        last = fresh_python("-c", _FRESH_CLI, command, "--config", str(REPO / "configs" / config),
+                            "--out", str(tmp_path))
+        assert last == "False 0"
+
+    def test_sender_still_loads_numpy(self, tmp_path):
+        # The check above would pass vacuously if the probe could not see numpy.
+        last = fresh_python("-c", _FRESH_CLI, "sender", "--config",
+                            str(REPO / "configs" / "sender.json"), "--out", str(tmp_path))
+        assert last == "True 0"
 
 
 class TestValueChecks:
