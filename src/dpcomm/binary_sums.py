@@ -10,7 +10,9 @@ reproducible for a given seed regardless of block scheduling because each
 combined with exact summation. Every guess is affine in the 0/1 messages,
 so a block is reduced to sufficient statistics, each agent's count of 1s and
 the Gram matrix of the messages, from which the per-agent sum and sum of
-squares of the guesses follow in closed form (see ``_simulate_block``).
+squares of the guesses follow in closed form (see ``_simulate_block``). The
+Gram matrix is counted with popcounts over bit-packed message rows, so its
+entries are exact integers.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMechanismError, InvalidParameterError, require_count, require_float
+from .errors import (DegenerateMechanismError, InvalidParameterError, require_count, require_float,
+                     require_seed)
 from .mechanisms import _check_bit, _rr_row, rr_flip_prob
 from .rng import block_sizes, substream
 
@@ -104,24 +107,41 @@ def analytic_outcome(instance: BinarySumsInstance) -> BinarySumsOutcome:
     return _outcome(bit_sum, guesses, [0.0] * n)
 
 
+def _message_gram(instance: BinarySumsInstance, rng_seed: int, block: int, m: int):
+    """Gram matrix G = X X^T of one block's N x m 0/1 messages X, as exact
+    integers in float64.
+
+    Each agent's row is drawn by ``_rr_row`` and bit-packed into one
+    zero-padded row of 64-bit words, so entry (i, j) is the popcount of the
+    AND of rows i and j; padding bits are 0 in every row and never count.
+    """
+    n = instance.num_agents
+    packed = np.zeros((n, -(-m // 64) * 8), dtype=np.uint8)
+    for j, (bit, p) in enumerate(zip(instance.bits, instance.flip_probs)):
+        packed[j, :-(-m // 8)] = np.packbits(_rr_row(substream(rng_seed, j, block), bit, p, m))
+    rows = packed.view(np.uint64)
+    gram = np.empty((n, n))
+    for i in range(n):  # one row of the upper triangle at a time
+        gram[i, i:] = gram[i:, i] = np.bitwise_count(rows[i] & rows[i:]).sum(axis=1)
+    return gram
+
+
 def _simulate_block(instance: BinarySumsInstance, rng_seed: int, block: int, m: int):
     """Per-agent (sum, sum-of-squares) of the guesses over one trial block.
 
-    Agent j's messages form row j of an N x m 0/1 array X. The block keeps
-    only its Gram matrix G = X X^T and the counts c = X 1, which are the
-    diagonal of G since x^2 = x; both are exact integers in float64. A message
-    of agent j is worth v0_j or v1_j to a receiver (0 and 1 when naive,
-    (x - p_j/2) / (1 - p_j) when aware), so agent i's guess in one trial is
-    k_i + w_i . x, with k_i = b_i + sum_{j != i} v0_j and w_i = v1 - v0 with
-    entry i zeroed. Over the block its sum is m k_i + w_i . c and its sum of
-    squares is m k_i^2 + 2 k_i (w_i . c) + w_i^T G w_i.
+    Agent j's messages form row j of an N x m 0/1 matrix X. The block keeps
+    only the Gram matrix G = X X^T, counted by popcounts over bit-packed rows
+    (``_message_gram``), and the counts c = X 1, which are the diagonal of G
+    since x^2 = x; both are exact integers. A message of agent j is worth
+    v0_j or v1_j to a receiver (0 and 1 when naive, (x - p_j/2) / (1 - p_j)
+    when aware), so agent i's guess in one trial is k_i + w_i . x, with
+    k_i = b_i + sum_{j != i} v0_j and w_i = v1 - v0 with entry i zeroed. Over
+    the block its sum is m k_i + w_i . c and its sum of squares is
+    m k_i^2 + 2 k_i (w_i . c) + w_i^T G w_i.
     """
     n = instance.num_agents
     probs = np.array(instance.flip_probs)
-    x = np.empty((n, m))
-    for j, bit in enumerate(instance.bits):
-        x[j] = _rr_row(substream(rng_seed, j, block), bit, probs[j], m)
-    gram = x @ x.T
+    gram = _message_gram(instance, rng_seed, block, m)
     counts = gram.diagonal()
     if instance.receiver_mode == "aware":
         low = (0.0 - probs / 2.0) / (1.0 - probs)
@@ -148,6 +168,7 @@ def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,
     """
     require_count("trials", trials, 1)
     require_count("jobs", jobs, 1)
+    require_seed("rng_seed", rng_seed)
     _check_aware_defined(instance)
     n = instance.num_agents
     bit_sum = int(sum(instance.bits))

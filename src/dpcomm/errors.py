@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the checks for integer counts
-and float conversions.
+"""Exception types shared across the package, and the checks for integer counts,
+seeds and float conversions.
 
 Callers that only care about "bad input" can catch ValueError; the concrete
 subclasses exist so that tests and the CLI can tell failure modes apart.
@@ -39,7 +39,9 @@ class InvalidActionError(ValueError):
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Exhaustive policy enumeration would exceed the configured budget."""
+    """Exhaustive policy enumeration would exceed the configured budget.
+
+    The library does not raise it; only the tests' brute-force oracle does."""
 
 
 class StepSizeError(RuntimeError):
@@ -64,6 +66,16 @@ def require_count(name: str, value, minimum: int) -> int:
     return value
 
 
+def require_seed(name: str, value) -> int:
+    """``value``; InvalidParameterError unless it is a nonnegative integer. Any
+    size is accepted (the CLI takes 64-bit seeds), numpy integers included; a
+    bool, an integral float or a string is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise InvalidParameterError(
+            f"{name} must be a nonnegative integer, got {_shown(value)}")
+    return value
+
+
 def _shown(value) -> str:
     """``repr(value)``, or the bit length of an integer too long for Python to print."""
     try:
@@ -73,9 +85,12 @@ def _shown(value) -> str:
 
 
 def require_float(name: str, value) -> float:
-    """``float(value)``; InvalidParameterError, not OverflowError, for an
-    integer beyond the float range."""
+    """``float(value)``; InvalidParameterError naming ``name`` for an integer
+    beyond the float range and for a value that is not a number at all (a
+    non-numeric string, None, a list)."""
     try:
         return float(value)
     except OverflowError:
         raise InvalidParameterError(f"{name} holds an integer beyond the float range") from None
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must be a number, got {_shown(value)}") from None

@@ -57,14 +57,14 @@ def _check_bit(bit) -> int:
 
 
 def _rr_row(rng: np.random.Generator, bit: int, flip_prob: float, m: int) -> np.ndarray:
-    """``m`` randomized-response draws of a checked 0/1 ``bit``, as an int64
-    0/1 row. This is the draw protocol that seeded reruns rest on: the flip
+    """``m`` randomized-response draws of a checked 0/1 ``bit``, as a bool
+    row. This is the draw protocol that seeded reruns rest on: the flip
     decisions from ``rng.random(m)``, then the int64 coins from
     ``rng.integers(0, 2, m)``, so the stream is consumed the same way at
     every ``flip_prob``."""
     flips = rng.random(m) < flip_prob
-    coins = rng.integers(0, 2, size=m)
-    # Equals np.where(flips, coins, bit) in value and int64 dtype, and costs less.
+    coins = rng.integers(0, 2, size=m).astype(bool)
+    # Equals np.where(flips, coins, bit) in value, and costs less.
     return (~flips | coins) if bit else (flips & coins)
 
 
@@ -72,11 +72,12 @@ def rr_perturb(bit: int, mech: RrMechanism, rng_seed: int, size: int | None = No
     """Apply randomized response to a bit.
 
     With ``size=None`` returns a single 0/1 int; with an integer ``size``
-    returns that many independent draws as an int array, drawn by ``_rr_row``
+    returns that many independent draws as an int64 array, drawn by ``_rr_row``
     from ``substream(rng_seed)``.
     """
     bit = _check_bit(bit)
-    out = _rr_row(substream(rng_seed), bit, mech.flip_prob, 1 if size is None else int(size))
+    m = 1 if size is None else int(size)
+    out = _rr_row(substream(rng_seed), bit, mech.flip_prob, m).astype(np.int64)
     return int(out[0]) if size is None else out
 
 
@@ -117,11 +118,14 @@ def aware_guess(own_bit: int, received, p: float) -> float:
 def clip(values, clip_norm: float) -> ClippedVector:
     """Rescale ``values`` onto the l2 ball of radius ``clip_norm``.
 
-    Vectors already within the ball pass through unchanged (bit-exact).
+    Vectors already within the ball pass through unchanged (bit-exact). A
+    non-finite entry has no place on the ball and is rejected.
     """
     if not 0 < require_float("clip_norm", clip_norm) < math.inf:
         raise InvalidParameterError(f"clip_norm must be finite and positive, got {clip_norm}")
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise InvalidParameterError(f"clip values must be finite, got {values}")
     norm = float(np.linalg.norm(values))
     if norm > clip_norm:
         values = values * clip_norm / norm
@@ -154,10 +158,10 @@ def subsample(items, rate: float, rng_seed: int) -> list:
     """
     if not (0.0 < rate < 1.0):
         raise InvalidParameterError(f"rate must be in (0,1), got {rate}")
+    rng = substream(rng_seed)
     items = list(items)
     if not items:
         return []
     k = round(rate * len(items))
-    rng = substream(rng_seed)
     idx = rng.choice(len(items), size=k, replace=False)
     return [items[i] for i in sorted(idx)]

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import require_seed
+
 #: Trials per substream block in Monte-Carlo loops. Fixed so that results
 #: are reproducible for a given seed no matter how blocks are scheduled.
 BLOCK_SIZE = 1 << 15
@@ -19,8 +21,7 @@ BLOCK_SIZE = 1 << 15
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for the given seed and integer key path."""
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    require_seed("seed", seed)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 

@@ -574,6 +574,18 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="epsilon"):
             PrivacyBudget(10**400, 1e-4)
 
+    @pytest.mark.parametrize("value", ["abc", None, [1.0]], ids=["str", "None", "list"])
+    def test_non_numbers_rejected(self, value):
+        # "abc" used to raise a bare ValueError, None and [1.0] a bare TypeError.
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            PrivacyBudget(value, 1e-5)
+        with pytest.raises(InvalidParameterError, match="delta"):
+            PrivacyBudget(1.0, value)
+        with pytest.raises(InvalidParameterError, match="clip_norm"):
+            MechanismParams(value, 0.005, 0.5, 10)
+        with pytest.raises(InvalidParameterError, match="sample_rate_data"):
+            MechanismParams(1.0, value, 0.5, 10)
+
     def test_budget_stores_the_floats_it_checked(self):
         # A string epsilon used to be stored as given, and calibrate_step then
         # raised a bare TypeError.

@@ -48,6 +48,44 @@ def _reference_simulate_block(instance, rng_seed, block, m):
     return guesses.sum(axis=0), (guesses**2).sum(axis=0)
 
 
+def _matmul_messages(instance, rng_seed, block, m):
+    """One block's N x m 0/1 messages as a float64 array, drawn as
+    rr_perturb once drew them, with np.where."""
+    x = np.empty((instance.num_agents, m))
+    for j, (bit, p) in enumerate(zip(instance.bits, instance.flip_probs)):
+        rng = substream(rng_seed, j, block)
+        flips = rng.random(m) < p
+        x[j] = np.where(flips, rng.integers(0, 2, size=m), bit)
+    return x
+
+
+# The block kernel the library used before it counted the Gram matrix with
+# popcounts over bit-packed rows, kept as the test oracle: the Gram matrix is
+# the float64 BLAS product x @ x.T of the N x m messages.
+def _matmul_simulate_block(instance, rng_seed, block, m):
+    n = instance.num_agents
+    probs = np.array(instance.flip_probs)
+    x = _matmul_messages(instance, rng_seed, block, m)
+    gram = x @ x.T
+    counts = gram.diagonal()
+    if instance.receiver_mode == "aware":
+        low = (0.0 - probs / 2.0) / (1.0 - probs)
+        high = (1.0 - probs / 2.0) / (1.0 - probs)
+    else:
+        low, high = np.zeros(n), np.ones(n)
+    others = 1.0 - np.eye(n)
+    base = np.array(instance.bits, dtype=float) + others @ low
+    weights = others * (high - low)
+    linear = weights @ counts
+    quadratic = ((weights @ gram) * weights).sum(axis=1)
+    return m * base + linear, m * base * base + 2.0 * base * linear + quadratic
+
+
+def matmul_run_game(instance, trials, rng_seed):
+    with mock.patch.object(binary_sums, "_simulate_block", _matmul_simulate_block):
+        return run_game(instance, trials, rng_seed)
+
+
 def reference_run_game(instance, trials, rng_seed):
     with mock.patch.object(binary_sums, "_simulate_block", _reference_simulate_block):
         return run_game(instance, trials, rng_seed)
@@ -193,6 +231,21 @@ class TestRunGame:
         with pytest.raises(DegenerateMechanismError):
             run_game(inst, 100, 0)
 
+    @pytest.mark.parametrize("rng_seed", [-1, 2.5, math.nan, "3", None, True, 3.0])
+    def test_bad_seed_rejected_before_any_block(self, rng_seed):
+        # 2.5 and NaN used to raise numpy's TypeError, and "3" '<' not supported.
+        with mock.patch.object(binary_sums, "_simulate_block") as block:
+            with pytest.raises(InvalidParameterError, match="rng_seed"):
+                run_game(make([1, 0, 1], 1.0, "naive"), 1000, rng_seed)
+        block.assert_not_called()
+
+    def test_any_nonnegative_integer_seed(self):
+        instance = make([1, 0, 1], 1.0, "naive")
+        assert run_game(instance, 1000, np.int64(3)) == run_game(instance, 1000, 3)
+        assert run_game(instance, 1000, np.uint64(2**64 - 1)) == \
+            run_game(instance, 1000, 2**64 - 1)
+        run_game(instance, 1000, 2**100)  # not capped at 2**53
+
     def test_bad_trials(self):
         with pytest.raises(InvalidParameterError):
             run_game(make([1], 1.0, "naive"), 0, 0)
@@ -239,6 +292,48 @@ class TestKernelMatchesReference:
             min_size=len(bits), max_size=len(bits)))
         instance = BinarySumsInstance(tuple(bits), tuple(epsilons), mode)
         assert_matches_reference(instance, BLOCK_SIZE + last, rng_seed)
+
+
+class TestPackedGram:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        m=st.one_of(st.sampled_from([1, 7, 8, 9, 63, 64, 65, BLOCK_SIZE - 1, BLOCK_SIZE]),
+                    st.integers(1, BLOCK_SIZE)),
+        data=st.data(),
+        block=st.integers(0, 40),
+        rng_seed=st.integers(0, 2**63),
+    )
+    def test_popcount_gram_equals_matmul(self, n, m, data, block, rng_seed):
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        epsilons = data.draw(st.lists(  # 1e-12 flips almost surely, inf never
+            st.one_of(st.floats(1e-12, 8.0), st.just(math.inf)), min_size=n, max_size=n))
+        instance = BinarySumsInstance(tuple(bits), tuple(epsilons), "naive")
+        x = _matmul_messages(instance, rng_seed, block, m)
+        assert np.array_equal(binary_sums._message_gram(instance, rng_seed, block, m), x @ x.T)
+
+    @pytest.mark.parametrize("m", [1, 7, 9, 63, 65, 100, BLOCK_SIZE - 1])
+    def test_padding_never_counts(self, m):
+        # Exact all-ones rows fill every bit a ragged block uses, and no more.
+        instance = BinarySumsInstance((1, 1, 1), (math.inf,) * 3, "naive")
+        assert np.array_equal(binary_sums._message_gram(instance, 0, 0, m), np.full((3, 3), m))
+
+
+class TestKernelMatchesMatmul:
+    def test_sweep_grid(self):
+        # The benchmark's mc_sweep instances, over a full and a ragged block.
+        for k, (bits, p, mode) in enumerate(SWEEP_GRID):
+            instance = make(bits, math.log(2.0 / p - 1.0), mode)
+            assert run_game(instance, BLOCK_SIZE + 4321, k) == \
+                matmul_run_game(instance, BLOCK_SIZE + 4321, k)
+
+    @pytest.mark.parametrize("mode", ["naive", "aware"])
+    def test_wide_with_two_jobs(self, mode):
+        rng = np.random.default_rng(640)
+        bits = tuple(int(b) for b in rng.integers(0, 2, 64))
+        instance = BinarySumsInstance(bits, tuple(rng.uniform(0.5, 3.0, 64)), mode)
+        trials = 2 * BLOCK_SIZE + 777
+        assert run_game(instance, trials, 13, jobs=2) == matmul_run_game(instance, trials, 13)
 
 
 class TestKernelAccuracy:

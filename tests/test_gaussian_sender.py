@@ -736,6 +736,12 @@ class TestSampler:
         dist = GaussianMessageDist(np.array([2.0, -1.0]), np.zeros((2, 2)))
         assert np.array_equal(sample_message(dist, 0.0, 0), dist.mean)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, math.nan, "1", None, True])
+    def test_bad_seed_rejected(self, seed):
+        dist = GaussianMessageDist(np.zeros(2), np.eye(2))
+        with pytest.raises(InvalidParameterError, match="seed"):
+            sample_message(dist, 0.5, seed)
+
     def test_deterministic(self):
         dist = GaussianMessageDist(np.zeros(2), np.eye(2))
         assert np.array_equal(sample_message(dist, 0.5, 11, size=100),

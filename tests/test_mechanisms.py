@@ -111,9 +111,34 @@ class TestRrPerturb:
             flips = rng.random(500) < p
             coins = rng.integers(0, 2, size=500)
             want = np.where(flips, coins, bit)
-            got = _rr_row(substream(seed, 3, 1), bit, p, 500)
+            assert np.array_equal(_rr_row(substream(seed, 3, 1), bit, p, 500), want)
+            # _rr_row returns bools for the packed kernel; rr_perturb, the
+            # public contract, keeps the int64 values of np.where.
+            rng = substream(seed)
+            flips = rng.random(500) < p
+            want = np.where(flips, rng.integers(0, 2, size=500), bit)
+            got = rr_perturb(bit, RrMechanism(p), seed, size=500)
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, 2.5, math.nan, "1", None, True])
+    def test_bad_seed_rejected(self, seed):
+        # 2.5 and NaN used to raise numpy's TypeError.
+        with pytest.raises(InvalidParameterError, match="seed"):
+            rr_perturb(1, RrMechanism(0.5), seed, size=10)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            subsample(range(10), 0.5, seed)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            subsample([], 0.5, seed)
+
+    def test_large_and_numpy_seeds_accepted(self):
+        mech = RrMechanism(0.5)
+        assert np.array_equal(rr_perturb(1, mech, np.uint64(2**64 - 1), size=50),
+                              rr_perturb(1, mech, 2**64 - 1, size=50))
+        assert subsample(range(10), 0.5, np.int32(7)) == subsample(range(10), 0.5, 7)
+        assert len(subsample(range(10), 0.5, 2**80)) == 5
 
 
 class TestGuessing:
@@ -206,6 +231,13 @@ class TestClip:
     def test_bad_norm(self):
         with pytest.raises(InvalidParameterError):
             clip([1.0], 0.0)
+
+    @pytest.mark.parametrize("values", [[math.nan], [math.inf], [0.1, -math.inf], [[1.0, math.nan]]])
+    def test_non_finite_values_rejected(self, values):
+        # [nan] used to give a NaN "clipped" vector, and [inf] NaN with a
+        # RuntimeWarning: neither lies in the ball the sensitivity bound assumes.
+        with pytest.raises(InvalidParameterError, match="finite"):
+            clip(values, 1.0)
 
     @pytest.mark.parametrize("clip_norm", [math.inf, math.nan, 10**400],
                              ids=["inf", "nan", "401-digit"])
