@@ -70,10 +70,14 @@ class RdpPoint:
     rho: float
 
     def __post_init__(self):
-        if not 1.0 < self.alpha < math.inf:
-            raise InvalidParameterError(f"alpha must be finite and > 1, got {self.alpha}")
-        if not 0.0 <= self.rho < math.inf:
-            raise InvalidParameterError(f"rho must be finite and >= 0, got {self.rho}")
+        alpha = require_float("alpha", self.alpha)
+        rho = require_float("rho", self.rho)
+        if not 1.0 < alpha < math.inf:
+            raise InvalidParameterError(f"alpha must be finite and > 1, got {alpha}")
+        if not 0.0 <= rho < math.inf:
+            raise InvalidParameterError(f"rho must be finite and >= 0, got {rho}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "rho", rho)
 
 
 @dataclass(frozen=True)
@@ -126,12 +130,28 @@ class CalibrationResult:
 
 
 def gaussian_rdp(sensitivity: float, sigma: float, alpha: float) -> RdpPoint:
-    """RDP of the Gaussian mechanism: rho = alpha * Delta^2 / (2 sigma^2)."""
+    """RDP of the Gaussian mechanism: rho = alpha * Delta^2 / (2 sigma^2).
+
+    A rho beyond the float range (a sigma^2 that underflows to 0, a Delta^2
+    that overflows) is rejected, naming the inputs it came from.
+    """
+    sensitivity = require_float("sensitivity", sensitivity)
+    sigma = require_float("sigma", sigma)
+    alpha = require_float("alpha", alpha)
     if not sensitivity > 0:
         raise InvalidParameterError(f"sensitivity must be positive, got {sensitivity}")
     if not sigma > 0:
         raise InvalidParameterError(f"sigma must be positive, got {sigma}")
-    return RdpPoint(alpha, alpha * sensitivity**2 / (2.0 * sigma**2))
+    try:
+        rho = alpha * sensitivity**2 / (2.0 * sigma**2)
+    except (OverflowError, ZeroDivisionError):  # a square outside the float range
+        ratio = sensitivity / sigma
+        rho = alpha * ratio * ratio / 2.0
+    if rho == math.inf:
+        raise InvalidParameterError(
+            f"rho = alpha * sensitivity^2 / (2 sigma^2) exceeds the float range at "
+            f"sensitivity = {sensitivity!r}, sigma = {sigma!r}, alpha = {alpha!r}")
+    return RdpPoint(alpha, rho)
 
 
 def _sigma_prime_sq(sigma_sq: float, sensitivity: float) -> float:
@@ -172,6 +192,10 @@ def subsampled_gaussian_rdp(sensitivity: float, sigma: float, alpha: float, gamm
     sigma'^2 = sigma^2 / Delta^2 >= 0.7 and alpha does not exceed
     (2/3) * sigma'^2 * ln(1/(gamma*alpha*(1+sigma'^2))) + 1.
     """
+    sensitivity = require_float("sensitivity", sensitivity)
+    sigma = require_float("sigma", sigma)
+    alpha = require_float("alpha", alpha)
+    gamma = require_float("gamma", gamma)
     if not sensitivity > 0:
         raise InvalidParameterError(f"sensitivity must be positive, got {sensitivity}")
     if not sigma > 0:
@@ -201,6 +225,7 @@ def compose(points: Sequence[RdpPoint] | Iterable[RdpPoint]) -> RdpPoint:
 
 def rdp_to_dp(point: RdpPoint, delta: float) -> PrivacyBudget:
     """Convert (alpha, rho)-RDP into (rho + ln(1/delta)/(alpha-1), delta)-DP."""
+    delta = require_float("delta", delta)
     if not (0.0 < delta < 1.0):
         raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
     return PrivacyBudget(point.rho + math.log(1.0 / delta) / (point.alpha - 1.0), delta)

@@ -20,21 +20,11 @@ import re
 import sys
 
 from . import __version__
-from .accountant import (
-    CalibrationInfeasibleError,
-    MechanismParams,
-    PrivacyBudget,
-    calibrate_episode,
-    calibrate_step,
-    round_trip,
-)
-from .cgp import StrategyProfile, find_nash, is_potential_game, make_binary_sums_cgp
-from .errors import StepSizeError, require_count
-from .multi_round import MrsConfig, find_mpg_nash, verify_mpg
+from .errors import CalibrationInfeasibleError, StepSizeError, require_count
 from .report import ResultTable, line_plot_svg, provenance_block
 
-# binary_sums, gaussian_sender and rng load numpy; the commands that use them
-# import them in their own bodies, so calibrate and multi-round start without it.
+# A command imports its own library modules in its body, so each process loads
+# only what its command runs (and numpy only for binary-sums and sender).
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,6 +143,9 @@ def load_config(path: str, command: str) -> dict:
 
 
 def cmd_calibrate(config: dict, seed: int, jobs: int = 1) -> tuple:
+    from .accountant import (MechanismParams, PrivacyBudget, calibrate_episode, calibrate_step,
+                             round_trip)
+
     table = ResultTable([
         "epsilon", "delta", "gamma1", "gamma2", "num_agents", "clip_norm",
         "episode_len", "sigma_sq", "alpha", "beta", "sigma_prime_sq",
@@ -219,7 +212,8 @@ def cmd_binary_sums(config: dict, seed: int, jobs: int = 1) -> tuple:
 
 
 def cmd_equilibrium(config: dict, seed: int, jobs: int = 1) -> tuple:
-    from .rng import substream
+    from .cgp import StrategyProfile, find_nash, is_potential_game, make_binary_sums_cgp
+    from .rng import uniforms
 
     table = ResultTable([
         "start_p1", "start_p2", "p1", "p2", "p_sum", "converged",
@@ -230,10 +224,10 @@ def cmd_equilibrium(config: dict, seed: int, jobs: int = 1) -> tuple:
     tol = config.get("tol", 1e-8)
     num_starts = require_count("num_starts", config.get("num_starts", 10), 1)
     pg, deviation = is_potential_game(instance, grid_step=0.05, tol=1e-6)
-    rng = substream(seed)
+    draws = uniforms(seed, 2 * num_starts)
     all_converged = True
-    for _ in range(num_starts):
-        start = StrategyProfile(tuple(rng.random(2)))
+    for start_p in zip(draws, draws):  # start k is (draws[2k], draws[2k+1])
+        start = StrategyProfile(start_p)
         res = find_nash(instance, start, tol=tol, grid_step=grid_step)
         all_converged &= res.converged
         table.append(start.p[0], start.p[1], res.profile.p[0], res.profile.p[1],
@@ -243,6 +237,8 @@ def cmd_equilibrium(config: dict, seed: int, jobs: int = 1) -> tuple:
 
 
 def cmd_multi_round(config: dict, seed: int, jobs: int = 1) -> tuple:
+    from .multi_round import MrsConfig, find_mpg_nash, verify_mpg
+
     fields = {f.name for f in dataclasses.fields(MrsConfig)}
     cfg = MrsConfig(**{"discount": 1.0, **{k: v for k, v in config.items() if k in fields}})
     start = cfg.start_state()

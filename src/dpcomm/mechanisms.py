@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMechanismError, InvalidParameterError, require_float
+from .errors import DegenerateMechanismError, InvalidParameterError, require_count, require_float
 from .rng import substream
 
 
@@ -25,8 +25,10 @@ class RrMechanism:
     flip_prob: float
 
     def __post_init__(self):
-        if not (0.0 <= self.flip_prob <= 1.0):
-            raise InvalidParameterError(f"flip_prob must be in [0,1], got {self.flip_prob}")
+        flip_prob = require_float("flip_prob", self.flip_prob)
+        if not (0.0 <= flip_prob <= 1.0):
+            raise InvalidParameterError(f"flip_prob must be in [0,1], got {flip_prob}")
+        object.__setattr__(self, "flip_prob", flip_prob)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +78,7 @@ def rr_perturb(bit: int, mech: RrMechanism, rng_seed: int, size: int | None = No
     from ``substream(rng_seed)``.
     """
     bit = _check_bit(bit)
-    m = 1 if size is None else int(size)
+    m = 1 if size is None else require_count("size", size, 0)
     out = _rr_row(substream(rng_seed), bit, mech.flip_prob, m).astype(np.int64)
     return int(out[0]) if size is None else out
 
@@ -121,7 +123,8 @@ def clip(values, clip_norm: float) -> ClippedVector:
     Vectors already within the ball pass through unchanged (bit-exact). A
     non-finite entry has no place on the ball and is rejected.
     """
-    if not 0 < require_float("clip_norm", clip_norm) < math.inf:
+    clip_norm = require_float("clip_norm", clip_norm)
+    if not 0 < clip_norm < math.inf:
         raise InvalidParameterError(f"clip_norm must be finite and positive, got {clip_norm}")
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
@@ -129,7 +132,7 @@ def clip(values, clip_norm: float) -> ClippedVector:
     norm = float(np.linalg.norm(values))
     if norm > clip_norm:
         values = values * clip_norm / norm
-    return ClippedVector(values, float(clip_norm))
+    return ClippedVector(values, clip_norm)
 
 
 def gaussian_perturb(msg: ClippedVector, sigma: float, rng_seed: int, size: int | None = None):
@@ -138,11 +141,12 @@ def gaussian_perturb(msg: ClippedVector, sigma: float, rng_seed: int, size: int 
     ``size=None`` returns one perturbed vector; integer ``size`` returns a
     (size, d) array of independent perturbations.
     """
-    if not 0 <= require_float("sigma", sigma) < math.inf:
+    sigma = require_float("sigma", sigma)
+    if not 0 <= sigma < math.inf:
         raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
     rng = substream(rng_seed)
     d = msg.values.shape[0]
-    shape = (d,) if size is None else (int(size), d)
+    shape = (d,) if size is None else (require_count("size", size, 0), d)
     if sigma == 0:
         noise = np.zeros(shape)
     else:
@@ -156,6 +160,7 @@ def subsample(items, rate: float, rng_seed: int) -> list:
     Banker's rounding keeps the expected subset size unbiased. The selected
     items are returned in their original order.
     """
+    rate = require_float("rate", rate)
     if not (0.0 < rate < 1.0):
         raise InvalidParameterError(f"rate must be in (0,1), got {rate}")
     rng = substream(rng_seed)

@@ -73,11 +73,56 @@ class TestGaussianRdp:
         with pytest.raises(InvalidParameterError):
             gaussian_rdp(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("name,args", [
+        ("sensitivity", (None, 1.0, 2.0)), ("sigma", (2.0, "abc", 2.0)),
+        ("alpha", (2.0, 1.0, [2.0])),
+    ])
+    def test_non_numbers_rejected(self, name, args):
+        # Each used to raise a bare TypeError or ValueError.
+        with pytest.raises(InvalidParameterError, match=name):
+            gaussian_rdp(*args)
+
+    def test_string_numbers_convert(self):
+        # "2" used to reach the range check and raise a bare TypeError.
+        assert gaussian_rdp("2", "2", "3") == gaussian_rdp(2.0, 2.0, 3.0)
+        assert type(gaussian_rdp("2", "2", "3").alpha) is float
+
+    def test_sigma_square_underflow_rejected(self):
+        # sigma^2 underflows to 0, which used to raise ZeroDivisionError.
+        with pytest.raises(InvalidParameterError, match="sigma = 1e-320"):
+            gaussian_rdp(2.0, 1e-320, 2.0)
+
+    def test_sigma_beyond_float_range_rejected(self):
+        # The 401-digit integer used to raise OverflowError.
+        with pytest.raises(InvalidParameterError, match="sigma"):
+            gaussian_rdp(2.0, 10**400, 2.0)
+
+    def test_sensitivity_square_overflow_rejected(self):
+        # sensitivity^2 overflows, which used to raise OverflowError.
+        with pytest.raises(InvalidParameterError, match="sensitivity = 1e\\+200"):
+            gaussian_rdp(1e200, 1.0, 2.0)
+
+    def test_large_sigma_gives_a_vanishing_rho(self):
+        # sigma^2 overflows, but rho itself is a float: (2/1e200)^2 is 0.
+        assert gaussian_rdp(2.0, 1e200, 2.0) == RdpPoint(2.0, 0.0)
+
 
 class TestSubsampledGaussianRdp:
     def test_formula(self):
         point = subsampled_gaussian_rdp(2.0, 2.0, 2.0, 0.01)
         assert point.rho == pytest.approx(3.5 * 1e-4 * 4 * 2 / 4, rel=1e-12)
+
+    def test_string_numbers_convert(self):
+        # Each string used to reach a range check and raise a bare TypeError.
+        assert subsampled_gaussian_rdp("2", "2", "2", "0.01") == \
+            subsampled_gaussian_rdp(2.0, 2.0, 2.0, 0.01)
+
+    @pytest.mark.parametrize("index,name", enumerate(["sensitivity", "sigma", "alpha", "gamma"]))
+    def test_non_numbers_rejected(self, index, name):
+        args = [2.0, 2.0, 2.0, 0.01]
+        args[index] = None
+        with pytest.raises(InvalidParameterError, match=name):
+            subsampled_gaussian_rdp(*args)
 
     def test_infeasible_order(self):
         # gamma = 0.9 makes the log argument fall below 1: bound < alpha.
@@ -183,6 +228,16 @@ class TestRdpToDp:
             rdp_to_dp(RdpPoint(2, 0.1), 0.0)
         with pytest.raises(InvalidParameterError):
             rdp_to_dp(RdpPoint(2, 0.1), 1.0)
+
+    @pytest.mark.parametrize("delta", [None, "abc", [1e-5]], ids=["None", "str", "list"])
+    def test_non_number_delta_rejected(self, delta):
+        # Each used to raise a bare TypeError from the range check.
+        with pytest.raises(InvalidParameterError, match="delta"):
+            rdp_to_dp(RdpPoint(2, 0.1), delta)
+
+    def test_string_delta_converts(self):
+        # "1e-5" used to raise a bare TypeError from the range check.
+        assert rdp_to_dp(RdpPoint(2, 1.0), "1e-5") == rdp_to_dp(RdpPoint(2, 1.0), 1e-5)
 
 
 FEASIBLE_PARAMS = MechanismParams(
@@ -667,3 +722,19 @@ class TestValidation:
             RdpPoint(2.0, -0.1)
         with pytest.raises(InvalidParameterError):
             RdpPoint(2.0, math.inf)
+
+    @pytest.mark.parametrize("value", [None, "abc", [2.0], 10**400],
+                             ids=["None", "str", "list", "401-digit"])
+    def test_rdp_point_non_numbers_rejected(self, value):
+        # None, "abc" and [2.0] used to raise a bare TypeError, 10**400 to be
+        # accepted as an order.
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            RdpPoint(value, 1.0)
+        with pytest.raises(InvalidParameterError, match="rho"):
+            RdpPoint(2.0, value)
+
+    def test_rdp_point_stores_the_floats_it_checked(self):
+        # RdpPoint("2", 1.0) used to raise a bare TypeError.
+        point = RdpPoint("2", 1)
+        assert point == RdpPoint(2.0, 1.0)
+        assert type(point.alpha) is float and type(point.rho) is float

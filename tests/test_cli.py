@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpcomm.rng
 from dpcomm.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, ConfigError, main
+from dpcomm.rng import substream
 
 
 def write_config(path, doc):
@@ -188,6 +190,22 @@ class TestEquilibrium:
         assert all(abs(float(r[header.index("p_sum")]) - 0.5) <= 1e-6 for r in rows)
         assert all(r[header.index("is_potential_game")] == "True" for r in rows)
 
+    def test_starts_are_the_substream_draws(self, tmp_path, monkeypatch):
+        # The starts used to be drawn as substream(seed).random(2) per start;
+        # that draw stays the oracle for the pure-Python rng.uniforms.
+        def substream_starts(seed, n):
+            rng = substream(seed)
+            for _ in range(n // 2):
+                yield from rng.random(2)
+
+        config = json.loads((REPO / "configs" / "equilibrium.json").read_text())
+        for seed in range(21):
+            _, path = run(tmp_path / "pure", "equilibrium", config, seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(dpcomm.rng, "uniforms", substream_starts)
+                _, oracle_path = run(tmp_path / "oracle", "equilibrium", config, seed=seed)
+            assert path.read_bytes() == oracle_path.read_bytes(), seed
+
     def test_uneven_weights_not_potential(self, tmp_path):
         config = dict(EQUILIBRIUM, benefit_weights=[1.0, 2.0], num_starts=2)
         code, path = run(tmp_path, "equilibrium", config)
@@ -337,6 +355,16 @@ except SystemExit as exc:
 """
 
 
+# The same run, printing the dpcomm modules the command loaded.
+_FRESH_CLI_MODULES = """
+import runpy, sys
+try:
+    runpy.run_module("dpcomm", run_name="__main__", alter_sys=True)
+except SystemExit:
+    print(*sorted(name for name in sys.modules if name.startswith("dpcomm.")))
+"""
+
+
 def fresh_python(*args):
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
@@ -346,20 +374,39 @@ def fresh_python(*args):
 
 
 class TestNumpyFreeStart:
-    """calibrate and multi-round use no numpy-backed module, so they never load numpy."""
+    """calibrate, equilibrium and multi-round use no numpy-backed module, so they
+    never load numpy; and each command loads only its own library modules."""
 
     def test_import_dpcomm_does_not_load_numpy(self):
         assert fresh_python("-c", "import sys, dpcomm; print('numpy' in sys.modules)") == "False"
 
+    def test_import_rng_does_not_load_numpy(self):
+        assert fresh_python("-c", "import sys, dpcomm.rng; print('numpy' in sys.modules)") == \
+            "False"
+
     @pytest.mark.parametrize("command,config", [
         ("calibrate", "calibrate.json"),
         ("calibrate", "calibrate_episode.json"),
+        ("equilibrium", "equilibrium.json"),
         ("multi-round", "multi_round.json"),
     ])
     def test_command_runs_without_numpy(self, tmp_path, command, config):
         last = fresh_python("-c", _FRESH_CLI, command, "--config", str(REPO / "configs" / config),
                             "--out", str(tmp_path))
         assert last == "False 0"
+
+    @pytest.mark.parametrize("command,config,used,unused", [
+        ("calibrate", "calibrate.json", "dpcomm.accountant",
+         {"dpcomm.cgp", "dpcomm.multi_round", "dpcomm.binary_sums"}),
+        ("multi-round", "multi_round.json", "dpcomm.multi_round",
+         {"dpcomm.accountant", "dpcomm.cgp"}),
+    ])
+    def test_command_loads_only_its_own_modules(self, tmp_path, command, config, used, unused):
+        last = fresh_python("-c", _FRESH_CLI_MODULES, command, "--config",
+                            str(REPO / "configs" / config), "--out", str(tmp_path))
+        loaded = set(last.split())
+        assert used in loaded  # the probe sees the module the command runs
+        assert unused.isdisjoint(loaded)
 
     def test_sender_still_loads_numpy(self, tmp_path):
         # The check above would pass vacuously if the probe could not see numpy.

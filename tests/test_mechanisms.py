@@ -85,6 +85,30 @@ class TestRrPerturb:
         with pytest.raises(InvalidParameterError):
             rr_perturb(2, RrMechanism(0.5), 0)
 
+    @pytest.mark.parametrize("flip_prob", [None, [0.5]], ids=["None", "list"])
+    def test_non_number_flip_prob_rejected(self, flip_prob):
+        # Both used to raise a bare TypeError from the range check.
+        with pytest.raises(InvalidParameterError, match="flip_prob"):
+            RrMechanism(flip_prob)
+
+    def test_flip_prob_stored_as_the_float_it_checked(self):
+        # "0.5" used to raise a bare TypeError from the range check.
+        mech = RrMechanism("0.5")
+        assert type(mech.flip_prob) is float and mech == RrMechanism(0.5)
+        assert np.array_equal(rr_perturb(1, mech, 3, size=100),
+                              rr_perturb(1, RrMechanism(0.5), 3, size=100))
+
+    @pytest.mark.parametrize("size", [2.5, -1, True, "2"])
+    def test_bad_size_rejected(self, size):
+        # 2.5 used to draw 2 values silently, -1 to raise numpy's bare ValueError.
+        with pytest.raises(InvalidParameterError, match="size"):
+            rr_perturb(1, RrMechanism(0.5), 0, size=size)
+
+    def test_size_zero_and_numpy_sizes_accepted(self):
+        assert rr_perturb(1, RrMechanism(0.5), 0, size=0).shape == (0,)
+        assert np.array_equal(rr_perturb(1, RrMechanism(0.5), 4, size=np.int64(9)),
+                              rr_perturb(1, RrMechanism(0.5), 4, size=9))
+
     def test_draws_match_snapshot(self):
         # sha256 of the draws below, taken before rr_perturb and the
         # binary-sums kernel shared one draw helper.
@@ -232,6 +256,12 @@ class TestClip:
         with pytest.raises(InvalidParameterError):
             clip([1.0], 0.0)
 
+    def test_norm_used_as_the_float_it_checked(self):
+        # "0.5" used to pass the range check and then fail to compare with the norm.
+        clipped = clip([3.0, 4.0], "0.5")
+        assert clipped.clip_norm == 0.5 and type(clipped.clip_norm) is float
+        assert np.array_equal(clipped.values, clip([3.0, 4.0], 0.5).values)
+
     @pytest.mark.parametrize("values", [[math.nan], [math.inf], [0.1, -math.inf], [[1.0, math.nan]]])
     def test_non_finite_values_rejected(self, values):
         # [nan] used to give a NaN "clipped" vector, and [inf] NaN with a
@@ -269,6 +299,25 @@ class TestGaussianPerturb:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidParameterError):
             gaussian_perturb(clip([1.0], 2.0), -0.1, 0)
+
+    def test_sigma_used_as_the_float_it_checked(self):
+        # "0.0" used to pass the range check and reach numpy as a string.
+        msg = clip([0.5, -0.2], 1.0)
+        assert np.array_equal(gaussian_perturb(msg, "0.0", 9), msg.values)
+        assert np.array_equal(gaussian_perturb(msg, "0.5", 9), gaussian_perturb(msg, 0.5, 9))
+
+    @pytest.mark.parametrize("size", [2.5, -1, True, "2"])
+    def test_bad_size_rejected(self, size):
+        # 2.5 used to draw 2 vectors silently, -1 to raise numpy's bare ValueError.
+        with pytest.raises(InvalidParameterError, match="size"):
+            gaussian_perturb(clip([1.0, 0.0], 2.0), 1.0, 0, size=size)
+
+    def test_valid_sizes_keep_their_draws(self):
+        msg = clip([0.5, -0.2], 1.0)
+        assert gaussian_perturb(msg, 1.0, 9, size=0).shape == (0, 2)
+        rng = substream(9)
+        assert np.array_equal(gaussian_perturb(msg, 1.0, 9, size=np.int64(3)),
+                              msg.values + rng.normal(0.0, 1.0, size=(3, 2)))
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, 10**400],
                              ids=["nan", "inf", "401-digit"])
@@ -313,3 +362,13 @@ class TestSubsample:
             subsample([1, 2], 0.0, 0)
         with pytest.raises(InvalidParameterError):
             subsample([1, 2], 1.0, 0)
+
+    @pytest.mark.parametrize("rate", [None, [0.5]], ids=["None", "list"])
+    def test_non_number_rate_rejected(self, rate):
+        # Both used to raise a bare TypeError from the range check.
+        with pytest.raises(InvalidParameterError, match="rate"):
+            subsample(range(4), rate, 0)
+
+    def test_rate_used_as_the_float_it_checked(self):
+        # "0.5" used to raise a bare TypeError from the range check.
+        assert subsample(range(4), "0.5", 0) == subsample(range(4), 0.5, 0)
