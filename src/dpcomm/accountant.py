@@ -91,12 +91,8 @@ class MechanismParams:
     episode_len: int = 1      # T, used only by calibrate_episode
 
     def __post_init__(self):
-        clip_norm = require_float("clip_norm", self.clip_norm)
         # A subnormal C^2 would make (2C)^2 and 4 * C^2 round apart.
-        if not (clip_norm > 0
-                and sys.float_info.min <= clip_norm * clip_norm <= sys.float_info.max):
-            raise InvalidParameterError(
-                f"clip_norm must be > 0 with a finite, normal square, got {clip_norm}")
+        clip_norm = _with_normal_square("clip_norm", require_float("clip_norm", self.clip_norm))
         object.__setattr__(self, "clip_norm", clip_norm)
         for name in ("sample_rate_data", "sample_rate_agents"):
             v = require_float(name, getattr(self, name))
@@ -154,6 +150,14 @@ def gaussian_rdp(sensitivity: float, sigma: float, alpha: float) -> RdpPoint:
     return RdpPoint(alpha, rho)
 
 
+def _with_normal_square(name: str, value: float) -> float:
+    """``value``; InvalidParameterError naming ``name`` unless it is > 0 and its
+    square is a finite, normal float."""
+    if not (value > 0 and sys.float_info.min <= value * value <= sys.float_info.max):
+        raise InvalidParameterError(f"{name} must be > 0 with a finite, normal square, got {value}")
+    return value
+
+
 def _sigma_prime_sq(sigma_sq: float, sensitivity: float) -> float:
     """Normalized noise sigma'^2 = sigma^2 / Delta^2, from the variance."""
     return sigma_sq / sensitivity**2
@@ -192,14 +196,11 @@ def subsampled_gaussian_rdp(sensitivity: float, sigma: float, alpha: float, gamm
     sigma'^2 = sigma^2 / Delta^2 >= 0.7 and alpha does not exceed
     (2/3) * sigma'^2 * ln(1/(gamma*alpha*(1+sigma'^2))) + 1.
     """
-    sensitivity = require_float("sensitivity", sensitivity)
-    sigma = require_float("sigma", sigma)
+    # Both squares enter the bound, so neither may overflow or underflow.
+    sensitivity = _with_normal_square("sensitivity", require_float("sensitivity", sensitivity))
+    sigma = _with_normal_square("sigma", require_float("sigma", sigma))
     alpha = require_float("alpha", alpha)
     gamma = require_float("gamma", gamma)
-    if not sensitivity > 0:
-        raise InvalidParameterError(f"sensitivity must be positive, got {sensitivity}")
-    if not sigma > 0:
-        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
     if not (0.0 < gamma < 1.0):
         raise InvalidParameterError(f"gamma must be in (0,1), got {gamma}")
     return _subsampled_rdp(sensitivity, sigma**2, alpha, gamma)

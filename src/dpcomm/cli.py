@@ -24,7 +24,8 @@ from .errors import CalibrationInfeasibleError, StepSizeError, require_count
 from .report import ResultTable, line_plot_svg, provenance_block
 
 # A command imports its own library modules in its body, so each process loads
-# only what its command runs (and numpy only for binary-sums and sender).
+# only what its command runs, and only binary-sums loads numpy: sender's targets
+# are all diagonal, so it runs on the numpy-free diagonal_sender.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -266,27 +267,22 @@ def cmd_multi_round(config: dict, seed: int, jobs: int = 1) -> tuple:
 
 
 def cmd_sender(config: dict, seed: int, jobs: int = 1) -> tuple:
-    from .gaussian_sender import (
-        GaussianMessageDist,
-        SenderProblem,
-        _diagonal_descent,
-        aware_optimum,
-        oblivious_optimum,
-    )
+    from .diagonal_sender import (_closed_form_kls, _diagonal_descent, _diagonal_target,
+                                  _sender_problem)
 
     d = require_count("dim", config["dim"], 1)
     variances = config.get("target_variances", [1.0] * d)
     mean = config.get("target_mean", [0.0] * d)
     if len(variances) != d or len(mean) != d:
         raise ConfigError(f"target_mean and target_variances must have length dim = {d}")
-    target = GaussianMessageDist.from_diagonal(mean, variances)
-    problems = [SenderProblem(target, float(noise)) for noise in config["noise_vars"]]
+    target = _diagonal_target(mean, variances)
+    noise_vars = [_sender_problem(target.variances, float(noise))
+                  for noise in config["noise_vars"]]
     table = ResultTable([
         "noise_var", "oblivious_kl", "aware_kl", "gd_kl", "gd_vs_closed_form",
     ])
-    closed_forms = [(oblivious_optimum(p).kl, aware_optimum(p).kl) for p in problems]
-    _, _, gd_kls = _diagonal_descent(target, [p.noise_var for p in problems],
-                                     config.get("gd_steps", 6000),
+    closed_forms = [_closed_form_kls(target.variances, noise) for noise in noise_vars]
+    _, _, gd_kls = _diagonal_descent(target, noise_vars, config.get("gd_steps", 6000),
                                      config.get("gd_learning_rate", 0.1))
     agree = True
     for noise, (obl_kl, aware_kl), gd_kl in zip(config["noise_vars"], closed_forms, gd_kls):

@@ -1,0 +1,262 @@
+"""The ``dpcomm sender`` table on Python floats, without numpy.
+
+Every target the CLI builds is diagonal (its config gives only ``dim``,
+``target_mean`` and ``target_variances``), so the checks, the two closed-form
+KLs and the K-row descent are scalar work per coordinate. This module does
+that work in Python floats, and the command never loads numpy. It is private:
+``gaussian_sender`` stays the library API (full covariances, ``mode="full"``,
+the sampler), and its numpy path is the oracle the tests hold this module to.
+
+The rules both paths share live here, and ``gaussian_sender`` imports them:
+the eigenvalue floors, the step count and learning-rate checks, and the
+bad-step rule with its ``StepSizeError`` messages.
+
+What matches the numpy path: every check, with its error type and message
+(for entries below half the largest float, beyond which the symmetrization in
+``GaussianMessageDist`` overflows); the descent's iterates, bit for bit,
+because the inverse of a diagonal target is diagonal with exact zeros off it;
+and the KL arithmetic, term by term, in numpy's summation order. The KLs may
+still differ in the last bits: numpy's vectorized ``log`` is not always
+correctly rounded where ``math.log`` is, and BLAS may fuse the quadratic
+form's multiply-adds.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from typing import NamedTuple
+
+from .errors import (InvalidParameterError, SingularTargetError, StepSizeError, require_count,
+                     require_float)
+
+_EIG_FLOOR = -1e-12       # a covariance eigenvalue above this is projected to >= 0
+_TARGET_MIN_EIG = 1e-9    # smallest eigenvalue of a target covariance
+_EPS = sys.float_info.epsilon
+
+
+def _check_dimension(shape: tuple, dim: int) -> None:
+    """InvalidParameterError unless a covariance of ``shape`` fits a mean of
+    ``dim`` >= 1 entries."""
+    if shape != (dim, dim):
+        raise InvalidParameterError(f"covariance shape {shape} does not match dimension {dim}")
+    if dim == 0:
+        raise InvalidParameterError("dimension must be at least 1, got 0")
+
+
+def _not_finite_error(mean: list, cov: list) -> InvalidParameterError:
+    return InvalidParameterError(
+        f"mean and covariance must be finite, got mean {mean} and covariance {cov}")
+
+
+def _check_lowest_eigenvalue(lowest: float) -> None:
+    if lowest < _EIG_FLOOR:
+        raise InvalidParameterError(f"covariance has negative eigenvalue {lowest:.3g}")
+
+
+def _check_noise_var(noise_var) -> float:
+    """A channel noise variance as a float; InvalidParameterError unless finite and >= 0."""
+    value = require_float("noise_var", noise_var)
+    if not 0 <= value < math.inf:
+        raise InvalidParameterError(f"noise_var must be finite and >= 0, got {noise_var}")
+    return value
+
+
+def _check_target_eigenvalue(lowest: float) -> None:
+    """InvalidParameterError unless a target's smallest eigenvalue makes it positive-definite."""
+    if lowest < _TARGET_MIN_EIG:
+        raise InvalidParameterError(
+            f"target covariance must be positive-definite (min eigenvalue "
+            f"{lowest:.3g} < {_TARGET_MIN_EIG})"
+        )
+
+
+def _singular(lowest: float, largest: float, dim: int) -> bool:
+    """Whether a covariance is singular to working precision: its smallest
+    eigenvalue is at most d * eps times its largest."""
+    return lowest <= dim * _EPS * largest
+
+
+def _descent_params(steps, learning_rate) -> tuple[int, float]:
+    """The step count and learning rate of a descent, checked."""
+    require_count("steps", steps, 1)
+    learning_rate = require_float("learning_rate", learning_rate)
+    if not 0 <= learning_rate < math.inf:
+        raise InvalidParameterError(f"learning_rate must be finite and >= 0, got {learning_rate}")
+    return steps, learning_rate
+
+
+def _bad_steps(value: float, prev: float, bad_steps: int, mean, sent) -> int:
+    """Consecutive bad steps after a step from KL ``prev`` to ``value``.
+
+    Raises StepSizeError at the 10th bad step (a rise or a NaN), or when the
+    step overflowed the iterate (``mean`` or the post-noise ``sent``, each an
+    iterable of floats).
+    """
+    # A non-finite iterate gives a non-finite KL, so only then is it looked for.
+    if not math.isfinite(value) and not (all(map(math.isfinite, mean))
+                                         and all(map(math.isfinite, sent))):
+        raise StepSizeError("a step overflowed the iterate; reduce the learning rate")
+    if not (math.isnan(value) or value > prev):
+        return 0
+    if bad_steps + 1 >= 10:
+        raise StepSizeError(
+            f"objective increased for {bad_steps + 1} consecutive steps; reduce the learning rate"
+        )
+    return bad_steps + 1
+
+
+def _numpy_sum(values: list[float]) -> float:
+    """The sum of ``values`` in the order numpy's float64 ``sum`` adds them:
+    one running total below 8 terms, else 8 accumulators over blocks of at
+    most 128, split in halves above that."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        acc = values[:8]
+        whole = n - n % 8
+        for i in range(8, whole, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for value in values[whole:]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
+
+
+class _Target(NamedTuple):
+    """A checked diagonal target: its mean and its variances, clipped at 0 as
+    ``GaussianMessageDist`` stores its eigenvalues."""
+
+    mean: list[float]
+    variances: list[float]
+
+
+def _diagonal_target(mean, variances) -> _Target:
+    """The checks ``GaussianMessageDist.from_diagonal(mean, variances)`` makes,
+    with its errors."""
+    mean = [require_float("mean", value) for value in mean]
+    variances = [require_float("variances", value) for value in variances]
+    _check_dimension((len(variances), len(variances)), len(mean))
+    if not all(map(math.isfinite, mean + variances)):
+        cov = [[v if i == j else 0.0 for j in range(len(variances))]
+               for i, v in enumerate(variances)]
+        raise _not_finite_error(mean, cov)
+    _check_lowest_eigenvalue(min(0.0, *variances))  # eigh's eigenvalues.min(initial=0.0)
+    return _Target(mean, [v if v > 0.0 else 0.0 for v in variances])
+
+
+def _target_terms(variances: list[float]) -> tuple[list[float], float]:
+    """Inverse diagonal and log-determinant of a checked diagonal target;
+    SingularTargetError unless it is positive-definite."""
+    if _singular(min(variances), max(variances), len(variances)):
+        raise SingularTargetError("q covariance must be positive-definite")
+    logdet = 0.0
+    for v in variances:
+        logdet += math.log(v)
+    return [1.0 / v for v in variances], logdet
+
+
+def _sender_problem(variances: list[float], noise_var) -> float:
+    """The checks ``SenderProblem(target, noise_var)`` makes; returns the noise variance."""
+    noise_var = _check_noise_var(noise_var)
+    _check_target_eigenvalue(min(variances))
+    return noise_var
+
+
+def _dense_kl(target_inv: list[float], logdet_q: float, sent: list[float]) -> float:
+    """``_sent_kl``'s Cholesky branch on a message with the target's mean and
+    the diagonal post-noise covariance ``sent``: the log-determinant from the
+    Cholesky diagonal, the trace over all d * d products."""
+    if not min(sent) > 0.0:  # Cholesky fails on a variance <= 0
+        return math.inf
+    d = len(sent)
+    logdet_p = 2.0 * _numpy_sum([math.log(math.sqrt(s)) for s in sent])
+    products = [0.0] * (d * d)
+    products[::d + 1] = [t * s for t, s in zip(target_inv, sent)]
+    quad = 0.0  # the message has the target's mean
+    return 0.5 * (logdet_q - logdet_p + _numpy_sum(products) + quad - d)
+
+
+def _closed_form_kls(variances: list[float], noise_var: float) -> tuple[float, float]:
+    """``oblivious_optimum(problem).kl`` and ``aware_optimum(problem).kl`` for a
+    checked diagonal target and noise variance."""
+    target_inv, logdet_q = _target_terms(variances)
+    oblivious = [v + noise_var for v in variances]
+    aware = [max(v - noise_var, 0.0) + noise_var for v in variances]
+    return _dense_kl(target_inv, logdet_q, oblivious), _dense_kl(target_inv, logdet_q, aware)
+
+
+def _diagonal_descent(target: _Target, noise_vars: list[float], steps: int,
+                      learning_rate: float):
+    """``gaussian_sender._diagonal_descent`` on a checked diagonal target
+    (``_diagonal_target``'s result) for K checked noise variances.
+
+    One mean path serves every row; each row's variances step on their own.
+    Returns the mean, the K rows of variances and the K final KLs. A row that
+    fails is dropped, and the call raises the StepSizeError of the
+    lowest-index failing row.
+    """
+    steps, learning_rate = _descent_params(steps, learning_rate)
+    target_mean = target.mean
+    target_inv, logdet_q = _target_terms(target.variances)
+    d = len(target_mean)
+    noise = list(noise_vars)
+    mean = [0.0] * d
+    variances = [[1.0] * d for _ in noise]
+    log, inf = math.log, math.inf
+
+    def kl(quad, sent):
+        # _diagonal_kls on one row, with the trace in matmul's order. min() is
+        # NaN or <= 0 unless every variance is > 0; a NaN elsewhere, which only
+        # an overflowed iterate holds, makes the KL NaN.
+        if not min(sent) > 0.0:
+            return inf
+        trace = 0.0
+        for s, t in zip(sent, target_inv):
+            trace += s * t
+        return 0.5 * (logdet_q - _numpy_sum(list(map(log, sent))) + trace + quad - d)
+
+    def quad_of(diff):
+        quad = 0.0
+        for x, t in zip(diff, target_inv):
+            quad += x * t * x
+        return quad
+
+    sent = [[v + n for v in row] for row, n in zip(variances, noise)]
+    diff = [m - t for m, t in zip(mean, target_mean)]
+    quad = quad_of(diff)
+    prev = [kl(quad, row) for row in sent]
+    bad = [0] * len(prev)
+    failure = None
+    for _ in range(steps):
+        mean = [m - learning_rate * (t * x) for m, t, x in zip(mean, target_inv, diff)]
+        diff = [m - t for m, t in zip(mean, target_mean)]
+        quad = quad_of(diff)
+        for k, (row, row_sent, n) in enumerate(zip(variances, sent, noise)):
+            row = [v - learning_rate * (0.5 * (t - (1.0 / s if s else inf)))
+                   for v, t, s in zip(row, target_inv, row_sent)]
+            variances[k] = row = [0.0 if v < 0.0 else v for v in row]  # np.maximum(v, 0.0)
+            sent[k] = row_sent = [v + n for v in row]
+            value = kl(quad, row_sent)
+            try:
+                bad[k] = _bad_steps(value, prev[k], bad[k], mean, row_sent)
+            except StepSizeError as exc:
+                # Row k's error stands unless a lower row fails later, so rows
+                # from k on no longer matter.
+                failure = exc
+                del variances[k:], sent[k:], noise[k:], bad[k:], prev[k:]
+                break
+            prev[k] = value
+        if not variances:
+            break
+    if failure is not None:
+        raise failure
+    return mean, variances, prev

@@ -16,8 +16,10 @@ descent (mean plus diagonal variances, or a full covariance factor), mirroring
 how a learned sender would optimize the same objective. In diagonal mode the
 mean step reads neither the noise nor the variances, so ``_diagonal_descent``
 runs several noise levels of one target together, on one mean path, each row
-bit-equal to its run alone; ``aware_optimum_gd`` is its one-row case, and the
-CLI's sender table one call.
+bit-equal to its run alone; ``aware_optimum_gd`` is its one-row case. The
+CLI's sender table, whose targets are all diagonal, runs the same descent on
+Python floats in ``diagonal_sender``, which holds the rules both share and
+which the tests compare with this module.
 
 A ``GaussianMessageDist`` is checked and eigendecomposed once, when built, and
 keeps the decomposition for the target checks, the closed-form shrink and the
@@ -32,14 +34,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidParameterError, SingularTargetError, StepSizeError, require_count,
-                     require_float)
+from .diagonal_sender import (_EIG_FLOOR, _bad_steps, _check_dimension, _check_lowest_eigenvalue,
+                              _check_noise_var, _check_target_eigenvalue, _descent_params,
+                              _not_finite_error, _singular)
+from .errors import InvalidParameterError, SingularTargetError, StepSizeError, _shown, require_count
 from .rng import substream
 
 _SYM_TOL = 1e-12
-_EIG_FLOOR = -1e-12
-_TARGET_MIN_EIG = 1e-9
-_EPS = float(np.finfo(float).eps)
+
+
+def _float_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array; InvalidParameterError naming ``name`` for an
+    integer beyond the float range or an entry that is not a number."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise InvalidParameterError(f"{name} holds an integer beyond the float range") from None
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must be numbers, got {_shown(value)}") from None
 
 
 def _clipped_eigh(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -69,24 +81,15 @@ class GaussianMessageDist:
     _eigvecs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (mean.size, mean.size):
-            raise InvalidParameterError(
-                f"covariance shape {cov.shape} does not match dimension {mean.size}"
-            )
-        if mean.size == 0:
-            raise InvalidParameterError("dimension must be at least 1, got 0")
+        mean = np.atleast_1d(_float_array("mean", self.mean))
+        cov = _float_array("covariance", self.cov)
+        _check_dimension(cov.shape, mean.size)
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise InvalidParameterError(
-                f"mean and covariance must be finite, got mean {mean.tolist()} "
-                f"and covariance {cov.tolist()}"
-            )
+            raise _not_finite_error(mean.tolist(), cov.tolist())
         if np.abs(cov - cov.T).max(initial=0.0) > _SYM_TOL:
             raise InvalidParameterError("covariance must be symmetric")
         lowest, eigvals, eigvecs = _clipped_eigh(cov)
-        if lowest < _EIG_FLOOR:
-            raise InvalidParameterError(f"covariance has negative eigenvalue {lowest:.3g}")
+        _check_lowest_eigenvalue(lowest)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", (eigvecs * eigvals) @ eigvecs.T)
         object.__setattr__(self, "_eigvals", eigvals)
@@ -94,7 +97,7 @@ class GaussianMessageDist:
 
     @classmethod
     def from_diagonal(cls, mean, variances) -> "GaussianMessageDist":
-        return cls(np.asarray(mean, dtype=float), np.diag(np.asarray(variances, dtype=float)))
+        return cls(_float_array("mean", mean), np.diag(_float_array("variances", variances)))
 
     @property
     def dim(self) -> int:
@@ -109,16 +112,8 @@ class SenderProblem:
     noise_var: float
 
     def __post_init__(self):
-        noise_var = require_float("noise_var", self.noise_var)
-        if not 0 <= noise_var < math.inf:
-            raise InvalidParameterError(f"noise_var must be finite and >= 0, got {self.noise_var}")
-        object.__setattr__(self, "noise_var", noise_var)
-        lowest = self.target._eigvals.min()
-        if lowest < _TARGET_MIN_EIG:
-            raise InvalidParameterError(
-                f"target covariance must be positive-definite (min eigenvalue "
-                f"{lowest:.3g} < {_TARGET_MIN_EIG})"
-            )
+        object.__setattr__(self, "noise_var", _check_noise_var(self.noise_var))
+        _check_target_eigenvalue(self.target._eigvals.min())
 
     @property
     def dim(self) -> int:
@@ -181,7 +176,7 @@ def aware_optimum(problem: SenderProblem) -> SenderSolution:
 def _rank_deficient(dist: GaussianMessageDist) -> bool:
     """Whether a covariance is singular to working precision: its smallest
     stored eigenvalue is at most d * eps times its largest."""
-    return dist._eigvals.min() <= dist.dim * _EPS * dist._eigvals.max()
+    return _singular(dist._eigvals.min(), dist._eigvals.max(), dist.dim)
 
 
 def _target_terms(target: GaussianMessageDist) -> tuple[np.ndarray, float]:
@@ -260,34 +255,6 @@ def objective_grad_diag(problem: SenderProblem, mean: np.ndarray, variances: np.
     grad_mean = target_inv @ diff
     grad_var = 0.5 * (np.diag(target_inv) - 1.0 / sent_vars)
     return value, grad_mean, grad_var
-
-
-def _descent_params(steps, learning_rate) -> tuple[int, float]:
-    """The step count and learning rate of a descent, checked."""
-    require_count("steps", steps, 1)
-    learning_rate = require_float("learning_rate", learning_rate)
-    if not 0 <= learning_rate < math.inf:
-        raise InvalidParameterError(f"learning_rate must be finite and >= 0, got {learning_rate}")
-    return steps, learning_rate
-
-
-def _bad_steps(value: float, prev: float, bad_steps: int, mean: np.ndarray,
-               sent: np.ndarray) -> int:
-    """Consecutive bad steps after a step from KL ``prev`` to ``value``.
-
-    Raises StepSizeError at the 10th bad step (a rise or a NaN), or when the
-    step overflowed the iterate (``mean`` or the post-noise ``sent``).
-    """
-    # A non-finite iterate gives a non-finite KL, so only then is it looked for.
-    if not math.isfinite(value) and not (np.isfinite(mean).all() and np.isfinite(sent).all()):
-        raise StepSizeError("a step overflowed the iterate; reduce the learning rate")
-    if not (math.isnan(value) or value > prev):
-        return 0
-    if bad_steps + 1 >= 10:
-        raise StepSizeError(
-            f"objective increased for {bad_steps + 1} consecutive steps; reduce the learning rate"
-        )
-    return bad_steps + 1
 
 
 def _diagonal_descent(target: GaussianMessageDist, noise_vars, steps: int,
@@ -390,7 +357,7 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: f
         factor = factor - learning_rate * 2.0 * (grad_sigma @ factor)
         sent = factor @ factor.T + noise_eye
         value = _sent_kl(target_inv, logdet_q, mean - target_mean, sent)
-        bad_steps = _bad_steps(value, prev, bad_steps, mean, sent)
+        bad_steps = _bad_steps(value, prev, bad_steps, mean, sent.ravel())
         prev = value
     return SenderSolution(GaussianMessageDist(mean, factor @ factor.T), prev)
 
@@ -403,8 +370,7 @@ def sample_message(dist: GaussianMessageDist, noise_var: float, rng_seed: int,
     noise_var * I) is added, so the output is distributed
     N(mu, Sigma + noise_var * I). Deterministic given the seed.
     """
-    if not 0 <= require_float("noise_var", noise_var) < math.inf:
-        raise InvalidParameterError(f"noise_var must be finite and >= 0, got {noise_var}")
+    noise_var = _check_noise_var(noise_var)
     rng = substream(rng_seed)
     d = dist.dim
     n = 1 if size is None else require_count("size", size, 0)

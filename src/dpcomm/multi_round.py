@@ -110,8 +110,7 @@ class MrsState:
 
     def __post_init__(self):
         object.__setattr__(self, "savings", _clean_savings(self.savings))
-        if self.step < 0:
-            raise InvalidParameterError("step must be nonnegative")
+        require_count("step", self.step, 0)
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,14 @@ class MrsAction:
     privacy: float
 
     def __post_init__(self):
-        if not 0.0 <= self.privacy <= 1.0:
+        privacy = require_float("privacy", self.privacy)
+        if not 0.0 <= privacy <= 1.0:
             raise InvalidParameterError(f"privacy must be in [0,1], got {self.privacy}")
-        if not 0.0 <= self.spend < math.inf:
+        spend = require_float("spend", self.spend)
+        if not 0.0 <= spend < math.inf:
             raise InvalidParameterError(f"spend must be finite and >= 0, got {self.spend}")
+        object.__setattr__(self, "privacy", privacy)
+        object.__setattr__(self, "spend", spend)
 
 
 @dataclass
@@ -298,6 +301,7 @@ def verify_mpg(cfg: MrsConfig, start: MrsState, tol: float = 1e-12):
     exactly 0 under unit team weights. InvalidActionError if a reachable
     saving has no affordable spend.
     """
+    tol = require_float("tol", tol)
     if not 0 < tol < math.inf:
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
     max_violation = 0.0

@@ -124,6 +124,16 @@ class TestSubsampledGaussianRdp:
         with pytest.raises(InvalidParameterError, match=name):
             subsampled_gaussian_rdp(*args)
 
+    # A square beyond the float range used to raise a bare OverflowError (or,
+    # below it, ZeroDivisionError).
+    @pytest.mark.parametrize("args,name", [
+        ((2.0, 1e200, 2.0, 0.01), "sigma"), ((1e200, 1.0, 2.0, 0.01), "sensitivity"),
+        ((1e-200, 1.0, 2.0, 0.01), "sensitivity"), ((1.0, 1e-200, 2.0, 0.01), "sigma"),
+    ])
+    def test_square_beyond_float_range_rejected(self, args, name):
+        with pytest.raises(InvalidParameterError, match=name):
+            subsampled_gaussian_rdp(*args)
+
     def test_infeasible_order(self):
         # gamma = 0.9 makes the log argument fall below 1: bound < alpha.
         with pytest.raises(InfeasibleOrderError, match="bound"):

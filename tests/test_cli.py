@@ -291,6 +291,90 @@ class TestSender:
             "dpcomm sender: a step overflowed the iterate; reduce the learning rate\n")
 
 
+#: Sender configs that fail, with the exit code and the one stderr line they
+#: gave when the table was computed with numpy (gaussian_sender); the numpy-free
+#: table must give the same. At the overflowing mean step, numpy also printed
+#: RuntimeWarnings before the line, which no longer appear.
+SENDER_FAILURES = [
+    ('{"dim": 1, "target_variances": [NaN], "noise_vars": [0.5]}', 1,
+     "config error: line 1: NaN is not a JSON number"),
+    ('{"dim": 2, "target_variances": [1.0, 1e999], "noise_vars": [0.5]}', 1,
+     "mean and covariance must be finite, got mean [0.0, 0.0] and covariance "
+     "[[1.0, 0.0], [0.0, inf]]"),
+    ('{"dim": 2, "target_mean": [-1e999, 0.0], "noise_vars": [0.5]}', 1,
+     "mean and covariance must be finite, got mean [-inf, 0.0] and covariance "
+     "[[1.0, 0.0], [0.0, 1.0]]"),
+    ('{"dim": 1, "target_variances": [' + "9" * 401 + '], "noise_vars": [0.5]}', 1,
+     "mean and covariance must be finite, got mean [0.0] and covariance [[inf]]"),
+    ('{"dim": 2, "target_variances": [1.0, -0.5], "noise_vars": [0.5]}', 1,
+     "covariance has negative eigenvalue -0.5"),
+    ('{"dim": 2, "target_variances": [1.0, -1e-14], "noise_vars": [0.5]}', 1,
+     "target covariance must be positive-definite (min eigenvalue 0 < 1e-09)"),
+    ('{"dim": 2, "target_variances": [1.0, 0.0], "noise_vars": [0.5]}', 1,
+     "target covariance must be positive-definite (min eigenvalue 0 < 1e-09)"),
+    ('{"dim": 1, "target_variances": [-0.0], "noise_vars": [0.5]}', 1,
+     "target covariance must be positive-definite (min eigenvalue 0 < 1e-09)"),
+    ('{"dim": 1, "target_variances": [1e-320], "noise_vars": [0.5]}', 1,
+     "target covariance must be positive-definite (min eigenvalue 1e-320 < 1e-09)"),
+    ('{"dim": 2, "target_variances": [1e-08, 1000000000.0], "noise_vars": [0.5]}', 1,
+     "q covariance must be positive-definite"),
+    ('{"dim": 1, "noise_vars": [0.5, -0.1]}', 1, "noise_var must be finite and >= 0, got -0.1"),
+    ('{"dim": 1, "noise_vars": [1e999]}', 1, "noise_var must be finite and >= 0, got inf"),
+    ('{"dim": 1, "target_variances": [0.0], "noise_vars": [-1.0]}', 1,
+     "noise_var must be finite and >= 0, got -1.0"),
+    ('{"dim": 1, "target_variances": [0.0], "noise_vars": [1.0, -1.0]}', 1,
+     "target covariance must be positive-definite (min eigenvalue 0 < 1e-09)"),
+    ('{"dim": 1, "noise_vars": [0.5], "gd_steps": 0}', 1,
+     "steps must be an integer >= 1, got 0"),
+    ('{"dim": 1, "noise_vars": [0.5], "gd_steps": 2.5}', 1,
+     "steps must be an integer >= 1, got 2.5"),
+    ('{"dim": 1, "noise_vars": [0.5], "gd_learning_rate": -0.1}', 1,
+     "learning_rate must be finite and >= 0, got -0.1"),
+    ('{"dim": 1, "noise_vars": [0.5], "gd_learning_rate": 1e999}', 1,
+     "learning_rate must be finite and >= 0, got inf"),
+    ('{"dim": 1, "target_mean": [1.0], "noise_vars": [0.1], "gd_learning_rate": 50.0}', 2,
+     "objective increased for 10 consecutive steps; reduce the learning rate"),
+    ('{"dim": 1, "target_mean": [0.1], "target_variances": [0.249], "noise_vars": '
+     '[0.1, 0.0, 0.5], "gd_steps": 200, "gd_learning_rate": 0.5}', 2,
+     "a step overflowed the iterate; reduce the learning rate"),
+    ('{"dim": 2, "target_mean": [1e+300, -1e+300], "noise_vars": [0.2], '
+     '"gd_learning_rate": 10.0}', 2, "a step overflowed the iterate; reduce the learning rate"),
+    ('{"dim": 2, "target_variances": [1.0], "noise_vars": [0.5]}', 1,
+     "config error: target_mean and target_variances must have length dim = 2"),
+]
+
+#: Sender configs whose table is written but fails the oracle gate (exit 2),
+#: with the rows numpy's table gave.
+SENDER_GATE_FAILURES = [
+    ('{"dim": 2, "noise_vars": [0.0, 0.5], "gd_steps": 200, "gd_learning_rate": 100.0}',
+     ["0.0,0.0,0.0,0.0,0.0",
+      "0.5,0.09453489189183584,0.0,45.57802666371869,45.57802666371869"]),
+    ('{"dim": 2, "noise_vars": [0.5], "gd_learning_rate": 0.0}',
+     ["0.5,0.09453489189183584,0.0,0.09453489189183562,0.09453489189183562"]),
+]
+
+
+class TestSenderFailures:
+    @pytest.mark.parametrize("text,code,line", SENDER_FAILURES)
+    def test_error_line_unchanged(self, tmp_path, capsys, text, code, line):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sender", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == f"dpcomm sender: {line}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,rows", SENDER_GATE_FAILURES)
+    def test_gate_failure_rows_unchanged(self, tmp_path, capsys, text, rows):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["sender", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == ""
+        _, header, got = parse_csv(tmp_path / "sender.csv")
+        assert [",".join(row) for row in got] == rows
+
+
 class TestHarness:
     @pytest.mark.parametrize("command,config", [
         ("calibrate", CALIBRATE),
@@ -374,8 +458,8 @@ def fresh_python(*args):
 
 
 class TestNumpyFreeStart:
-    """calibrate, equilibrium and multi-round use no numpy-backed module, so they
-    never load numpy; and each command loads only its own library modules."""
+    """Only binary-sums uses a numpy-backed module, so every other command
+    never loads numpy; and each command loads only its own library modules."""
 
     def test_import_dpcomm_does_not_load_numpy(self):
         assert fresh_python("-c", "import sys, dpcomm; print('numpy' in sys.modules)") == "False"
@@ -389,6 +473,7 @@ class TestNumpyFreeStart:
         ("calibrate", "calibrate_episode.json"),
         ("equilibrium", "equilibrium.json"),
         ("multi-round", "multi_round.json"),
+        ("sender", "sender.json"),
     ])
     def test_command_runs_without_numpy(self, tmp_path, command, config):
         last = fresh_python("-c", _FRESH_CLI, command, "--config", str(REPO / "configs" / config),
@@ -400,6 +485,8 @@ class TestNumpyFreeStart:
          {"dpcomm.cgp", "dpcomm.multi_round", "dpcomm.binary_sums"}),
         ("multi-round", "multi_round.json", "dpcomm.multi_round",
          {"dpcomm.accountant", "dpcomm.cgp"}),
+        ("sender", "sender.json", "dpcomm.diagonal_sender",
+         {"dpcomm.gaussian_sender", "dpcomm.binary_sums"}),
     ])
     def test_command_loads_only_its_own_modules(self, tmp_path, command, config, used, unused):
         last = fresh_python("-c", _FRESH_CLI_MODULES, command, "--config",
@@ -408,10 +495,10 @@ class TestNumpyFreeStart:
         assert used in loaded  # the probe sees the module the command runs
         assert unused.isdisjoint(loaded)
 
-    def test_sender_still_loads_numpy(self, tmp_path):
+    def test_binary_sums_still_loads_numpy(self, tmp_path):
         # The check above would pass vacuously if the probe could not see numpy.
-        last = fresh_python("-c", _FRESH_CLI, "sender", "--config",
-                            str(REPO / "configs" / "sender.json"), "--out", str(tmp_path))
+        last = fresh_python("-c", _FRESH_CLI, "binary-sums", "--config",
+                            str(REPO / "configs" / "binary_sums.json"), "--out", str(tmp_path))
         assert last == "True 0"
 
 

@@ -20,6 +20,7 @@ from dpcomm import (
     oblivious_optimum,
     sample_message,
 )
+from dpcomm import diagonal_sender
 from dpcomm.gaussian_sender import _diagonal_descent, objective_grad_diag, positive_part
 
 
@@ -711,6 +712,151 @@ class TestBatchedDescent:
         assert_rows_match_oracle(target, noise_vars, steps, learning_rate)
 
 
+def _numpy_table(mean, variances, noise_vars, steps, learning_rate):
+    """The CLI's sender table on the numpy path: the closed-form KLs of each
+    noise level and the descent's (mean, variances, KLs) or StepSizeError
+    message; or the type and message of the input error raised on the way."""
+    try:
+        target = GaussianMessageDist.from_diagonal(mean, variances)
+        problems = [SenderProblem(target, noise) for noise in noise_vars]
+        closed = [(oblivious_optimum(p).kl, aware_optimum(p).kl) for p in problems]
+        descent = _outcome(_diagonal_descent, target, [p.noise_var for p in problems], steps,
+                           learning_rate)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if not isinstance(descent, str):
+        descent = (descent[0].tolist(), descent[1].tolist(), descent[2])
+    return closed, descent
+
+
+def _float_table(mean, variances, noise_vars, steps, learning_rate):
+    """The same table from ``diagonal_sender``, as ``cmd_sender`` builds it."""
+    try:
+        target = diagonal_sender._diagonal_target(mean, variances)
+        noise = [diagonal_sender._sender_problem(target.variances, n) for n in noise_vars]
+        closed = [diagonal_sender._closed_form_kls(target.variances, n) for n in noise]
+        descent = _outcome(diagonal_sender._diagonal_descent, target, noise, steps, learning_rate)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return closed, descent
+
+
+#: Largest KL difference the float table may show, relative to max(1, |KL|):
+#: np.log is not always correctly rounded where math.log is, and BLAS may fuse
+#: the quadratic form's multiply-adds. Iterates and errors must be equal.
+KL_TOL = 1e-12
+
+
+def assert_float_table_matches(mean, variances, noise_vars, steps, learning_rate, tol=KL_TOL):
+    """``_float_table`` against ``_numpy_table``: the same input error, the
+    same StepSizeError message, equal iterates, and KLs within ``tol``
+    (0: equal). Returns the numpy table and the largest KL difference, in
+    units of max(1, |KL|)."""
+    args = (mean, variances, noise_vars, steps, learning_rate)
+    ref, got = _numpy_table(*args), _float_table(*args)
+    if isinstance(ref[0], type):
+        assert got == ref
+        return ref, 0.0
+    assert isinstance(got[0], list)
+    (closed_ref, descent_ref), (closed, descent) = ref, got
+    kls = [*zip((kl for pair in closed for kl in pair), (kl for pair in closed_ref for kl in pair))]
+    if isinstance(descent_ref, str):
+        assert descent == descent_ref
+    else:
+        assert descent[:2] == descent_ref[:2]  # the mean and every row of variances
+        kls += zip(descent[2], descent_ref[2])
+    gaps = [abs(kl - kl_ref) / max(1.0, abs(kl_ref)) for kl, kl_ref in kls if kl != kl_ref]
+    assert all(gap <= tol for gap in gaps)  # a NaN gap fails too
+    return ref, max(gaps, default=0.0)
+
+
+class TestDiagonalSender:
+    """``diagonal_sender``, the CLI's numpy-free table, against the numpy path."""
+
+    @pytest.mark.parametrize("config", [
+        ([0.0, 0.0], [1.0, 1.0], [0.0, 0.1, 0.5, 1.0], 6000, 0.1),  # configs/sender.json
+        ([0.0, 0.0], [1.0, 1.0], [0.0, 0.5], 3000, 0.1),  # tests/test_cli.py's SENDER
+        ([0.0, 0.0], [1.0, 1.0], [0.0, 0.5], 500, 0.1),
+        ([0.0, 0.0], [1.0, 1.0], [0.0, 0.5], 200, 100.0),
+        ([0.0, 0.0], [1.0, 1.0], [0.5], 6000, 0.0),
+        ([1.0], [1.0], [0.1], 6000, 50.0),
+        ([0.1], [0.249], [0.1, 0.0, 0.5], 200, 0.5),
+        ([0.1], [0.249], [0.1, 0.5], 200, 0.5),
+    ])
+    def test_cli_configs_are_equal(self, config):
+        assert_float_table_matches(*config, tol=0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_seeded_tables(self):
+        # d 1-16 exercises numpy's 8-accumulator sums, in the logs and in the
+        # d * d trace of the closed forms.
+        rng = np.random.default_rng(60)
+        failed = 0
+        for d in range(1, 17):
+            for learning_rate in (0.05, 0.5, float(rng.uniform(2.0, 50.0))):
+                noise_vars = [0.0, *rng.uniform(0.0, 1.5, 3).tolist()]
+                (_, descent), _ = assert_float_table_matches(
+                    rng.normal(size=d).tolist(), rng.uniform(0.2, 3.0, d).tolist(),
+                    noise_vars, 150, learning_rate)
+                failed += isinstance(descent, str)
+        assert 0 < failed < 48
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        data=st.data(),
+        noise_vars=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.5)), min_size=1,
+                            max_size=5),
+        learning_rate=st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 50.0)),
+        steps=st.integers(1, 200),
+    )
+    def test_random_tables(self, d, data, noise_vars, learning_rate, steps):
+        mean = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
+        variances = data.draw(st.lists(st.floats(0.2, 3.0), min_size=d, max_size=d))
+        assert_float_table_matches(mean, variances, noise_vars, steps, learning_rate)
+
+    @pytest.mark.parametrize("mean,variances,noise_vars,steps,learning_rate", [
+        ([0.0, 0.0], [1.0, math.inf], [0.5], 10, 0.1),
+        ([-math.inf, 0.0], [1.0, 1.0], [0.5], 10, 0.1),
+        ([math.nan], [1.0], [0.5], 10, 0.1),
+        ([0.0], [math.nan], [0.5], 10, 0.1),
+        ([10**400], [1.0], [0.5], 10, 0.1),
+        ([0.0], [10**400], [0.5], 10, 0.1),
+        ([0.0], [1.0, 1.0], [0.5], 10, 0.1),
+        ([], [], [0.5], 10, 0.1),
+        ([0.0, 0.0], [1.0, -0.5], [0.5], 10, 0.1),
+        ([0.0, 0.0], [1.0, -1e-14], [0.5], 10, 0.1),
+        ([0.0, 0.0], [1.0, 0.0], [0.5], 10, 0.1),
+        ([0.0], [-0.0], [0.5], 10, 0.1),
+        ([0.0], [1e-320], [0.5], 10, 0.1),
+        ([0.0, 0.0], [1e-8, 1e9], [0.5], 10, 0.1),
+        ([0.0], [1.0], [0.5, -0.1], 10, 0.1),
+        ([0.0], [1.0], [math.inf], 10, 0.1),
+        ([0.0], [1.0], [math.nan], 10, 0.1),
+        ([0.0], [1.0], ["abc"], 10, 0.1),
+        ([0.0], [1.0], [10**400], 10, 0.1),
+        ([0.0], [0.0], [-1.0], 10, 0.1),
+        ([0.0], [0.0], [1.0, -1.0], 10, 0.1),
+        ([0.0], [1.0], [0.5], 0, 0.1),
+        ([0.0], [1.0], [0.5], 2.5, 0.1),
+        ([0.0], [1.0], [0.5], True, 0.1),
+        ([0.0], [1.0], [0.5], 10, -0.1),
+        ([0.0], [1.0], [0.5], 10, math.inf),
+        ([0.0], [1.0], [0.5], 10, 10**400),
+    ])
+    def test_input_errors_are_the_same(self, mean, variances, noise_vars, steps, learning_rate):
+        ref, _ = assert_float_table_matches(mean, variances, noise_vars, steps, learning_rate)
+        assert isinstance(ref[0], type) and issubclass(ref[0], ValueError)
+
+    def test_numpy_sum_order(self):
+        # Terms of mixed sign and size, so that the order shows in the result.
+        rng = np.random.default_rng(61)
+        for n in range(300):
+            values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, n)
+            assert diagonal_sender._numpy_sum(values.tolist()) == float(np.sum(values))
+
+
 class TestDivergingFullMode:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_singular_post_noise_covariance_is_a_step_size_error(self):
@@ -851,6 +997,17 @@ class TestValidation:
         name = next(iter(kwargs))
         with pytest.raises(InvalidParameterError, match=name):
             aware_optimum_gd(problem, **kwargs)
+
+    def test_integer_beyond_float_range_rejected(self):
+        # Used to raise a bare OverflowError from the float conversion.
+        with pytest.raises(InvalidParameterError, match="mean holds an integer"):
+            GaussianMessageDist.from_diagonal([10**400], [1.0])
+        with pytest.raises(InvalidParameterError, match="variances holds an integer"):
+            GaussianMessageDist.from_diagonal([0.0], [10**400])
+        with pytest.raises(InvalidParameterError, match="covariance holds an integer"):
+            GaussianMessageDist([0.0], [[10**400]])
+        with pytest.raises(InvalidParameterError, match="covariance must be numbers"):
+            GaussianMessageDist([0.0], [["abc"]])
 
     def test_zero_dimension_rejected(self):
         # Used to be accepted, then fail in SenderProblem or kl_gaussian with

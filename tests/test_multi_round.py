@@ -530,6 +530,33 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match=next(iter(overrides))):
             small_config(**overrides)
 
+    # Each used to compare before converting and raise a bare TypeError.
+    @pytest.mark.parametrize("tol", ["abc", None, [1e-9]])
+    def test_verify_tolerance_must_be_a_number(self, tol):
+        cfg = small_config()
+        with pytest.raises(InvalidParameterError, match="tol"):
+            verify_mpg(cfg, cfg.start_state(), tol=tol)
+        assert verify_mpg(cfg, cfg.start_state(), tol="1e-9") == \
+            verify_mpg(cfg, cfg.start_state(), tol=1e-9)
+
+    @pytest.mark.parametrize("spend,privacy,name", [
+        ("abc", 0.5, "spend"), (None, 0.5, "spend"), (1.0, "abc", "privacy"),
+        (1.0, None, "privacy"), (10**400, 0.5, "spend"),
+    ])
+    def test_action_must_be_numbers(self, spend, privacy, name):
+        with pytest.raises(InvalidParameterError, match=name):
+            MrsAction(spend, privacy)
+
+    def test_action_stores_floats(self):
+        action = MrsAction("1", 0)
+        assert action == MrsAction(1.0, 0.0)
+        assert type(action.spend) is float and type(action.privacy) is float
+
+    @pytest.mark.parametrize("step", ["1", None, 1.0, -1])
+    def test_state_step_must_be_a_count(self, step):
+        with pytest.raises(InvalidParameterError, match="step"):
+            MrsState((1.0, 1.0), step)
+
     def test_state_integer_beyond_float_range_rejected(self):
         with pytest.raises(InvalidParameterError, match="savings"):
             MrsState((10**400, 1.0), 0)
