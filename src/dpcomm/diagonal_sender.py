@@ -2,23 +2,25 @@
 
 Every target the CLI builds is diagonal (its config gives only ``dim``,
 ``target_mean`` and ``target_variances``), so the checks, the two closed-form
-KLs and the K-row descent are scalar work per coordinate. This module does
-that work in Python floats, and the command never loads numpy. It is private:
+KLs and the descent are scalar work per coordinate. This module does that
+work in Python floats, and the command never loads numpy. The mean step of the
+diagonal descent reads neither the noise nor the variances, so every noise
+level of the table steps on one shared mean path, with its own row of
+variances; this is the one place that batches rows. The module is private:
 ``gaussian_sender`` stays the library API (full covariances, ``mode="full"``,
-the sampler), and its numpy path is the oracle the tests hold this module to.
+the sampler), and its numpy path is the oracle the tests hold this module to,
+one ``aware_optimum_gd`` run per row.
 
 The rules both paths share live here, and ``gaussian_sender`` imports them:
 the eigenvalue floors, the step count and learning-rate checks, and the
 bad-step rule with its ``StepSizeError`` messages.
 
-What matches the numpy path: every check, with its error type and message
-(for entries below half the largest float, beyond which the symmetrization in
-``GaussianMessageDist`` overflows); the descent's iterates, bit for bit,
-because the inverse of a diagonal target is diagonal with exact zeros off it;
-and the KL arithmetic, term by term, in numpy's summation order. The KLs may
-still differ in the last bits: numpy's vectorized ``log`` is not always
-correctly rounded where ``math.log`` is, and BLAS may fuse the quadratic
-form's multiply-adds.
+What matches the numpy path: every check, with its error type and message;
+the descent's iterates, bit for bit, because the inverse of a diagonal target
+is diagonal with exact zeros off it; and the KL arithmetic, term by term, in
+numpy's summation order. The KLs may still differ in the last bits: numpy's
+vectorized ``log`` is not always correctly rounded where ``math.log`` is, and
+BLAS may fuse the quadratic form's multiply-adds.
 """
 
 from __future__ import annotations
@@ -196,13 +198,14 @@ def _closed_form_kls(variances: list[float], noise_var: float) -> tuple[float, f
 
 def _diagonal_descent(target: _Target, noise_vars: list[float], steps: int,
                       learning_rate: float):
-    """``gaussian_sender._diagonal_descent`` on a checked diagonal target
-    (``_diagonal_target``'s result) for K checked noise variances.
+    """The diagonal-mode descent of ``aware_optimum_gd`` on a checked diagonal
+    target (``_diagonal_target``'s result) for K checked noise variances.
 
-    One mean path serves every row; each row's variances step on their own.
+    One mean path serves every row; each row's variances step on their own,
+    and row k is the run ``aware_optimum_gd`` makes at ``noise_vars[k]``.
     Returns the mean, the K rows of variances and the K final KLs. A row that
     fails is dropped, and the call raises the StepSizeError of the
-    lowest-index failing row.
+    lowest-index failing row, as that row would alone.
     """
     steps, learning_rate = _descent_params(steps, learning_rate)
     target_mean = target.mean
@@ -214,9 +217,9 @@ def _diagonal_descent(target: _Target, noise_vars: list[float], steps: int,
     log, inf = math.log, math.inf
 
     def kl(quad, sent):
-        # _diagonal_kls on one row, with the trace in matmul's order. min() is
-        # NaN or <= 0 unless every variance is > 0; a NaN elsewhere, which only
-        # an overflowed iterate holds, makes the KL NaN.
+        # _sent_kl's diagonal branch, with the trace as a running sum. Python's
+        # min() is NaN or <= 0 unless every variance is > 0; a NaN elsewhere,
+        # which only an overflowed iterate holds, makes the KL NaN.
         if not min(sent) > 0.0:
             return inf
         trace = 0.0

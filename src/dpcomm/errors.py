@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the checks for integer counts,
-seeds and float conversions.
+indices, seeds and float conversions.
 
 Callers that only care about "bad input" can catch ValueError; the concrete
 subclasses exist so that tests and the CLI can tell failure modes apart.
@@ -63,6 +63,15 @@ def require_count(name: str, value, minimum: int) -> int:
         raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
     if value > 2**53:  # the largest integer a float holds exactly
         raise InvalidParameterError(f"{name} must be at most 2**53, got {_shown(value)}")
+    return value
+
+
+def require_index(name: str, value, size: int) -> int:
+    """``value``; InvalidParameterError unless it is an integer in [0, ``size``)
+    (a bool, a negative index or an integral float is not)."""
+    require_count(name, value, 0)
+    if value >= size:
+        raise InvalidParameterError(f"{name} index {value} out of range for {size} agents")
     return value
 
 

@@ -13,18 +13,15 @@ one, and strictly better whenever noise_var > 0.
 
 ``aware_optimum_gd`` reproduces the closed form with projected gradient
 descent (mean plus diagonal variances, or a full covariance factor), mirroring
-how a learned sender would optimize the same objective. In diagonal mode the
-mean step reads neither the noise nor the variances, so ``_diagonal_descent``
-runs several noise levels of one target together, on one mean path, each row
-bit-equal to its run alone; ``aware_optimum_gd`` is its one-row case. The
-CLI's sender table, whose targets are all diagonal, runs the same descent on
-Python floats in ``diagonal_sender``, which holds the rules both share and
-which the tests compare with this module.
+how a learned sender would optimize the same objective. The CLI's sender table,
+whose targets are all diagonal, runs the diagonal descent on Python floats in
+``diagonal_sender``, every noise level of one target on one shared mean path;
+that module holds the rules both paths share, and the tests hold each of its
+rows to this module's one-row diagonal mode.
 
 A ``GaussianMessageDist`` is checked and eigendecomposed once, when built, and
 keeps the decomposition for the target checks, the closed-form shrink and the
-sampler. Every KL, ``kl_gaussian``'s included, goes through ``_sent_kl``, whose
-diagonal branch is the batched ``_diagonal_kls``.
+sampler. Every KL, ``kl_gaussian``'s included, goes through ``_sent_kl``.
 """
 
 from __future__ import annotations
@@ -54,10 +51,19 @@ def _float_array(name: str, value) -> np.ndarray:
         raise InvalidParameterError(f"{name} must be numbers, got {_shown(value)}") from None
 
 
+def _symmetric_part(matrix: np.ndarray) -> np.ndarray:
+    """(matrix + matrix.T) / 2 without overflow: where two finite entries
+    overflow their sum, their halves are added, which rounds the same, since
+    halving floats that large is exact."""
+    with np.errstate(over="ignore"):
+        total = matrix + matrix.T
+    return np.where(np.isinf(total), matrix / 2.0 + matrix.T / 2.0, total / 2.0)
+
+
 def _clipped_eigh(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """One ``eigh`` of the symmetric part of ``matrix``: its smallest
     eigenvalue, its eigenvalues clipped at 0, and its eigenvectors."""
-    eigvals, eigvecs = np.linalg.eigh((matrix + matrix.T) / 2.0)
+    eigvals, eigvecs = np.linalg.eigh(_symmetric_part(matrix))
     return eigvals.min(initial=0.0), np.clip(eigvals, 0.0, None), eigvecs
 
 
@@ -192,40 +198,23 @@ def _sent_kl(target_inv: np.ndarray, logdet_q: float, diff: np.ndarray,
     """KL of a message against a checked target, on raw arrays.
 
     diff = mu - mu*. ``sent`` is the message (for a sender, post-noise) covariance:
-    a vector of variances for a diagonal sender (``_diagonal_kls``, O(d) work past
-    the quadratic form) or a dense matrix (one Cholesky). A degenerate message
-    gives +inf.
+    a vector of variances for a diagonal sender (O(d) work past the quadratic
+    form) or a dense matrix (one Cholesky). A degenerate message gives +inf.
     """
     quad = float(diff @ target_inv @ diff)
     if sent.ndim == 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _diagonal_kls(np.diag(target_inv), logdet_q, quad, sent[None])[0]
-    try:
-        chol = np.linalg.cholesky(sent)
-    except np.linalg.LinAlgError:
-        return math.inf
-    logdet_p = 2.0 * float(np.log(np.diag(chol)).sum())
-    trace = float(np.sum(target_inv * sent))
+        if not sent.min() > 0:  # a variance <= 0, or a NaN from an overflowed iterate
+            return math.inf
+        logdet_p = float(np.log(sent).sum())
+        trace = float(np.diag(target_inv) @ sent)
+    else:
+        try:
+            chol = np.linalg.cholesky(sent)
+        except np.linalg.LinAlgError:
+            return math.inf
+        logdet_p = 2.0 * float(np.log(np.diag(chol)).sum())
+        trace = float(np.sum(target_inv * sent))
     return 0.5 * (logdet_q - logdet_p + trace + quad - diff.size)
-
-
-def _diagonal_kls(target_inv_diag: np.ndarray, logdet_q: float, quad: float,
-                  sent: np.ndarray) -> list[float]:
-    """KLs of K diagonal messages that share one mean, one per row of the (K, d)
-    post-noise variances ``sent``; ``quad`` is the shared quadratic form of the
-    mean difference. A row with a variance <= 0 gives +inf; run under
-    ``np.errstate(divide="ignore", invalid="ignore")``, since such a row's log
-    is taken too.
-
-    Each row is bit-equal to the KL of that row alone: the trace is one dot
-    product per row against the strided diagonal view, and the terms add in
-    one order, in Python floats.
-    """
-    logdet_p = np.log(sent).sum(axis=1).tolist()
-    trace = (sent[:, None, :] @ target_inv_diag[:, None])[:, 0, 0].tolist()
-    d = sent.shape[1]
-    return [math.inf if low <= 0 else 0.5 * (logdet_q - lp + tr + quad - d)
-            for low, lp, tr in zip(sent.min(axis=1).tolist(), logdet_p, trace)]
 
 
 def objective_grad_diag(problem: SenderProblem, mean: np.ndarray, variances: np.ndarray):
@@ -257,60 +246,6 @@ def objective_grad_diag(problem: SenderProblem, mean: np.ndarray, variances: np.
     return value, grad_mean, grad_var
 
 
-def _diagonal_descent(target: GaussianMessageDist, noise_vars, steps: int,
-                      learning_rate: float) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Diagonal-mode descent on one target for K checked noise variances at once.
-
-    Row k is, bit for bit, the run ``aware_optimum_gd`` makes on
-    ``SenderProblem(target, noise_vars[k])``. The mean step reads neither the
-    noise nor the variances, so one mean path, with its quadratic form, serves
-    every row; the variances are a (K, d) array. Returns the mean, the
-    variances and the K final KLs. A row that fails is dropped, and the call
-    raises the StepSizeError of the lowest-index failing row, as that row
-    would alone.
-    """
-    steps, learning_rate = _descent_params(steps, learning_rate)
-    target_mean = target.mean
-    target_inv, logdet_q = _target_terms(target)
-    target_inv_diag = np.diag(target_inv)
-    noise = np.array(noise_vars, dtype=float)[:, None]
-    mean = np.zeros(target.dim)
-    variances = np.ones((noise.shape[0], target.dim))
-    # The loop looks for non-finite iterates itself, and _diagonal_kls takes the
-    # log of a zero variance, so numpy's warnings would say nothing new.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sent = variances + noise
-        diff = mean - target_mean
-        prev = _diagonal_kls(target_inv_diag, logdet_q, float(diff @ target_inv @ diff), sent)
-        bad = [0] * len(prev)
-        failure = None
-        for _ in range(steps):
-            grad_var = 0.5 * (target_inv_diag - 1.0 / sent)
-            mean = mean - learning_rate * (target_inv @ diff)
-            # The bits of np.clip(..., 0.0, None) (no -0.0 arises) in a third of the time.
-            variances = np.maximum(variances - learning_rate * grad_var, 0.0)
-            sent = variances + noise
-            diff = mean - target_mean
-            quad = float(diff @ target_inv @ diff)
-            values = _diagonal_kls(target_inv_diag, logdet_q, quad, sent)
-            for k, value in enumerate(values):
-                try:
-                    bad[k] = _bad_steps(value, prev[k], bad[k], mean, sent[k])
-                except StepSizeError as exc:
-                    # Row k's error stands unless a lower row fails later, so rows
-                    # from k on no longer matter.
-                    failure = exc
-                    del values[k:], bad[k:]
-                    variances, sent, noise = variances[:k], sent[:k], noise[:k]
-                    break
-            if not values:
-                break
-            prev = values
-    if failure is not None:
-        raise failure
-    return mean, variances, prev
-
-
 def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: float = 0.1,
                      mode: str = "diagonal") -> SenderSolution:
     """Noise-aware optimization by projected gradient descent.
@@ -325,19 +260,36 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: f
     returned iterate is always finite.
 
     The target is checked once; the loop then runs on raw arrays and
-    evaluates the post-noise KL once per step. Diagonal mode is the one-row
-    case of ``_diagonal_descent``.
+    evaluates the post-noise KL once per step.
     """
     if mode not in ("diagonal", "full"):
         raise InvalidParameterError(f"mode must be 'diagonal' or 'full', got {mode!r}")
-    if mode == "diagonal":
-        mean, variances, kls = _diagonal_descent(problem.target, [problem.noise_var], steps,
-                                                 learning_rate)
-        return SenderSolution(GaussianMessageDist.from_diagonal(mean, variances[0]), kls[0])
     steps, learning_rate = _descent_params(steps, learning_rate)
     d = problem.dim
     target_mean = problem.target.mean
     target_inv, logdet_q = _target_terms(problem.target)
+    if mode == "diagonal":
+        target_inv_diag = np.diag(target_inv)
+        mean = np.zeros(d)
+        variances = np.ones(d)
+        sent = variances + problem.noise_var
+        diff = mean - target_mean
+        prev = _sent_kl(target_inv, logdet_q, diff, sent)
+        bad_steps = 0
+        # The loop looks for non-finite iterates itself, so numpy's warnings about
+        # 1 / 0 and what follows from it would say nothing new.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(steps):
+                grad_var = 0.5 * (target_inv_diag - 1.0 / sent)
+                mean = mean - learning_rate * (target_inv @ diff)
+                # The bits of np.clip(..., 0.0, None) (no -0.0 arises) in a third of the time.
+                variances = np.maximum(variances - learning_rate * grad_var, 0.0)
+                sent = variances + problem.noise_var
+                diff = mean - target_mean
+                value = _sent_kl(target_inv, logdet_q, diff, sent)
+                bad_steps = _bad_steps(value, prev, bad_steps, mean, sent)
+                prev = value
+        return SenderSolution(GaussianMessageDist.from_diagonal(mean, variances), prev)
     noise_eye = problem.noise_var * np.eye(d)
     mean = np.zeros(d)
     factor = np.eye(d)

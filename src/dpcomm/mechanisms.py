@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMechanismError, InvalidParameterError, require_count, require_float
+from .errors import (DegenerateMechanismError, InvalidParameterError, require_count, require_float,
+                     require_index)
 from .rng import substream
 
 
@@ -25,10 +26,15 @@ class RrMechanism:
     flip_prob: float
 
     def __post_init__(self):
-        flip_prob = require_float("flip_prob", self.flip_prob)
-        if not (0.0 <= flip_prob <= 1.0):
-            raise InvalidParameterError(f"flip_prob must be in [0,1], got {flip_prob}")
-        object.__setattr__(self, "flip_prob", flip_prob)
+        object.__setattr__(self, "flip_prob", _check_probability("flip_prob", self.flip_prob))
+
+
+def _check_probability(name: str, value) -> float:
+    """``value`` as a float; InvalidParameterError unless it is in [0, 1]."""
+    value = require_float(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise InvalidParameterError(f"{name} must be in [0,1], got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +102,8 @@ def naive_bias(bits, agent: int, p: float) -> float:
     """
     bits = np.asarray(bits)
     n = len(bits)
-    if not 0 <= agent < n:
-        raise InvalidParameterError(f"agent index {agent} out of range for {n} bits")
+    agent = require_index("agent", agent, n)
+    p = _check_probability("p", p)
     others = int(bits.sum()) - int(bits[agent])
     return p * (n - 1) / 2.0 - p * others
 
@@ -110,7 +116,8 @@ def aware_guess(own_bit: int, received, p: float) -> float:
     Unbiased for the true bit sum. Undefined at p = 1.
     """
     own_bit = _check_bit(own_bit)
-    if p >= 1.0:
+    p = _check_probability("p", p)
+    if p == 1.0:
         raise DegenerateMechanismError("p = 1 sends pure noise; the estimator is undefined")
     received = np.asarray(received, dtype=float)
     n_others = received.shape[-1]

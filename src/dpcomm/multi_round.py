@@ -34,7 +34,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InvalidActionError, InvalidParameterError, require_count, require_float
+from .errors import (InvalidActionError, InvalidParameterError, require_count, require_float,
+                     require_index)
 
 _KEY_DECIMALS = 9
 _SPEND_TOL = 1e-9
@@ -201,7 +202,7 @@ def _potential(savings: tuple, actions: Sequence[MrsAction], cfg: MrsConfig) -> 
 
 def step_reward(state: MrsState, actions: Sequence[MrsAction], agent: int, cfg: MrsConfig) -> float:
     """Per-round reward of one agent (team term plus own saving/privacy)."""
-    return _reward(state.savings, actions, agent, cfg)
+    return _reward(state.savings, actions, require_index("agent", agent, cfg.num_agents), cfg)
 
 
 def potential(state: MrsState, actions: Sequence[MrsAction], cfg: MrsConfig) -> float:
@@ -215,6 +216,7 @@ def theta(state: MrsState, actions: Sequence[MrsAction], agent: int, cfg: MrsCon
     Contains no term agent i controls, so it is invariant to the agent's own
     action and saving. (Stated for unit team weights.)
     """
+    agent = require_index("agent", agent, cfg.num_agents)
     return -math.fsum(
         cfg.reward_alpha * x + cfg.reward_beta * a.privacy
         for j, (x, a) in enumerate(zip(state.savings, actions))
@@ -245,6 +247,7 @@ def rollout(policies: Sequence[TabularPolicy], cfg: MrsConfig, start: MrsState):
 def policy_value(policies: Sequence[TabularPolicy], agent: int, cfg: MrsConfig,
                  start: MrsState) -> float:
     """Discounted return of one agent along the joint deterministic rollout."""
+    agent = require_index("agent", agent, cfg.num_agents)
     return rollout(policies, cfg, start)[0][agent]
 
 
@@ -255,6 +258,7 @@ def potential_value(policies: Sequence[TabularPolicy], cfg: MrsConfig, start: Mr
 
 def reachable_savings(cfg: MrsConfig, agent: int, start: MrsState) -> list:
     """Per round, the agent's savings reachable under any valid spend path."""
+    agent = require_index("agent", agent, cfg.num_agents)
     if cfg.horizon <= start.step:
         return []
     levels = [{_rounded(start.savings[agent])}]

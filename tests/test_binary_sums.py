@@ -219,6 +219,17 @@ class TestRunGame:
         inst = make([1, 0, 1, 1], 1.0, "naive")
         assert run_game(inst, 10**5, 4) == run_game(inst, 10**5, 4, jobs=4)
 
+    def test_pool_only_for_wide_games(self):
+        # Below the cut-off a second worker costs more than it saves, so a
+        # narrow game runs its blocks in this thread whatever ``jobs`` says.
+        import concurrent.futures
+
+        pool = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
+        with mock.patch.object(concurrent.futures, "ThreadPoolExecutor", pool):
+            for n in (binary_sums._POOL_MIN_AGENTS - 1, binary_sums._POOL_MIN_AGENTS):
+                run_game(make([1] * n, 1.0, "naive"), 2 * BLOCK_SIZE, 0, jobs=2)
+        pool.assert_called_once_with(max_workers=2)
+
     @pytest.mark.parametrize("jobs", [0, -1, True, 2.5, "2"])
     def test_bad_jobs(self, jobs):
         # These used to run serially, and "2" raised a bare TypeError.

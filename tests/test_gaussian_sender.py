@@ -1,5 +1,7 @@
 import math
+import sys
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from dpcomm import (
     sample_message,
 )
 from dpcomm import diagonal_sender
-from dpcomm.gaussian_sender import _diagonal_descent, objective_grad_diag, positive_part
+from dpcomm.gaussian_sender import _symmetric_part, objective_grad_diag, positive_part
 
 
 def random_spd_target(rng, d):
@@ -158,10 +160,10 @@ def assert_matches_reference(problem, **kwargs):
 
 
 def _reference_diagonal_gd(problem, steps, learning_rate):
-    """Diagonal-mode ``aware_optimum_gd`` as it was before ``_diagonal_descent``,
-    as the single-row oracle: one row's loop on its own arrays, the diagonal KL
-    with its own early +inf, and the bad-step rule with its messages. Returns
-    (mean, variances, final KL) or raises StepSizeError."""
+    """Diagonal-mode ``aware_optimum_gd`` written out on its own arrays, as the
+    single-row oracle: the diagonal KL with its own early +inf, and the
+    bad-step rule with its messages. Returns (mean, variances, final KL) or
+    raises StepSizeError."""
     d = problem.dim
     noise = problem.noise_var
     target_mean = problem.target.mean
@@ -211,27 +213,61 @@ def _outcome(solver, *args):
         return str(exc)
 
 
-def assert_rows_match_oracle(target, noise_vars, steps, learning_rate):
-    """Every row of ``_diagonal_descent`` against ``_reference_diagonal_gd`` on
-    that row alone: equal iterates and KL, or the lowest failing row's message.
-    The rows before the first failing one are then checked as a batch of their
-    own. Returns the rows' outcomes."""
+#: Largest KL difference ``diagonal_sender`` may show against the numpy path,
+#: relative to max(1, |KL|): np.log is not always correctly rounded where
+#: math.log is, and BLAS may fuse the quadratic form's multiply-adds. Iterates
+#: and errors must be equal.
+KL_TOL = 1e-12
+
+
+def _kl_gap(kl, kl_ref):
+    """|kl - kl_ref| in units of max(1, |kl_ref|); 0 when equal (+inf too)."""
+    return 0.0 if kl == kl_ref else abs(kl - kl_ref) / max(1.0, abs(kl_ref))
+
+
+def assert_rows_match_oracle(mean, variances, noise_vars, steps, learning_rate):
+    """Every row of ``diagonal_sender._diagonal_descent`` against
+    ``_reference_diagonal_gd`` on that row alone: equal iterates and KLs within
+    ``KL_TOL``, or the lowest failing row's message. The rows before the first
+    failing one are then checked as a batch of their own. Returns the rows'
+    outcomes."""
+    target = GaussianMessageDist.from_diagonal(mean, variances)
     refs = [_outcome(_reference_diagonal_gd, SenderProblem(target, noise), steps, learning_rate)
             for noise in noise_vars]
-    batch = _outcome(_diagonal_descent, target, noise_vars, steps, learning_rate)
+    batch = _outcome(diagonal_sender._diagonal_descent,
+                     diagonal_sender._diagonal_target(mean, variances),
+                     [float(noise) for noise in noise_vars], steps, learning_rate)
     failed = [k for k, ref in enumerate(refs) if isinstance(ref, str)]
     if failed:
         assert batch == refs[failed[0]]
         if failed[0] > 0:
-            assert_rows_match_oracle(target, noise_vars[:failed[0]], steps, learning_rate)
+            assert_rows_match_oracle(mean, variances, noise_vars[:failed[0]], steps,
+                                     learning_rate)
         return refs
-    mean, variances, kls = batch
-    assert variances.shape == (len(noise_vars), target.dim) and len(kls) == len(noise_vars)
+    got_mean, got_variances, kls = batch
+    assert len(got_variances) == len(kls) == len(noise_vars)
     for k, (ref_mean, ref_variances, ref_kl) in enumerate(refs):
-        assert np.array_equal(mean, ref_mean)
-        assert np.array_equal(variances[k], ref_variances)
-        assert kls[k] == ref_kl  # +inf == +inf too; a returned KL is never NaN
+        assert got_mean == ref_mean.tolist()
+        assert got_variances[k] == ref_variances.tolist()
+        assert _kl_gap(kls[k], ref_kl) <= KL_TOL  # a NaN gap fails; a returned KL is never NaN
     return refs
+
+
+def assert_one_row_matches_oracle(problem, steps, learning_rate):
+    """``aware_optimum_gd``'s diagonal mode against ``_reference_diagonal_gd``:
+    equal iterates and KL, or the same StepSizeError message. Returns the
+    oracle's outcome."""
+    ref = _outcome(_reference_diagonal_gd, problem, steps, learning_rate)
+    got = _outcome(aware_optimum_gd, problem, steps, learning_rate)
+    if isinstance(ref, str):
+        assert got == ref
+        return ref
+    ref_mean, ref_variances, ref_kl = ref
+    assert np.array_equal(got.dist.mean, ref_mean)
+    assert np.array_equal(got.dist.cov, GaussianMessageDist.from_diagonal(ref_mean,
+                                                                          ref_variances).cov)
+    assert got.kl == ref_kl
+    return ref
 
 
 class TestKlGaussian:
@@ -657,7 +693,9 @@ class TestFastPathMatchesReference:
 
 
 class TestBatchedDescent:
-    """``_diagonal_descent`` row by row against ``_reference_diagonal_gd``."""
+    """``diagonal_sender._diagonal_descent`` row by row against
+    ``_reference_diagonal_gd``, and ``aware_optimum_gd``'s one-row diagonal
+    mode against the same oracle on non-diagonal targets."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_seeded_rows(self):
@@ -666,12 +704,18 @@ class TestBatchedDescent:
         rng = np.random.default_rng(50)
         outcomes = []
         for d in range(1, 17):
-            diagonal = GaussianMessageDist.from_diagonal(rng.normal(size=d),
-                                                         rng.uniform(0.3, 3.0, d))
-            for target in (diagonal, random_spd_target(rng, d)):
+            mean, variances = rng.normal(size=d).tolist(), rng.uniform(0.3, 3.0, d).tolist()
+            non_diagonal = random_spd_target(rng, d)
+            for batch in (True, False):
                 noise_vars = [0.0, *rng.uniform(0.0, 1.5, 4)]
                 for learning_rate in (0.05, 0.3, float(rng.choice([2.0, 50.0]))):
-                    outcomes += assert_rows_match_oracle(target, noise_vars, 100, learning_rate)
+                    if batch:
+                        outcomes += assert_rows_match_oracle(mean, variances, noise_vars, 100,
+                                                             learning_rate)
+                    else:
+                        outcomes += [assert_one_row_matches_oracle(
+                            SenderProblem(non_diagonal, noise), 100, learning_rate)
+                            for noise in noise_vars]
         failed = sum(isinstance(outcome, str) for outcome in outcomes)
         assert 0 < failed < len(outcomes)
 
@@ -679,20 +723,19 @@ class TestBatchedDescent:
     def test_lowest_failing_row_raises(self):
         # Alone, row 1 (no noise) overflows at step 27 and row 2 has 10 rising
         # steps by step 12; row 0 runs all 200 steps.
-        target = GaussianMessageDist.from_diagonal([0.1], [0.249])
-        refs = assert_rows_match_oracle(target, [0.1, 0.0, 0.5], 200, 0.5)
+        refs = assert_rows_match_oracle([0.1], [0.249], [0.1, 0.0, 0.5], 200, 0.5)
         assert refs[1] == "a step overflowed the iterate; reduce the learning rate"
         assert refs[2] == "objective increased for 10 consecutive steps; reduce the learning rate"
         assert not isinstance(refs[0], str)
+        target = diagonal_sender._diagonal_target([0.1], [0.249])
         with pytest.raises(StepSizeError, match="overflowed"):
-            _diagonal_descent(target, [0.1, 0.0, 0.5], 200, 0.5)
+            diagonal_sender._diagonal_descent(target, [0.1, 0.0, 0.5], 200, 0.5)
         # A failing row after converging rows still fails the call.
         with pytest.raises(StepSizeError, match="increased"):
-            _diagonal_descent(target, [0.1, 0.5], 200, 0.5)
+            diagonal_sender._diagonal_descent(target, [0.1, 0.5], 200, 0.5)
 
     def test_shipped_sender_rows(self):
-        target = GaussianMessageDist.from_diagonal([0.0, 0.0], [1.0, 1.0])
-        refs = assert_rows_match_oracle(target, [0.0, 0.1, 0.5, 1.0], 6000, 0.1)
+        refs = assert_rows_match_oracle([0.0, 0.0], [1.0, 1.0], [0.0, 0.1, 0.5, 1.0], 6000, 0.1)
         assert not any(isinstance(ref, str) for ref in refs)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -707,26 +750,31 @@ class TestBatchedDescent:
     )
     def test_random_batches(self, d, seed, noise_vars, learning_rate, steps):
         rng = np.random.default_rng(seed)
-        target = GaussianMessageDist.from_diagonal(rng.uniform(-2.0, 2.0, d),
-                                                   rng.uniform(0.05, 3.0, d))
-        assert_rows_match_oracle(target, noise_vars, steps, learning_rate)
+        assert_rows_match_oracle(rng.uniform(-2.0, 2.0, d).tolist(),
+                                 rng.uniform(0.05, 3.0, d).tolist(), noise_vars, steps,
+                                 learning_rate)
 
 
 def _numpy_table(mean, variances, noise_vars, steps, learning_rate):
     """The CLI's sender table on the numpy path: the closed-form KLs of each
-    noise level and the descent's (mean, variances, KLs) or StepSizeError
-    message; or the type and message of the input error raised on the way."""
+    noise level and the descent's (mean, variances, KLs) from one
+    ``aware_optimum_gd`` run per noise level, or the StepSizeError message of
+    the lowest failing level; or the type and message of the input error
+    raised on the way."""
     try:
         target = GaussianMessageDist.from_diagonal(mean, variances)
         problems = [SenderProblem(target, noise) for noise in noise_vars]
         closed = [(oblivious_optimum(p).kl, aware_optimum(p).kl) for p in problems]
-        descent = _outcome(_diagonal_descent, target, [p.noise_var for p in problems], steps,
-                           learning_rate)
+        runs = [_outcome(aware_optimum_gd, p, steps, learning_rate) for p in problems]
     except ValueError as exc:
         return type(exc), str(exc)
-    if not isinstance(descent, str):
-        descent = (descent[0].tolist(), descent[1].tolist(), descent[2])
-    return closed, descent
+    failed = [run for run in runs if isinstance(run, str)]
+    if failed:
+        return closed, failed[0]
+    means = [run.dist.mean.tolist() for run in runs]
+    assert means.count(means[0]) == len(means)  # the mean step reads no noise
+    return closed, (means[0], [np.diag(run.dist.cov).tolist() for run in runs],
+                    [run.kl for run in runs])
 
 
 def _float_table(mean, variances, noise_vars, steps, learning_rate):
@@ -739,12 +787,6 @@ def _float_table(mean, variances, noise_vars, steps, learning_rate):
     except ValueError as exc:
         return type(exc), str(exc)
     return closed, descent
-
-
-#: Largest KL difference the float table may show, relative to max(1, |KL|):
-#: np.log is not always correctly rounded where math.log is, and BLAS may fuse
-#: the quadratic form's multiply-adds. Iterates and errors must be equal.
-KL_TOL = 1e-12
 
 
 def assert_float_table_matches(mean, variances, noise_vars, steps, learning_rate, tol=KL_TOL):
@@ -765,7 +807,7 @@ def assert_float_table_matches(mean, variances, noise_vars, steps, learning_rate
     else:
         assert descent[:2] == descent_ref[:2]  # the mean and every row of variances
         kls += zip(descent[2], descent_ref[2])
-    gaps = [abs(kl - kl_ref) / max(1.0, abs(kl_ref)) for kl, kl_ref in kls if kl != kl_ref]
+    gaps = [_kl_gap(kl, kl_ref) for kl, kl_ref in kls]
     assert all(gap <= tol for gap in gaps)  # a NaN gap fails too
     return ref, max(gaps, default=0.0)
 
@@ -848,6 +890,14 @@ class TestDiagonalSender:
     def test_input_errors_are_the_same(self, mean, variances, noise_vars, steps, learning_rate):
         ref, _ = assert_float_table_matches(mean, variances, noise_vars, steps, learning_rate)
         assert isinstance(ref[0], type) and issubclass(ref[0], ValueError)
+
+    def test_near_max_variances(self):
+        # Above half the largest float, the symmetrization in
+        # GaussianMessageDist used to overflow and store +inf with a warning.
+        for variances in ([1e308], [1e308, 1.5e308]):
+            (_, descent), _ = assert_float_table_matches([0.0] * len(variances), variances,
+                                                         [0.0, 0.5], 50, 0.1)
+            assert not isinstance(descent, str)
 
     def test_numpy_sum_order(self):
         # Terms of mixed sign and size, so that the order shows in the result.
@@ -948,6 +998,36 @@ class TestSampler:
         dist = GaussianMessageDist(np.zeros(2), np.eye(2))
         with pytest.raises(InvalidParameterError, match="noise_var"):
             sample_message(dist, noise, 0)
+
+
+_FLOAT_MAX = sys.float_info.max
+_EDGE_FLOATS = [_FLOAT_MAX, _FLOAT_MAX / 2, math.nextafter(_FLOAT_MAX / 2, math.inf), 1e308,
+                5e-324, 1e-310, sys.float_info.min, 0.0]
+
+
+class TestSymmetricPart:
+    """``_symmetric_part`` against the plain ``(m + m.T) / 2.0`` it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(float, st.tuples(st.integers(1, 4)).map(lambda n: (n[0], n[0])),
+                  elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from(_EDGE_FLOATS + [-x for x in _EDGE_FLOATS]))))
+    def test_matches_the_plain_expression(self, matrix):
+        with np.errstate(over="ignore"):
+            plain = (matrix + matrix.T) / 2.0
+        got = _symmetric_part(matrix)
+        finite = np.isfinite(plain)
+        assert np.array_equal(got[finite], plain[finite])
+        # Where the plain sum overflows: the correctly rounded half-sum.
+        for i, j in zip(*np.nonzero(~finite)):
+            assert got[i, j] == float((Fraction(matrix[i, j]) + Fraction(matrix[j, i])) / 2)
+
+    def test_near_max_variance_is_stored(self):
+        # Used to store +inf after a RuntimeWarning, and SenderProblem then
+        # raised an unrelated SingularTargetError.
+        dist = GaussianMessageDist.from_diagonal([0.0], [1e308])
+        assert dist.cov.tolist() == [[1e308]]
+        assert aware_optimum(SenderProblem(dist, 0.5)).kl == pytest.approx(0.0, abs=1e-12)
 
 
 class TestValidation:

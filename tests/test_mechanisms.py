@@ -215,6 +215,28 @@ class TestGuessing:
         with pytest.raises(DegenerateMechanismError):
             aware_guess(0, [1, 0], 1.0)
 
+    # Each used to be accepted: a NaN p gave a NaN bias, p = 1.5 a bias, an
+    # agent of -1 or True another agent's bias, and aware_guess(1, [1, 0],
+    # -0.5) returned 2.0.
+    @pytest.mark.parametrize("p", [math.nan, -0.5, 1.5, math.inf, "abc", None, 10**400])
+    def test_naive_bias_probability_checked(self, p):
+        with pytest.raises(InvalidParameterError, match="p "):
+            naive_bias([1, 0, 1], 0, p)
+
+    @pytest.mark.parametrize("agent", [3, -1, True, 0.5, "0", None])
+    def test_naive_bias_agent_checked(self, agent):
+        with pytest.raises(InvalidParameterError, match="agent"):
+            naive_bias([1, 0, 1], agent, 0.5)
+
+    @pytest.mark.parametrize("p", [math.nan, -0.5, 1.5, math.inf, "abc", None, 10**400])
+    def test_aware_guess_probability_checked(self, p):
+        with pytest.raises(InvalidParameterError, match="p "):
+            aware_guess(1, [1, 0], p)
+
+    def test_probability_strings_convert(self):
+        assert naive_bias([1, 0, 1], 0, "0.5") == naive_bias([1, 0, 1], 0, 0.5)
+        assert aware_guess(1, [1, 0], "0.5") == aware_guess(1, [1, 0], 0.5)
+
     def test_aware_variance_nondecreasing_in_p(self):
         # Common random numbers across the p grid: each trial reuses the
         # same underlying uniforms and coins, so the comparison is tight.

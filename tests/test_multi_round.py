@@ -561,6 +561,25 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="savings"):
             MrsState((10**400, 1.0), 0)
 
+    # Each used to index silently: -1 read agent N - 1 and True agent 1, and
+    # theta summed over every agent for an index it did not hold.
+    @pytest.mark.parametrize("agent", [2, -1, True, 0.5, "0", None, 10**400])
+    @pytest.mark.parametrize("entry", ["step_reward", "theta", "policy_value",
+                                       "reachable_savings", "best_response_policy"])
+    def test_agent_index_checked(self, entry, agent):
+        cfg = small_config()
+        start = cfg.start_state()
+        calls = {
+            "step_reward": lambda: step_reward(STATE, ACTIONS, agent, cfg),
+            "theta": lambda: theta(STATE, ACTIONS, agent, cfg),
+            "policy_value": lambda: policy_value(lex_min_profile(cfg, start), agent, cfg, start),
+            "reachable_savings": lambda: reachable_savings(cfg, agent, start),
+            "best_response_policy": lambda: best_response_policy(lex_min_profile(cfg, start),
+                                                                 agent, cfg, start),
+        }
+        with pytest.raises(InvalidParameterError, match="agent"):
+            calls[entry]()
+
     def test_overflowing_reward_still_picks_an_action(self):
         # alpha * saving overflows to -inf for every action; the best response
         # used to keep no action at all and crash later.
