@@ -282,8 +282,8 @@ def cmd_sender(config: dict, seed: int, jobs: int = 1) -> tuple:
         "noise_var", "oblivious_kl", "aware_kl", "gd_kl", "gd_vs_closed_form",
     ])
     closed_forms = [_closed_form_kls(target.variances, noise) for noise in noise_vars]
-    _, _, gd_kls = _diagonal_descent(target, noise_vars, config.get("gd_steps", 6000),
-                                     config.get("gd_learning_rate", 0.1))
+    _, _, gd_kls, _ = _diagonal_descent(target, noise_vars, config.get("gd_steps", 6000),
+                                        config.get("gd_learning_rate", 0.1))
     agree = True
     for noise, (obl_kl, aware_kl), gd_kl in zip(config["noise_vars"], closed_forms, gd_kls):
         gap = gd_kl - aware_kl

@@ -6,7 +6,9 @@ KLs and the descent are scalar work per coordinate. This module does that
 work in Python floats, and the command never loads numpy. The mean step of the
 diagonal descent reads neither the noise nor the variances, so every noise
 level of the table steps on one shared mean path, with its own row of
-variances; this is the one place that batches rows. The module is private:
+variances; this is the one place that batches rows. The descent stops at the
+first step that changes nothing, bit for bit, since every later step would
+repeat it, and reports the steps it ran. The module is private:
 ``gaussian_sender`` stays the library API (full covariances, ``mode="full"``,
 the sampler), and its numpy path is the oracle the tests hold this module to,
 one ``aware_optimum_gd`` run per row.
@@ -133,6 +135,12 @@ def _numpy_sum(values: list[float]) -> float:
     return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
 
 
+def _same_zero_signs(new: list[float], old: list[float]) -> bool:
+    """Whether two lists of floats that are ``==`` have the same sign on every
+    zero, and so are equal bit for bit."""
+    return all(x or math.copysign(1.0, x) == math.copysign(1.0, y) for x, y in zip(new, old))
+
+
 class _Target(NamedTuple):
     """A checked diagonal target: its mean and its variances, clipped at 0 as
     ``GaussianMessageDist`` stores its eigenvalues."""
@@ -203,9 +211,15 @@ def _diagonal_descent(target: _Target, noise_vars: list[float], steps: int,
 
     One mean path serves every row; each row's variances step on their own,
     and row k is the run ``aware_optimum_gd`` makes at ``noise_vars[k]``.
-    Returns the mean, the K rows of variances and the K final KLs. A row that
-    fails is dropped, and the call raises the StepSizeError of the
-    lowest-index failing row, as that row would alone.
+    Returns the mean, the K rows of variances, the K final KLs and the number
+    of steps run. A row that fails is dropped, and the call raises the
+    StepSizeError of the lowest-index failing row, as that row would alone.
+
+    A step is a function of the mean and the surviving rows' variances, so
+    once a step leaves them and every KL as they were, bit for bit, each
+    later step would repeat it (an unchanged KL is no bad step). The descent
+    stops there, after at most ``steps`` steps; on ``configs/sender.json``
+    it stops after 736 of 6000.
     """
     steps, learning_rate = _descent_params(steps, learning_rate)
     target_mean = target.mean
@@ -239,13 +253,15 @@ def _diagonal_descent(target: _Target, noise_vars: list[float], steps: int,
     prev = [kl(quad, row) for row in sent]
     bad = [0] * len(prev)
     failure = None
-    for _ in range(steps):
-        mean = [m - learning_rate * (t * x) for m, t, x in zip(mean, target_inv, diff)]
+    for step in range(1, steps + 1):
+        old_mean, old_rows = mean, variances[:]
+        mean = [m - learning_rate * (t * x) for m, t, x in zip(old_mean, target_inv, diff)]
+        settled = mean == old_mean
         diff = [m - t for m, t in zip(mean, target_mean)]
         quad = quad_of(diff)
-        for k, (row, row_sent, n) in enumerate(zip(variances, sent, noise)):
+        for k, (old_row, row_sent, n) in enumerate(zip(old_rows, sent, noise)):
             row = [v - learning_rate * (0.5 * (t - (1.0 / s if s else inf)))
-                   for v, t, s in zip(row, target_inv, row_sent)]
+                   for v, t, s in zip(old_row, target_inv, row_sent)]
             variances[k] = row = [0.0 if v < 0.0 else v for v in row]  # np.maximum(v, 0.0)
             sent[k] = row_sent = [v + n for v in row]
             value = kl(quad, row_sent)
@@ -257,9 +273,14 @@ def _diagonal_descent(target: _Target, noise_vars: list[float], steps: int,
                 failure = exc
                 del variances[k:], sent[k:], noise[k:], bad[k:], prev[k:]
                 break
+            # A NaN KL never matches, so a step the bad-step rule counts never
+            # ends the descent.
+            settled = settled and value == prev[k] and row == old_row
             prev[k] = value
-        if not variances:
+        # == cannot tell 0.0 from -0.0; the stop needs equality bit for bit.
+        if not variances or (settled and all(map(_same_zero_signs, [mean, *variances],
+                                                 [old_mean, *old_rows]))):
             break
     if failure is not None:
         raise failure
-    return mean, variances, prev
+    return mean, variances, prev, step

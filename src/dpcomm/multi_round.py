@@ -200,13 +200,26 @@ def _potential(savings: tuple, actions: Sequence[MrsAction], cfg: MrsConfig) -> 
     return math.fsum(terms)
 
 
+def _check_profile(state: MrsState, actions: Sequence[MrsAction], cfg: MrsConfig) -> None:
+    """InvalidParameterError unless ``actions`` and ``state.savings`` hold one
+    entry per agent of ``cfg``."""
+    n = cfg.num_agents
+    if len(actions) != n or len(state.savings) != n:
+        raise InvalidParameterError(
+            f"need one action and one saving per agent ({n}), got {len(actions)} actions "
+            f"and {len(state.savings)} savings")
+
+
 def step_reward(state: MrsState, actions: Sequence[MrsAction], agent: int, cfg: MrsConfig) -> float:
     """Per-round reward of one agent (team term plus own saving/privacy)."""
-    return _reward(state.savings, actions, require_index("agent", agent, cfg.num_agents), cfg)
+    agent = require_index("agent", agent, cfg.num_agents)
+    _check_profile(state, actions, cfg)
+    return _reward(state.savings, actions, agent, cfg)
 
 
 def potential(state: MrsState, actions: Sequence[MrsAction], cfg: MrsConfig) -> float:
     """Potential J: the team term plus everyone's saving and privacy terms."""
+    _check_profile(state, actions, cfg)
     return _potential(state.savings, actions, cfg)
 
 
@@ -217,6 +230,7 @@ def theta(state: MrsState, actions: Sequence[MrsAction], agent: int, cfg: MrsCon
     action and saving. (Stated for unit team weights.)
     """
     agent = require_index("agent", agent, cfg.num_agents)
+    _check_profile(state, actions, cfg)
     return -math.fsum(
         cfg.reward_alpha * x + cfg.reward_beta * a.privacy
         for j, (x, a) in enumerate(zip(state.savings, actions))

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -455,6 +456,45 @@ def fresh_python(*args):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip().splitlines()[-1]
+
+
+#: sha256 of every file the six shipped configs write at seed 0, per config.
+#: A change that keeps the shipped outputs byte-identical keeps these.
+SHIPPED_OUTPUTS = {
+    "binary_sums": {
+        "binary_sums.csv": "3c8bda8cb728e644cc528f7c3762f6caf4097a4742da4e3c16facacee70332f3",
+    },
+    "calibrate": {
+        "calibrate.csv": "ec1ee659eee89d9fbf224f979e15d2626c5cfb025858bf4b51a4fa8371c09da2",
+        "calibrate.svg": "f3c10d3f056e0fd05e77fe550e3d8762005e1413ee1017ce8bc824498fcf8c8e",
+    },
+    "calibrate_episode": {
+        "calibrate.csv": "a0b159203162b9b355ac55bc9d321de4b6ce30430e5a5e5a2eba1bd272f7fc5a",
+    },
+    "equilibrium": {
+        "equilibrium.csv": "6f8081a9c32481f84783be3fd492b8149d5c3442e48a273c78c6b70a90f18dad",
+    },
+    "multi_round": {
+        "multi_round.csv": "59012360e1075d11363ec7a3e9d43115b7dd3e5de220d263760e2cad14cf8698",
+        "potential_trace.svg": "ef4cc3f6466da4a0fd0e94811f2286cefab10254501b92fd63a4b0e2cf5ba5af",
+    },
+    "sender": {
+        "sender.csv": "f765dcc2a303d34240c811f32000f02a85f1577d755c9caffef57e0708b9b016",
+        "sender_kl.svg": "2d94780ef9d86a5634afe89170a9fc13ac4aa5a9cba87237d478208b0de572e3",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_OUTPUTS))
+def test_shipped_outputs_unchanged(tmp_path, name):
+    command = "calibrate" if name == "calibrate_episode" else name.replace("_", "-")
+    argv = [command, "--config", str(REPO / "configs" / f"{name}.json"), "--seed", "0",
+            "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == EXIT_OK
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == SHIPPED_OUTPUTS[name]
 
 
 class TestNumpyFreeStart:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -244,7 +244,8 @@ def assert_rows_match_oracle(mean, variances, noise_vars, steps, learning_rate):
             assert_rows_match_oracle(mean, variances, noise_vars[:failed[0]], steps,
                                      learning_rate)
         return refs
-    got_mean, got_variances, kls = batch
+    got_mean, got_variances, kls, ran = batch
+    assert 1 <= ran <= steps
     assert len(got_variances) == len(kls) == len(noise_vars)
     for k, (ref_mean, ref_variances, ref_kl) in enumerate(refs):
         assert got_mean == ref_mean.tolist()
@@ -753,6 +754,105 @@ class TestBatchedDescent:
         assert_rows_match_oracle(rng.uniform(-2.0, 2.0, d).tolist(),
                                  rng.uniform(0.05, 3.0, d).tolist(), noise_vars, steps,
                                  learning_rate)
+
+
+def _full_length_descent(target, noise_vars, steps, learning_rate):
+    """``diagonal_sender._diagonal_descent`` with its exit at the fixed point
+    switched off: every run takes all ``steps`` steps (or fails)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagonal_sender, "_same_zero_signs", lambda new, old: False)
+        return _outcome(diagonal_sender._diagonal_descent, target, noise_vars, steps,
+                        learning_rate)
+
+
+def _hex(values):
+    return [float(value).hex() for value in values]
+
+
+class TestFixedPointExit:
+    """The descent stops at the first step that changes neither the mean, nor
+    a surviving row's variances, nor a KL, and ends as the full-length run
+    does: the same iterates bit for bit, the same KLs, the same error."""
+
+    def test_shipped_table_stops_at_step_736(self):
+        # The mean never moves; the rows at noise 0, 0.1, 0.5 and 1.0 stop
+        # changing at steps 1, 627, 667 and 736.
+        target = diagonal_sender._diagonal_target([0.0, 0.0], [1.0, 1.0])
+        noise_vars = [0.0, 0.1, 0.5, 1.0]
+        assert diagonal_sender._diagonal_descent(target, noise_vars, 6000, 0.1)[3] == 736
+        assert [diagonal_sender._diagonal_descent(target, [noise], 6000, 0.1)[3]
+                for noise in noise_vars] == [1, 627, 667, 736]
+        full = _full_length_descent(target, noise_vars, 6000, 0.1)
+        assert full[3] == 6000
+        assert diagonal_sender._diagonal_descent(target, noise_vars, 6000, 0.1)[:3] == full[:3]
+
+    def test_steps_stay_the_bound(self):
+        target = diagonal_sender._diagonal_target([0.0, 0.0], [1.0, 1.0])
+        assert diagonal_sender._diagonal_descent(target, [0.0, 0.1, 0.5, 1.0], 735, 0.1)[3] == 735
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        data=st.data(),
+        learning_rate=st.floats(0.05, 1.0),
+        steps=st.one_of(st.just(3000), st.integers(1, 3000)),
+    )
+    def test_settled_rows_are_the_full_runs(self, d, data, learning_rate, steps):
+        mean = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=d,
+                                  max_size=d))
+        variances = data.draw(st.lists(st.floats(0.2, 3.0), min_size=d, max_size=d))
+        # Noise at or above a target variance clips that variance to 0.
+        clipping = st.builds(lambda v, f: v * f, st.sampled_from(variances), st.floats(1.0, 1.5))
+        noise_vars = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.5), clipping),
+                                        min_size=1, max_size=4))
+        target = diagonal_sender._diagonal_target(mean, variances)
+        got = _outcome(diagonal_sender._diagonal_descent, target, noise_vars, steps,
+                       learning_rate)
+        full = _full_length_descent(target, noise_vars, steps, learning_rate)
+        dist = GaussianMessageDist.from_diagonal(mean, variances)
+        refs = [_outcome(_reference_diagonal_gd, SenderProblem(dist, noise), steps,
+                         learning_rate) for noise in noise_vars]
+        failed = [ref for ref in refs if isinstance(ref, str)]
+        if failed:
+            event("failed")
+            assert got == full == failed[0]
+            return
+        got_mean, got_variances, kls, ran = got
+        event("settled" if ran < steps else "ran every step")
+        assert 1 <= ran <= steps and full[3] == steps
+        for k, (ref_mean, ref_variances, _) in enumerate(refs):
+            assert _hex(got_mean) == _hex(ref_mean)
+            assert _hex(got_variances[k]) == _hex(ref_variances)
+        # numpy's KLs may differ in the last bits; the full float run's may not.
+        assert kls == full[2]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rows_settle_before_a_row_fails(self):
+        # Alone, the rows at noise 0.5 and 1.0 settle at step 3, and the row at
+        # noise 0 overflows at step 27 with a NaN KL (inf - inf).
+        target = diagonal_sender._diagonal_target([0.0], [0.249])
+        assert [diagonal_sender._diagonal_descent(target, [noise], 200, 0.5)[3]
+                for noise in (0.5, 1.0)] == [3, 3]
+        refs = assert_rows_match_oracle([0.0], [0.249], [0.5, 1.0, 0.0], 200, 0.5)
+        assert refs[2] == "a step overflowed the iterate; reduce the learning rate"
+        with pytest.raises(StepSizeError, match="overflowed"):
+            diagonal_sender._diagonal_descent(target, [0.5, 1.0, 0.0], 200, 0.5)
+        # One step short of the overflow, the call runs every step.
+        assert diagonal_sender._diagonal_descent(target, [0.5, 1.0, 0.0], 26, 0.5)[3] == 26
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rows_settle_after_a_row_failed(self):
+        # The row at noise 0 overflows at step 27; the rows at noise 0.5 and
+        # 1.0 settle only at steps 1145 and 1161, and the call still fails.
+        target = diagonal_sender._diagonal_target([0.0, 0.0], [0.249, 3.0])
+        assert [diagonal_sender._diagonal_descent(target, [noise], 3000, 0.5)[3]
+                for noise in (0.5, 1.0)] == [1145, 1161]
+        for noise_vars in ([0.5, 1.0, 0.0], [0.5, 0.0, 1.0]):
+            refs = assert_rows_match_oracle([0.0, 0.0], [0.249, 3.0], noise_vars, 3000, 0.5)
+            assert "a step overflowed the iterate; reduce the learning rate" in refs
+            with pytest.raises(StepSizeError, match="overflowed"):
+                diagonal_sender._diagonal_descent(target, noise_vars, 3000, 0.5)
 
 
 def _numpy_table(mean, variances, noise_vars, steps, learning_rate):

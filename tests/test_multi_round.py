@@ -580,6 +580,26 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="agent"):
             calls[entry]()
 
+    # A short profile used to be read silently (step_reward of agent 0 gave
+    # 0.8 on one action) or to raise a bare IndexError.
+    @pytest.mark.parametrize("short", ["actions", "savings"])
+    @pytest.mark.parametrize("entry", ["step_reward", "potential", "theta"])
+    def test_one_entry_per_agent(self, entry, short):
+        cfg = small_config()
+        state, actions = STATE, ACTIONS
+        if short == "actions":
+            actions = ACTIONS[:1]
+        else:
+            state = MrsState((2.0,), 0)
+        calls = {
+            "step_reward": lambda agent: step_reward(state, actions, agent, cfg),
+            "potential": lambda agent: potential(state, actions, cfg),
+            "theta": lambda agent: theta(state, actions, agent, cfg),
+        }
+        for agent in (0, 1):
+            with pytest.raises(InvalidParameterError, match="one action and one saving"):
+                calls[entry](agent)
+
     def test_overflowing_reward_still_picks_an_action(self):
         # alpha * saving overflows to -inf for every action; the best response
         # used to keep no action at all and crash later.
