@@ -201,6 +201,8 @@ def subsampled_gaussian_rdp(sensitivity: float, sigma: float, alpha: float, gamm
     sigma = _with_normal_square("sigma", require_float("sigma", sigma))
     alpha = require_float("alpha", alpha)
     gamma = require_float("gamma", gamma)
+    if not 1.0 < alpha < math.inf:
+        raise InvalidParameterError(f"alpha must be finite and > 1, got {alpha}")
     if not (0.0 < gamma < 1.0):
         raise InvalidParameterError(f"gamma must be in (0,1), got {gamma}")
     return _subsampled_rdp(sensitivity, sigma**2, alpha, gamma)

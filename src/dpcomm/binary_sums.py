@@ -12,7 +12,10 @@ so a block is reduced to sufficient statistics, each agent's count of 1s and
 the Gram matrix of the messages, from which the per-agent sum and sum of
 squares of the guesses follow in closed form (see ``_simulate_block``). The
 Gram matrix is counted with popcounts over bit-packed message rows, so its
-entries are exact integers.
+entries are exact integers. Each agent's row of a block is drawn by
+``mechanisms._rr_row`` from one call for raw PCG64 words, with the bits that
+``random()`` and ``integers(0, 2)`` would give; these draws are most of a
+block's time.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ rows to this module's one-row diagonal mode.
 
 A ``GaussianMessageDist`` is checked and eigendecomposed once, when built, and
 keeps the decomposition for the target checks, the closed-form shrink and the
-sampler. Every KL, ``kl_gaussian``'s included, goes through ``_sent_kl``.
+sampler; a diagonal covariance needs no ``eigh`` and is stored exactly. Every
+KL, ``kl_gaussian``'s included, goes through ``_sent_kl``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,17 @@ def _symmetric_part(matrix: np.ndarray) -> np.ndarray:
 
 def _clipped_eigh(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """One ``eigh`` of the symmetric part of ``matrix``: its smallest
-    eigenvalue, its eigenvalues clipped at 0, and its eigenvectors."""
+    eigenvalue, its eigenvalues clipped at 0, and its eigenvectors.
+
+    A matrix whose off-diagonal entries are all zero skips ``eigh``: its
+    eigenvalues are its diagonal and its eigenvectors the identity, so a
+    covariance reassembled from them is the clipped diagonal exactly. LAPACK
+    scales a matrix with an entry near the float maximum, which rounds the
+    other entries."""
+    if not matrix[~np.eye(len(matrix), dtype=bool)].any():
+        diagonal = np.diagonal(matrix)
+        clipped = np.where(diagonal > 0.0, diagonal, 0.0)  # -0.0 is stored as 0.0
+        return diagonal.min(initial=0.0), clipped, np.eye(len(matrix))
     eigvals, eigvecs = np.linalg.eigh(_symmetric_part(matrix))
     return eigvals.min(initial=0.0), np.clip(eigvals, 0.0, None), eigvecs
 

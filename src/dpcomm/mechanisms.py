@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateMechanismError, InvalidParameterError, require_count, require_float,
-                     require_index)
+from .errors import (DegenerateMechanismError, InvalidParameterError, _shown, require_count,
+                     require_float, require_index)
 from .rng import substream
 
 
@@ -64,14 +64,46 @@ def _check_bit(bit) -> int:
     return int(bit)
 
 
+def _check_bits(name: str, values) -> np.ndarray:
+    """``values`` as a float array; InvalidParameterError naming ``name`` unless
+    every entry is 0 or 1. The check is array-wise, so a trials x agents matrix
+    of messages is checked as a list is."""
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(f"{name} must be 0s and 1s, got {_shown(values)}") from None
+    bad = (values != 0.0) & (values != 1.0)
+    if bad.any():
+        raise InvalidParameterError(f"{name} must be 0s and 1s, got {float(values[bad][0])!r}")
+    return values
+
+
 def _rr_row(rng: np.random.Generator, bit: int, flip_prob: float, m: int) -> np.ndarray:
-    """``m`` randomized-response draws of a checked 0/1 ``bit``, as a bool
-    row. This is the draw protocol that seeded reruns rest on: the flip
-    decisions from ``rng.random(m)``, then the int64 coins from
-    ``rng.integers(0, 2, m)``, so the stream is consumed the same way at
-    every ``flip_prob``."""
-    flips = rng.random(m) < flip_prob
-    coins = rng.integers(0, 2, size=m).astype(bool)
+    """``m`` randomized-response draws of a checked 0/1 ``bit`` and a checked
+    ``flip_prob``, as a bool row.
+
+    The draw protocol that seeded reruns rest on is the flip decisions from
+    ``rng.random(m)``, then the int64 coins from ``rng.integers(0, 2, m)``, so
+    the stream is consumed the same way at every ``flip_prob``. The row takes
+    the same bits from one call for m + ceil(m/2) raw 64-bit words w:
+    - words 0..m-1 decide the flips. ``random()`` returns (w >> 11) * 2**-53,
+      so ``u < flip_prob`` holds exactly when w < ceil(flip_prob * 2**53) << 11
+      (the scaling by 2**53 is exact). The bound stays a Python int, which
+      numpy compares with uint64 exactly at any size: 0 at flip_prob = 0, so
+      nothing flips, and 2**64 at flip_prob = 1, so everything does;
+    - words m..m+ceil(m/2)-1 give the coins. ``integers(0, 2)`` reads 32-bit
+      halves, low half first, and keeps each half's top bit (Lemire's
+      rejection threshold is 0 at range 2), so coin 2k is bit 31 of word m+k
+      and coin 2k+1 is bit 63. A little-endian view puts the halves in that
+      order on any host.
+
+    The row owns its generator: the raw words bypass the half-word buffer
+    that ``integers`` keeps in the bit generator, so ``rng`` must be fresh, as
+    every caller's ``substream`` is, and is spent afterwards. It holds 12
+    bytes of raw words per trial, about 0.4 MB at ``BLOCK_SIZE``."""
+    raw = rng.bit_generator.random_raw(m + (m + 1) // 2)
+    flips = raw[:m] < math.ceil(flip_prob * 2.0**53) << 11
+    coins = raw[m:].astype("<u8", copy=False).view("<u4")[:m] >= 1 << 31
     # Equals np.where(flips, coins, bit) in value, and costs less.
     return (~flips | coins) if bit else (flips & coins)
 
@@ -92,7 +124,7 @@ def rr_perturb(bit: int, mech: RrMechanism, rng_seed: int, size: int | None = No
 def naive_guess(own_bit: int, received) -> int:
     """Trusting receiver: own bit plus the sum of received (noisy) bits."""
     own_bit = _check_bit(own_bit)
-    return own_bit + int(np.sum(received))
+    return own_bit + int(_check_bits("received", received).sum())
 
 
 def naive_bias(bits, agent: int, p: float) -> float:
@@ -100,7 +132,10 @@ def naive_bias(bits, agent: int, p: float) -> float:
 
         p * (N - 1) / 2  -  p * sum_{j != agent} bits[j]
     """
-    bits = np.asarray(bits)
+    bits = _check_bits("bits", bits)
+    if bits.ndim != 1:
+        raise InvalidParameterError(
+            f"bits must be a flat list of 0s and 1s, got shape {bits.shape}")
     n = len(bits)
     agent = require_index("agent", agent, n)
     p = _check_probability("p", p)
@@ -119,7 +154,10 @@ def aware_guess(own_bit: int, received, p: float) -> float:
     p = _check_probability("p", p)
     if p == 1.0:
         raise DegenerateMechanismError("p = 1 sends pure noise; the estimator is undefined")
-    received = np.asarray(received, dtype=float)
+    received = _check_bits("received", received)
+    if received.ndim == 0:
+        raise InvalidParameterError(
+            f"received must be a list of messages, got {float(received)!r}")
     n_others = received.shape[-1]
     return own_bit + (received.sum(axis=-1) - n_others * p / 2.0) / (1.0 - p)
 

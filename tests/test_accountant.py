@@ -148,6 +148,13 @@ class TestSubsampledGaussianRdp:
         lo = subsampled_gaussian_rdp(2.0, 2.0, 2.0, 0.01).rho
         assert hi / lo == pytest.approx(4.0, rel=1e-12)
 
+    # inf, -inf and -1 used to raise a bare ValueError (math domain error), and
+    # 0 a ZeroDivisionError.
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, -1.0, 0.0, 0.5, 1.0, math.nan])
+    def test_order_checked_by_name(self, alpha):
+        with pytest.raises(InvalidParameterError, match="alpha must be finite and > 1"):
+            subsampled_gaussian_rdp(2.0, 2.0, alpha, 0.01)
+
 
 class TestCompose:
     def test_pair(self):

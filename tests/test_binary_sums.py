@@ -347,6 +347,31 @@ class TestKernelMatchesMatmul:
         assert run_game(instance, trials, 13, jobs=2) == matmul_run_game(instance, trials, 13)
 
 
+# The draw helper before it read raw words: the flips from random(), then the
+# int64 coins from integers(0, 2).
+def _reference_rr_row(rng, bit, flip_prob, m):
+    flips = rng.random(m) < flip_prob
+    coins = rng.integers(0, 2, size=m).astype(bool)
+    return (~flips | coins) if bit else (flips & coins)
+
+
+class TestRawWordDraws:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("mode", ["naive", "aware"])
+    def test_run_game_unchanged(self, mode, jobs):
+        # Wide enough for jobs=2 to run its blocks on threads, with a ragged last
+        # block of odd length, and one agent at each of p = 0, 1/2 and ~1.
+        rng = np.random.default_rng(24)
+        n = binary_sums._POOL_MIN_AGENTS
+        bits = tuple(int(b) for b in rng.integers(0, 2, n))
+        epsilons = (math.inf, LN3, 1e-9) + tuple(rng.uniform(0.2, 4.0, n - 3))
+        instance = BinarySumsInstance(bits, epsilons, mode)
+        trials = BLOCK_SIZE + 1235
+        got = run_game(instance, trials, 21, jobs=jobs)
+        with mock.patch.object(binary_sums, "_rr_row", _reference_rr_row):
+            assert got == run_game(instance, trials, 21, jobs=jobs)
+
+
 class TestKernelAccuracy:
     @pytest.mark.parametrize("mode", ["naive", "aware"])
     @pytest.mark.parametrize("epsilons", [

@@ -1130,6 +1130,39 @@ class TestSymmetricPart:
         assert aware_optimum(SenderProblem(dist, 0.5)).kl == pytest.approx(0.0, abs=1e-12)
 
 
+class TestDiagonalStoredExactly:
+    """A covariance with no nonzero off-diagonal entry skips ``eigh``: it is
+    stored as its diagonal clipped at 0, bit for bit."""
+
+    def test_entry_beside_a_near_max_one(self):
+        # eigh stored [0.9999999999999999, 1.8435488931228482e+293].
+        dist = GaussianMessageDist.from_diagonal([0, 0], [1.0, 1.8435488931228486e+293])
+        assert dist.cov.tolist() == [[1.0, 0.0], [0.0, 1.8435488931228486e+293]]
+        # The descent that reached that iterate stores it as it is, as the float
+        # path does (TestDiagonalSender::test_random_tables used to fail on it).
+        target = GaussianMessageDist.from_diagonal([0, 0], [1, 0.25])
+        sol = aware_optimum_gd(SenderProblem(target, 2.7121602354306614e-294), 2, 1.0)
+        assert np.diag(sol.dist.cov).tolist() == [1.0, 1.8435488931228486e+293]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, _FLOAT_MAX),
+                              st.sampled_from(_EDGE_FLOATS + [-0.0, -1e-13, -1e-12])),
+                    min_size=1, max_size=5))
+    def test_any_diagonal(self, variances):
+        dist = GaussianMessageDist.from_diagonal(np.zeros(len(variances)), variances)
+        clipped = [v if v > 0.0 else 0.0 for v in variances]  # diagonal_sender's rule
+        want = np.diag(clipped)
+        assert np.array_equal(dist.cov, want) and not np.signbit(dist.cov).any()
+        assert np.array_equal(dist._eigvals, clipped) and not np.signbit(dist._eigvals).any()
+        assert np.array_equal(positive_part(np.diag(variances)), want)
+
+    def test_off_diagonal_entry_still_decomposed(self):
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        dist = GaussianMessageDist([0.0, 0.0], cov)
+        np.testing.assert_allclose(dist.cov, cov, rtol=1e-15)
+        np.testing.assert_allclose(np.sort(dist._eigvals), np.linalg.eigvalsh(cov), rtol=1e-15)
+
+
 class TestValidation:
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpcomm import (
     DegenerateMechanismError,
@@ -18,9 +20,23 @@ from dpcomm import (
     subsample,
 )
 from dpcomm.mechanisms import _rr_row
-from dpcomm.rng import substream
+from dpcomm.rng import BLOCK_SIZE, substream
 
 TRIALS = 10**6
+
+
+# The draw helper before it read raw words, kept as the test oracle: the flips
+# from random(), then the int64 coins from integers(0, 2).
+def _reference_rr_row(rng, bit, flip_prob, m):
+    flips = rng.random(m) < flip_prob
+    coins = rng.integers(0, 2, size=m).astype(bool)
+    return (~flips | coins) if bit else (flips & coins)
+
+
+def assert_row_matches_reference(key, bit, p, m):
+    got = _rr_row(substream(*key), bit, p, m)
+    assert got.dtype == bool and got.shape == (m,)
+    assert np.array_equal(got, _reference_rr_row(substream(*key), bit, p, m))
 
 
 def mc_bound(draws):
@@ -146,6 +162,84 @@ class TestRrPerturb:
             assert np.array_equal(got, want)
 
 
+class _RawWords:
+    """Stands in for a generator whose raw 64-bit stream is ``words``."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, n):
+        assert n == len(self.words)
+        return self.words.copy()
+
+
+PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0**-60, 1.0 - 2.0**-53, 0.5, 5e-324]),
+    st.integers(0, 2**53).map(lambda k: k * 2.0**-53),  # p * 2**53 is an integer
+    st.floats(0.0, 1.0),
+)
+ROW_LENGTHS = st.one_of(st.sampled_from([1, 2, 3, 7, 4321, BLOCK_SIZE - 1, BLOCK_SIZE]),
+                        st.integers(0, BLOCK_SIZE))
+
+
+class TestRawWordRow:
+    """The row read from raw words equals the row that random() and
+    integers(0, 2) draw, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=PROBABILITIES, m=ROW_LENGTHS, bit=st.sampled_from([0, 1]),
+           key=st.lists(st.integers(0, 2**63), min_size=1, max_size=3))
+    def test_matches_reference(self, p, m, bit, key):
+        assert_row_matches_reference(key, bit, p, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4000), bit=st.sampled_from([0, 1]),
+           seed=st.integers(0, 2**63), step=st.sampled_from([-1, 0, 1]))
+    def test_probability_at_a_drawn_uniform(self, data, m, bit, seed, step):
+        # A flip probability within one ulp of one of the row's own uniforms
+        # puts that trial on the edge of the flip test.
+        u = float(substream(seed, 1).random(m)[data.draw(st.integers(0, m - 1))])
+        p = min(max(u + step * math.ulp(u) if u else step * 5e-324, 0.0), 1.0)
+        assert_row_matches_reference((seed, 1), bit, p, m)
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**63 + 5])
+    def test_probability_on_a_word_boundary(self, seed):
+        # The flip bound falls exactly on a drawn word whose low 11 bits are 0,
+        # and one ulp above a uniform below 1/2, whose bound is not an integer
+        # multiple of 2**-53: a `<=` or a floor instead of ceil moves one trial.
+        words = substream(seed, 2).bit_generator.random_raw(BLOCK_SIZE)
+        uniforms = substream(seed, 2).random(BLOCK_SIZE)
+        on_word = int(np.flatnonzero(words & 2047 == 0)[0])
+        below_half = int(np.flatnonzero(uniforms < 0.5)[0])
+        for p in (float(uniforms[on_word]), math.nextafter(float(uniforms[below_half]), 1.0)):
+            for bit in (0, 1):
+                assert_row_matches_reference((seed, 2), bit, p, BLOCK_SIZE)
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_layout_on_chosen_words(self, m):
+        # The documented layout on words that no known seed draws: the extremes
+        # of uint64 and words on either side of a flip bound. Coin 2k is bit 31
+        # of coin word k and coin 2k+1 its bit 63.
+        flip_words = [0, 1, 2047, 2048, 2**63, 2**64 - 2048, 2**64 - 2049, 2**64 - 1][:m]
+        coin_words = [0x80000000_00000000, 0x00000000_80000000, 0xFFFFFFFF_FFFFFFFF,
+                      0x7FFFFFFF_7FFFFFFF]
+        coins = [0, 1, 1, 0, 1, 1, 0, 0][:m]
+        for p in (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0):
+            flips = [(w >> 11) * 2.0**-53 < p for w in flip_words]
+            for bit in (0, 1):
+                want = [bool(c) if f else bool(bit) for f, c in zip(flips, coins)]
+                assert _rr_row(_RawWords(flip_words + coin_words), bit, p, m).tolist() == want
+
+    def test_bound_beyond_uint64_compares_exactly(self):
+        # At p = 1 the flip bound is 2**64: every word lies below it.
+        words = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+        assert (words < math.ceil(1.0 * 2.0**53) << 11).all()
+        for m in (1, 2, 3, BLOCK_SIZE):
+            for bit in (0, 1):
+                assert_row_matches_reference((9, 4), bit, 1.0, m)
+
+
 class TestSeeds:
     @pytest.mark.parametrize("seed", [-1, 2.5, math.nan, "1", None, True])
     def test_bad_seed_rejected(self, seed):
@@ -236,6 +330,41 @@ class TestGuessing:
     def test_probability_strings_convert(self):
         assert naive_bias([1, 0, 1], 0, "0.5") == naive_bias([1, 0, 1], 0, 0.5)
         assert aware_guess(1, [1, 0], "0.5") == aware_guess(1, [1, 0], 0.5)
+
+    # Each used to be scored as if it were a message: naive_guess(1, [2])
+    # returned 3, naive_guess(1, [0.5]) 1, aware_guess(1, [2, 0], 0.25) 3.33 and
+    # naive_bias([2, 0, 1], 0, 0.25) 0.0. A NaN raised a bare ValueError.
+    @pytest.mark.parametrize("received", [[2], [0.5], [-1, 0], [math.nan], [1, 0, 2], ["abc"],
+                                          [10**400], [[0, 1], [1]]])
+    def test_non_bit_messages_rejected(self, received):
+        with pytest.raises(InvalidParameterError, match="received"):
+            naive_guess(1, received)
+        with pytest.raises(InvalidParameterError, match="received"):
+            aware_guess(1, received, 0.25)
+
+    @pytest.mark.parametrize("bits", [[2, 0, 1], [1, 0.5, 1], [-1, 0, 1], [math.nan, 0, 1],
+                                      ["abc", 0, 1], [[0, 1], [1, 0]], 1])
+    def test_non_bit_bits_rejected(self, bits):
+        with pytest.raises(InvalidParameterError, match="bits"):
+            naive_bias(bits, 0, 0.25)
+
+    def test_aware_guess_scalar_messages_rejected(self):
+        # Used to raise a bare IndexError.
+        for received in (-1, 1):
+            with pytest.raises(InvalidParameterError, match="received"):
+                aware_guess(1, received, 0.25)
+
+    def test_message_matrices_checked_entrywise(self):
+        # A trials x others matrix of messages is scored row by row, as before,
+        # and one bad entry anywhere in it is rejected.
+        msgs = np.array([[0, 1, 1], [1, 1, 0], [0, 0, 0]])
+        assert np.array_equal(aware_guess(1, msgs, 0.5),
+                              [aware_guess(1, list(row), 0.5) for row in msgs])
+        assert np.array_equal(aware_guess(0, msgs.astype(float), 0.0), [2.0, 2.0, 0.0])
+        assert naive_guess(1, np.array([True, False, True])) == 3
+        msgs[2, 1] = 2
+        with pytest.raises(InvalidParameterError, match="received must be 0s and 1s, got 2.0"):
+            aware_guess(1, msgs, 0.5)
 
     def test_aware_variance_nondecreasing_in_p(self):
         # Common random numbers across the p grid: each trial reuses the
