@@ -34,6 +34,7 @@ from .errors import (
     InvalidParameterError,
     require_count,
     require_float,
+    require_float_in,
 )
 
 #: Search grid for the budget-split parameter beta in (0, 1).
@@ -52,12 +53,9 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        epsilon = require_float("epsilon", self.epsilon)
-        delta = require_float("delta", self.delta)
-        if not 0 < epsilon < math.inf:
-            raise InvalidParameterError(f"epsilon must be finite and > 0, got {epsilon}")
-        if not 0.0 < delta < 1.0:
-            raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
+        epsilon = require_float_in("epsilon", self.epsilon, lambda v: 0 < v < math.inf,
+                                   "be finite and > 0")
+        delta = require_float_in("delta", self.delta, lambda v: 0.0 < v < 1.0, "be in (0,1)")
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "delta", delta)
 
@@ -70,12 +68,9 @@ class RdpPoint:
     rho: float
 
     def __post_init__(self):
-        alpha = require_float("alpha", self.alpha)
-        rho = require_float("rho", self.rho)
-        if not 1.0 < alpha < math.inf:
-            raise InvalidParameterError(f"alpha must be finite and > 1, got {alpha}")
-        if not 0.0 <= rho < math.inf:
-            raise InvalidParameterError(f"rho must be finite and >= 0, got {rho}")
+        alpha = require_float_in("alpha", self.alpha, lambda v: 1.0 < v < math.inf,
+                                 "be finite and > 1")
+        rho = require_float_in("rho", self.rho, lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "rho", rho)
 
@@ -92,13 +87,12 @@ class MechanismParams:
 
     def __post_init__(self):
         # A subnormal C^2 would make (2C)^2 and 4 * C^2 round apart.
-        clip_norm = _with_normal_square("clip_norm", require_float("clip_norm", self.clip_norm))
+        clip_norm = _with_normal_square("clip_norm", self.clip_norm)
         object.__setattr__(self, "clip_norm", clip_norm)
         for name in ("sample_rate_data", "sample_rate_agents"):
-            v = require_float(name, getattr(self, name))
-            if not (0.0 < v < 1.0):
-                raise InvalidParameterError(f"{name} must be in (0,1), got {v}")
-            object.__setattr__(self, name, v)
+            rate = require_float_in(name, getattr(self, name), lambda v: 0.0 < v < 1.0,
+                                    "be in (0,1)")
+            object.__setattr__(self, name, rate)
         require_count("num_agents", self.num_agents, 1)
         require_count("episode_len", self.episode_len, 1)
 
@@ -131,13 +125,9 @@ def gaussian_rdp(sensitivity: float, sigma: float, alpha: float) -> RdpPoint:
     A rho beyond the float range (a sigma^2 that underflows to 0, a Delta^2
     that overflows) is rejected, naming the inputs it came from.
     """
-    sensitivity = require_float("sensitivity", sensitivity)
-    sigma = require_float("sigma", sigma)
+    sensitivity = require_float_in("sensitivity", sensitivity, lambda v: v > 0, "be positive")
+    sigma = require_float_in("sigma", sigma, lambda v: v > 0, "be positive")
     alpha = require_float("alpha", alpha)
-    if not sensitivity > 0:
-        raise InvalidParameterError(f"sensitivity must be positive, got {sensitivity}")
-    if not sigma > 0:
-        raise InvalidParameterError(f"sigma must be positive, got {sigma}")
     try:
         rho = alpha * sensitivity**2 / (2.0 * sigma**2)
     except (OverflowError, ZeroDivisionError):  # a square outside the float range
@@ -150,12 +140,12 @@ def gaussian_rdp(sensitivity: float, sigma: float, alpha: float) -> RdpPoint:
     return RdpPoint(alpha, rho)
 
 
-def _with_normal_square(name: str, value: float) -> float:
-    """``value``; InvalidParameterError naming ``name`` unless it is > 0 and its
-    square is a finite, normal float."""
-    if not (value > 0 and sys.float_info.min <= value * value <= sys.float_info.max):
-        raise InvalidParameterError(f"{name} must be > 0 with a finite, normal square, got {value}")
-    return value
+def _with_normal_square(name: str, value) -> float:
+    """``value`` as a float; InvalidParameterError naming ``name`` unless it is
+    > 0 and its square is a finite, normal float."""
+    return require_float_in(
+        name, value, lambda v: v > 0 and sys.float_info.min <= v * v <= sys.float_info.max,
+        "be > 0 with a finite, normal square")
 
 
 def _sigma_prime_sq(sigma_sq: float, sensitivity: float) -> float:
@@ -197,14 +187,10 @@ def subsampled_gaussian_rdp(sensitivity: float, sigma: float, alpha: float, gamm
     (2/3) * sigma'^2 * ln(1/(gamma*alpha*(1+sigma'^2))) + 1.
     """
     # Both squares enter the bound, so neither may overflow or underflow.
-    sensitivity = _with_normal_square("sensitivity", require_float("sensitivity", sensitivity))
-    sigma = _with_normal_square("sigma", require_float("sigma", sigma))
-    alpha = require_float("alpha", alpha)
-    gamma = require_float("gamma", gamma)
-    if not 1.0 < alpha < math.inf:
-        raise InvalidParameterError(f"alpha must be finite and > 1, got {alpha}")
-    if not (0.0 < gamma < 1.0):
-        raise InvalidParameterError(f"gamma must be in (0,1), got {gamma}")
+    sensitivity = _with_normal_square("sensitivity", sensitivity)
+    sigma = _with_normal_square("sigma", sigma)
+    alpha = require_float_in("alpha", alpha, lambda v: 1.0 < v < math.inf, "be finite and > 1")
+    gamma = require_float_in("gamma", gamma, lambda v: 0.0 < v < 1.0, "be in (0,1)")
     return _subsampled_rdp(sensitivity, sigma**2, alpha, gamma)
 
 
@@ -228,9 +214,7 @@ def compose(points: Sequence[RdpPoint] | Iterable[RdpPoint]) -> RdpPoint:
 
 def rdp_to_dp(point: RdpPoint, delta: float) -> PrivacyBudget:
     """Convert (alpha, rho)-RDP into (rho + ln(1/delta)/(alpha-1), delta)-DP."""
-    delta = require_float("delta", delta)
-    if not (0.0 < delta < 1.0):
-        raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
+    delta = require_float_in("delta", delta, lambda v: 0.0 < v < 1.0, "be in (0,1)")
     return PrivacyBudget(point.rho + math.log(1.0 / delta) / (point.alpha - 1.0), delta)
 
 

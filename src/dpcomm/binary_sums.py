@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateMechanismError, InvalidParameterError, require_count, require_float,
-                     require_seed)
+from .errors import (DegenerateMechanismError, InvalidParameterError, require_count, require_floats,
+                     require_iterable, require_seed)
 from .mechanisms import _check_bit, _rr_row, rr_flip_prob
 from .rng import block_sizes, substream
 
@@ -45,9 +45,9 @@ class BinarySumsInstance:
     receiver_mode: str
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(_check_bit(b) for b in self.bits))
-        object.__setattr__(self, "epsilons",
-                           tuple(require_float("epsilons", e) for e in self.epsilons))
+        object.__setattr__(self, "bits",
+                           tuple(_check_bit(b) for b in require_iterable("bits", self.bits)))
+        object.__setattr__(self, "epsilons", require_floats("epsilons", self.epsilons))
         if any(not e > 0 for e in self.epsilons):  # +inf is allowed: exact messages
             raise InvalidParameterError(f"epsilons must be > 0, got {self.epsilons}")
         if len(self.epsilons) != len(self.bits):

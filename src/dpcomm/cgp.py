@@ -37,7 +37,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import EvaluationError, InvalidParameterError, require_count, require_float
+from .errors import (EvaluationError, InvalidParameterError, require_count, require_float_in,
+                     require_floats)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Smallest accepted steps, exclusive: a one-dimensional scan visits about
@@ -53,7 +54,7 @@ class StrategyProfile:
     p: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(require_float("p", v) for v in self.p))
+        object.__setattr__(self, "p", require_floats("p", self.p))
         if len(self.p) != 2:
             raise InvalidParameterError("profiles are two-player")
         if any(not 0.0 <= v <= 1.0 for v in self.p):
@@ -71,12 +72,14 @@ class CgpInstance:
 
     def __post_init__(self):
         for name in ("benefit_weight", "privacy_weight"):
-            weights = tuple(require_float(name, w) for w in getattr(self, name))
+            weights = require_floats(name, getattr(self, name))
             if len(weights) != 2 or any(not 0 < w < math.inf for w in weights):
                 raise InvalidParameterError(f"{name} must be two finite numbers > 0, got {weights}")
             object.__setattr__(self, name, weights)
-        object.__setattr__(self, "standalone_values",
-                           tuple(require_float("standalone_values", v) for v in self.standalone_values))
+        standalone = require_floats("standalone_values", self.standalone_values)
+        if len(standalone) != 2:
+            raise InvalidParameterError(f"standalone_values must be two numbers, got {standalone}")
+        object.__setattr__(self, "standalone_values", standalone)
         for p, want in ((0.0, 1.0), (1.0, 0.0)):
             got = self.privacy_loss_fn(p)
             if abs(got - want) > 1e-9:
@@ -102,10 +105,19 @@ def utility(instance: CgpInstance, profile: StrategyProfile) -> tuple:
 
 def _check_step(name: str, value, floor: float) -> float:
     """``value`` as a float; InvalidParameterError unless floor < value < inf."""
-    value = require_float(name, value)
-    if not floor < value < math.inf:
-        raise InvalidParameterError(f"{name} must be finite and > {floor}, got {value}")
-    return value
+    return require_float_in(name, value, lambda v: floor < v < math.inf, f"be finite and > {floor}")
+
+
+def _grid_check(grid_step, tol) -> tuple[float, list, float]:
+    """The checked ``grid_step`` and ``tol`` of a two-dimensional grid check,
+    as (h, interior points, tol), with h = grid_step / 2 the points' margin."""
+    grid_step = _check_step("grid_step", grid_step, _GRID_FLOOR)
+    tol = _check_step("tol", tol, 0.0)
+    h = grid_step / 2.0
+    pts = _interior_grid(grid_step, h)
+    if len(pts) < 3:
+        raise InvalidParameterError("grid_step leaves fewer than 3 interior points")
+    return h, pts, tol
 
 
 def _interior_grid(grid_step: float, margin: float) -> list:
@@ -125,12 +137,7 @@ def is_potential_game(instance: CgpInstance, grid_step: float = 0.05, tol: float
     Estimates d2u_n / dp1 dp2 by central differences over an interior grid of
     (0,1)^2. Returns (is_potential, max_deviation).
     """
-    grid_step = _check_step("grid_step", grid_step, _GRID_FLOOR)
-    tol = _check_step("tol", tol, 0.0)
-    h = grid_step / 2.0
-    pts = _interior_grid(grid_step, h)
-    if len(pts) < 3:
-        raise InvalidParameterError("grid_step leaves fewer than 3 interior points")
+    h, pts, tol = _grid_check(grid_step, tol)
     max_dev = 0.0
     for p1 in pts:
         for p2 in pts:
@@ -156,12 +163,7 @@ def value_partials_match(instance: CgpInstance, grid_step: float = 0.05, tol: fl
 
     checked by central finite differences across an interior grid.
     """
-    grid_step = _check_step("grid_step", grid_step, _GRID_FLOOR)
-    tol = _check_step("tol", tol, 0.0)
-    h = grid_step / 2.0
-    pts = _interior_grid(grid_step, h)
-    if len(pts) < 3:
-        raise InvalidParameterError("grid_step leaves fewer than 3 interior points")
+    h, pts, tol = _grid_check(grid_step, tol)
     v1 = lambda p1, p2: instance.value_fn(p1, p2)[0]
     v2 = lambda p1, p2: instance.value_fn(p1, p2)[1]
     for a in pts:
@@ -185,9 +187,8 @@ def best_response(instance: CgpInstance, player: int, opponent_p: float,
     """
     if isinstance(player, bool) or player not in (0, 1):
         raise InvalidParameterError("player must be 0 or 1")
-    opponent_p = require_float("opponent_p", opponent_p)
-    if not 0.0 <= opponent_p <= 1.0:
-        raise InvalidParameterError(f"opponent_p must lie in [0,1], got {opponent_p}")
+    opponent_p = require_float_in("opponent_p", opponent_p, lambda v: 0.0 <= v <= 1.0,
+                                  "lie in [0,1]")
     grid_step = _check_step("grid_step", grid_step, _SCAN_FLOOR)
 
     def f(p_own: float) -> float:
@@ -285,8 +286,8 @@ def make_binary_sums_cgp(benefit_weight: Sequence[float], privacy_weight: Sequen
         return (v, v)
 
     return CgpInstance(
-        benefit_weight=tuple(benefit_weight),
-        privacy_weight=tuple(privacy_weight),
+        benefit_weight=benefit_weight,
+        privacy_weight=privacy_weight,
         value_fn=value_fn,
         standalone_values=(-0.5, -0.5),
         privacy_loss_fn=lambda p: 1.0 - p,

@@ -153,8 +153,8 @@ def cmd_calibrate(config: dict, seed: int, jobs: int = 1) -> tuple:
         "feasible", "roundtrip_epsilon",
     ])
     runs = [
-        (eps, t, PrivacyBudget(float(eps), config["delta"]), MechanismParams(
-            clip_norm=float(config["clip_norm"]),
+        (eps, t, PrivacyBudget(eps, config["delta"]), MechanismParams(
+            clip_norm=config["clip_norm"],
             sample_rate_data=config["gamma1"],
             sample_rate_agents=config["gamma2"],
             num_agents=config["num_agents"],
@@ -195,7 +195,7 @@ def cmd_binary_sums(config: dict, seed: int, jobs: int = 1) -> tuple:
     epsilons = config["epsilons"]
     if len(epsilons) == 1:
         epsilons = epsilons * len(bits)
-    instances = [BinarySumsInstance(tuple(bits), tuple(epsilons), mode)
+    instances = [BinarySumsInstance(bits, epsilons, mode)
                  for mode in config.get("receiver_modes", ["naive", "aware"])]
     agree = True
     for instance in instances:
@@ -276,8 +276,7 @@ def cmd_sender(config: dict, seed: int, jobs: int = 1) -> tuple:
     if len(variances) != d or len(mean) != d:
         raise ConfigError(f"target_mean and target_variances must have length dim = {d}")
     target = _diagonal_target(mean, variances)
-    noise_vars = [_sender_problem(target.variances, float(noise))
-                  for noise in config["noise_vars"]]
+    noise_vars = [_sender_problem(target.variances, noise) for noise in config["noise_vars"]]
     table = ResultTable([
         "noise_var", "oblivious_kl", "aware_kl", "gd_kl", "gd_vs_closed_form",
     ])
@@ -291,10 +290,9 @@ def cmd_sender(config: dict, seed: int, jobs: int = 1) -> tuple:
         table.append(noise, obl_kl, aware_kl, gd_kl, gap)
     svg = None
     if "svg" in config:
-        xs = [float(n) for n in config["noise_vars"]]
         svg = (config["svg"], {
-            "oblivious": (xs, table.column("oblivious_kl")),
-            "aware": (xs, table.column("aware_kl")),
+            "oblivious": (noise_vars, table.column("oblivious_kl")),
+            "aware": (noise_vars, table.column("aware_kl")),
         }, "noise variance", "KL to target")
     return table, (EXIT_OK if agree else EXIT_INFEASIBLE), svg
 

@@ -32,7 +32,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import (InvalidParameterError, SingularTargetError, StepSizeError, require_count,
-                     require_float)
+                     require_float, require_float_in)
 
 _EIG_FLOOR = -1e-12       # a covariance eigenvalue above this is projected to >= 0
 _TARGET_MIN_EIG = 1e-9    # smallest eigenvalue of a target covariance
@@ -60,10 +60,8 @@ def _check_lowest_eigenvalue(lowest: float) -> None:
 
 def _check_noise_var(noise_var) -> float:
     """A channel noise variance as a float; InvalidParameterError unless finite and >= 0."""
-    value = require_float("noise_var", noise_var)
-    if not 0 <= value < math.inf:
-        raise InvalidParameterError(f"noise_var must be finite and >= 0, got {noise_var}")
-    return value
+    return require_float_in("noise_var", noise_var, lambda v: 0 <= v < math.inf,
+                            "be finite and >= 0")
 
 
 def _check_target_eigenvalue(lowest: float) -> None:
@@ -84,10 +82,8 @@ def _singular(lowest: float, largest: float, dim: int) -> bool:
 def _descent_params(steps, learning_rate) -> tuple[int, float]:
     """The step count and learning rate of a descent, checked."""
     require_count("steps", steps, 1)
-    learning_rate = require_float("learning_rate", learning_rate)
-    if not 0 <= learning_rate < math.inf:
-        raise InvalidParameterError(f"learning_rate must be finite and >= 0, got {learning_rate}")
-    return steps, learning_rate
+    return steps, require_float_in("learning_rate", learning_rate, lambda v: 0 <= v < math.inf,
+                                   "be finite and >= 0")
 
 
 def _bad_steps(value: float, prev: float, bad_steps: int, mean, sent) -> int:

@@ -103,3 +103,41 @@ def require_float(name: str, value) -> float:
         raise InvalidParameterError(f"{name} holds an integer beyond the float range") from None
     except (TypeError, ValueError):
         raise InvalidParameterError(f"{name} must be a number, got {_shown(value)}") from None
+
+
+def require_float_in(name: str, value, ok, rule: str) -> float:
+    """``require_float(name, value)``; InvalidParameterError "``name`` must
+    ``rule``, got <the float>" unless ``ok`` holds for the float."""
+    value = require_float(name, value)
+    if not ok(value):
+        raise InvalidParameterError(f"{name} must {rule}, got {value}")
+    return value
+
+
+def require_iterable(name: str, value) -> tuple:
+    """``tuple(value)``; InvalidParameterError naming ``name`` for a string or a
+    value that cannot be iterated, such as a number or None."""
+    try:
+        if not isinstance(value, str):
+            return tuple(value)
+    except TypeError:
+        pass
+    raise InvalidParameterError(f"{name} must be a sequence, got {_shown(value)}")
+
+
+def require_floats(name: str, value) -> tuple:
+    """``value`` as a tuple of floats, each converted by ``require_float``."""
+    return tuple(require_float(name, v) for v in require_iterable(name, value))
+
+
+def require_float_array(name: str, value):
+    """``value`` as a float numpy array; InvalidParameterError naming ``name``
+    for an integer beyond the float range or an entry that is not a number."""
+    import numpy as np  # here, so that importing this module does not load numpy
+
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise InvalidParameterError(f"{name} holds an integer beyond the float range") from None
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must be numbers, got {_shown(value)}") from None

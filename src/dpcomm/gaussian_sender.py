@@ -35,21 +35,11 @@ import numpy as np
 from .diagonal_sender import (_EIG_FLOOR, _bad_steps, _check_dimension, _check_lowest_eigenvalue,
                               _check_noise_var, _check_target_eigenvalue, _descent_params,
                               _not_finite_error, _singular)
-from .errors import InvalidParameterError, SingularTargetError, StepSizeError, _shown, require_count
+from .errors import (InvalidParameterError, SingularTargetError, StepSizeError, require_count,
+                     require_float_array)
 from .rng import substream
 
 _SYM_TOL = 1e-12
-
-
-def _float_array(name: str, value) -> np.ndarray:
-    """``value`` as a float array; InvalidParameterError naming ``name`` for an
-    integer beyond the float range or an entry that is not a number."""
-    try:
-        return np.asarray(value, dtype=float)
-    except OverflowError:
-        raise InvalidParameterError(f"{name} holds an integer beyond the float range") from None
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"{name} must be numbers, got {_shown(value)}") from None
 
 
 def _symmetric_part(matrix: np.ndarray) -> np.ndarray:
@@ -98,8 +88,8 @@ class GaussianMessageDist:
     _eigvecs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(_float_array("mean", self.mean))
-        cov = _float_array("covariance", self.cov)
+        mean = np.atleast_1d(require_float_array("mean", self.mean))
+        cov = require_float_array("covariance", self.cov)
         _check_dimension(cov.shape, mean.size)
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise _not_finite_error(mean.tolist(), cov.tolist())
@@ -114,7 +104,8 @@ class GaussianMessageDist:
 
     @classmethod
     def from_diagonal(cls, mean, variances) -> "GaussianMessageDist":
-        return cls(_float_array("mean", mean), np.diag(_float_array("variances", variances)))
+        mean = require_float_array("mean", mean)
+        return cls(mean, np.diag(require_float_array("variances", variances)))
 
     @property
     def dim(self) -> int:
@@ -235,8 +226,8 @@ def objective_grad_diag(problem: SenderProblem, mean: np.ndarray, variances: np.
     KL(N(mean, diag(variances) + noise_var * I) || target). Returns
     (value, d/dmean, d/dvariances).
     """
-    mean = np.asarray(mean, dtype=float)
-    variances = np.asarray(variances, dtype=float)
+    mean = require_float_array("mean", mean)
+    variances = require_float_array("variances", variances)
     if mean.shape != (problem.dim,) or variances.shape != (problem.dim,):
         raise InvalidParameterError(
             f"mean {mean.shape} and variances {variances.shape} must have shape ({problem.dim},)"
@@ -252,9 +243,12 @@ def objective_grad_diag(problem: SenderProblem, mean: np.ndarray, variances: np.
     diff = mean - problem.target.mean
     sent_vars = variances + problem.noise_var
     value = _sent_kl(target_inv, logdet_q, diff, sent_vars)
-    grad_mean = target_inv @ diff
-    grad_var = 0.5 * (np.diag(target_inv) - 1.0 / sent_vars)
-    return value, grad_mean, grad_var
+    return (value, *_grad_diag(target_inv, np.diag(target_inv), diff, sent_vars))
+
+
+def _grad_diag(target_inv, target_inv_diag, diff, sent) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dmean, d/dvariances) of a diagonal sender's post-noise KL, on raw arrays."""
+    return target_inv @ diff, 0.5 * (target_inv_diag - 1.0 / sent)
 
 
 def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: float = 0.1,
@@ -291,8 +285,8 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: f
         # 1 / 0 and what follows from it would say nothing new.
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(steps):
-                grad_var = 0.5 * (target_inv_diag - 1.0 / sent)
-                mean = mean - learning_rate * (target_inv @ diff)
+                grad_mean, grad_var = _grad_diag(target_inv, target_inv_diag, diff, sent)
+                mean = mean - learning_rate * grad_mean
                 # The bits of np.clip(..., 0.0, None) (no -0.0 arises) in a third of the time.
                 variances = np.maximum(variances - learning_rate * grad_var, 0.0)
                 sent = variances + problem.noise_var

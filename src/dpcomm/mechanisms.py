@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateMechanismError, InvalidParameterError, _shown, require_count,
-                     require_float, require_index)
+from .errors import (DegenerateMechanismError, InvalidParameterError, require_count,
+                     require_float_array, require_float_in, require_index, require_iterable)
 from .rng import substream
 
 
@@ -31,10 +31,7 @@ class RrMechanism:
 
 def _check_probability(name: str, value) -> float:
     """``value`` as a float; InvalidParameterError unless it is in [0, 1]."""
-    value = require_float(name, value)
-    if not 0.0 <= value <= 1.0:
-        raise InvalidParameterError(f"{name} must be in [0,1], got {value}")
-    return value
+    return require_float_in(name, value, lambda v: 0.0 <= v <= 1.0, "be in [0,1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,9 +47,7 @@ def rr_flip_prob(epsilon: float) -> float:
 
     eps = 0 gives p = 1 (pure coin flips); eps -> inf gives p -> 0.
     """
-    epsilon = require_float("epsilon", epsilon)
-    if not epsilon >= 0:
-        raise InvalidParameterError(f"epsilon must be nonnegative, got {epsilon}")
+    epsilon = require_float_in("epsilon", epsilon, lambda v: v >= 0, "be nonnegative")
     if epsilon > 700.0:  # exp would overflow; the +1 is far below resolution
         return 2.0 * math.exp(-epsilon)
     return 2.0 / (math.exp(epsilon) + 1.0)
@@ -66,12 +61,11 @@ def _check_bit(bit) -> int:
 
 def _check_bits(name: str, values) -> np.ndarray:
     """``values`` as a float array; InvalidParameterError naming ``name`` unless
-    every entry is 0 or 1. The check is array-wise, so a trials x agents matrix
-    of messages is checked as a list is."""
-    try:
-        values = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParameterError(f"{name} must be 0s and 1s, got {_shown(values)}") from None
+    it is a list of 0s and 1s. The check is array-wise, so a trials x agents
+    matrix of messages is checked as a list is."""
+    values = require_float_array(name, values)
+    if values.ndim == 0:
+        raise InvalidParameterError(f"{name} must be a list of 0s and 1s, got {float(values)!r}")
     bad = (values != 0.0) & (values != 1.0)
     if bad.any():
         raise InvalidParameterError(f"{name} must be 0s and 1s, got {float(values[bad][0])!r}")
@@ -121,10 +115,12 @@ def rr_perturb(bit: int, mech: RrMechanism, rng_seed: int, size: int | None = No
     return int(out[0]) if size is None else out
 
 
-def naive_guess(own_bit: int, received) -> int:
-    """Trusting receiver: own bit plus the sum of received (noisy) bits."""
+def naive_guess(own_bit: int, received):
+    """Trusting receiver: own bit plus the sum of received (noisy) bits; one
+    int guess per trial of a trials x others matrix, as for ``aware_guess``."""
     own_bit = _check_bit(own_bit)
-    return own_bit + int(_check_bits("received", received).sum())
+    guesses = own_bit + _check_bits("received", received).sum(axis=-1).astype(np.int64)
+    return int(guesses) if guesses.ndim == 0 else guesses
 
 
 def naive_bias(bits, agent: int, p: float) -> float:
@@ -155,9 +151,6 @@ def aware_guess(own_bit: int, received, p: float) -> float:
     if p == 1.0:
         raise DegenerateMechanismError("p = 1 sends pure noise; the estimator is undefined")
     received = _check_bits("received", received)
-    if received.ndim == 0:
-        raise InvalidParameterError(
-            f"received must be a list of messages, got {float(received)!r}")
     n_others = received.shape[-1]
     return own_bit + (received.sum(axis=-1) - n_others * p / 2.0) / (1.0 - p)
 
@@ -168,10 +161,9 @@ def clip(values, clip_norm: float) -> ClippedVector:
     Vectors already within the ball pass through unchanged (bit-exact). A
     non-finite entry has no place on the ball and is rejected.
     """
-    clip_norm = require_float("clip_norm", clip_norm)
-    if not 0 < clip_norm < math.inf:
-        raise InvalidParameterError(f"clip_norm must be finite and positive, got {clip_norm}")
-    values = np.asarray(values, dtype=float)
+    clip_norm = require_float_in("clip_norm", clip_norm, lambda v: 0 < v < math.inf,
+                                 "be finite and positive")
+    values = require_float_array("values", values)
     if not np.isfinite(values).all():
         raise InvalidParameterError(f"clip values must be finite, got {values}")
     norm = float(np.linalg.norm(values))
@@ -186,9 +178,7 @@ def gaussian_perturb(msg: ClippedVector, sigma: float, rng_seed: int, size: int 
     ``size=None`` returns one perturbed vector; integer ``size`` returns a
     (size, d) array of independent perturbations.
     """
-    sigma = require_float("sigma", sigma)
-    if not 0 <= sigma < math.inf:
-        raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
+    sigma = require_float_in("sigma", sigma, lambda v: 0 <= v < math.inf, "be finite and >= 0")
     rng = substream(rng_seed)
     d = msg.values.shape[0]
     shape = (d,) if size is None else (require_count("size", size, 0), d)
@@ -205,11 +195,9 @@ def subsample(items, rate: float, rng_seed: int) -> list:
     Banker's rounding keeps the expected subset size unbiased. The selected
     items are returned in their original order.
     """
-    rate = require_float("rate", rate)
-    if not (0.0 < rate < 1.0):
-        raise InvalidParameterError(f"rate must be in (0,1), got {rate}")
+    rate = require_float_in("rate", rate, lambda v: 0.0 < v < 1.0, "be in (0,1)")
     rng = substream(rng_seed)
-    items = list(items)
+    items = require_iterable("items", items)
     if not items:
         return []
     k = round(rate * len(items))

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import (InvalidActionError, InvalidParameterError, require_count, require_float,
-                     require_index)
+                     require_float_in, require_floats, require_index)
 
 _KEY_DECIMALS = 9
 _SPEND_TOL = 1e-9
@@ -65,10 +65,10 @@ class MrsConfig:
         for name in ("discount", "reward_alpha", "reward_beta"):
             object.__setattr__(self, name, require_float(name, getattr(self, name)))
         for name in ("initial_savings", "team_weights"):
-            object.__setattr__(self, name, tuple(require_float(name, x) for x in getattr(self, name)))
+            object.__setattr__(self, name, require_floats(name, getattr(self, name)))
         for name in ("spend_grid", "privacy_grid"):
-            object.__setattr__(self, name, tuple(sorted({require_float(name, x)
-                                                         for x in getattr(self, name)})))
+            grid = set(require_floats(name, getattr(self, name)))
+            object.__setattr__(self, name, tuple(sorted(grid)))
         if not (0.0 < self.discount <= 1.0):
             raise InvalidParameterError(f"discount must be in (0, 1], got {self.discount}")
         if not all(map(math.isfinite, (self.reward_alpha, self.reward_beta, *self.team_weights))):
@@ -96,9 +96,9 @@ class MrsConfig:
 
 
 def _clean_savings(savings) -> tuple:
-    """Savings as floats with |x| < 1e-12 snapped to 0; InvalidParameterError
+    """Float savings with |x| < 1e-12 snapped to 0; InvalidParameterError
     unless every one is finite and >= 0."""
-    cleaned = tuple(0.0 if abs(x) < 1e-12 else require_float("savings", x) for x in savings)
+    cleaned = tuple(0.0 if abs(x) < 1e-12 else x for x in savings)
     if not all(0.0 <= x < math.inf for x in cleaned):
         raise InvalidParameterError(f"savings must be finite and >= 0, got {cleaned}")
     return cleaned
@@ -110,7 +110,7 @@ class MrsState:
     step: int
 
     def __post_init__(self):
-        object.__setattr__(self, "savings", _clean_savings(self.savings))
+        object.__setattr__(self, "savings", _clean_savings(require_floats("savings", self.savings)))
         require_count("step", self.step, 0)
 
 
@@ -319,9 +319,7 @@ def verify_mpg(cfg: MrsConfig, start: MrsState, tol: float = 1e-12):
     exactly 0 under unit team weights. InvalidActionError if a reachable
     saving has no affordable spend.
     """
-    tol = require_float("tol", tol)
-    if not 0 < tol < math.inf:
-        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
+    tol = require_float_in("tol", tol, lambda v: 0 < v < math.inf, "be finite and > 0")
     max_violation = 0.0
     for agent, weight in enumerate(cfg.team_weights):
         low, high = _team_contribution_range(cfg, agent, start)

@@ -287,6 +287,15 @@ class TestBinarySumsConstruction:
         with pytest.raises(InvalidParameterError, match="p holds"):
             StrategyProfile((10**400, 0.0))
 
+    @pytest.mark.parametrize("standalone", [(-0.5,), (-0.5, -0.5, -0.5), ()])
+    def test_standalone_values_are_two(self, standalone):
+        # One value used to be accepted, and player 2's utility then raised a
+        # bare IndexError.
+        game = make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0))
+        with pytest.raises(InvalidParameterError, match="standalone_values must be two"):
+            CgpInstance(game.benefit_weight, game.privacy_weight, game.value_fn, standalone,
+                        game.privacy_loss_fn, game.benefit_fn)
+
     def test_infinite_weight_rejected(self):
         with pytest.raises(InvalidParameterError):
             make_binary_sums_cgp((math.inf, 1.0), (1.0, 1.0))

@@ -2,6 +2,7 @@ import math
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from dpcomm import (
     oblivious_optimum,
     sample_message,
 )
-from dpcomm import diagonal_sender
+from dpcomm import diagonal_sender, gaussian_sender
 from dpcomm.gaussian_sender import _symmetric_part, objective_grad_diag, positive_part
 
 
@@ -615,6 +616,24 @@ class TestGradientDescent:
                         lo = objective_grad_diag(problem, mean, bumped_lo)[0]
                     fd = (hi - lo) / (2 * h)
                     assert fd == pytest.approx(grad[k], rel=1e-4, abs=1e-9)
+
+    def test_descent_steps_along_the_checked_gradient(self):
+        # The loop and objective_grad_diag share one gradient, so the finite
+        # differences above check the gradient the solver runs: each step's
+        # gradient is objective_grad_diag's at that step's iterate, bit for bit.
+        problem = SenderProblem(GaussianMessageDist.from_diagonal([0.5, -1.0], [1.5, 0.6]), 0.8)
+        grads = []
+        real = gaussian_sender._grad_diag
+        with mock.patch.object(gaussian_sender, "_grad_diag",
+                               lambda *args: grads.append(real(*args)) or grads[-1]):
+            aware_optimum_gd(problem, steps=5, learning_rate=0.1)
+        assert len(grads) == 5
+        mean, variances = np.zeros(2), np.ones(2)
+        for grad_mean, grad_var in grads:
+            _, want_mean, want_var = objective_grad_diag(problem, mean, variances)
+            assert np.array_equal(grad_mean, want_mean) and np.array_equal(grad_var, want_var)
+            mean = mean - 0.1 * grad_mean
+            variances = np.maximum(variances - 0.1 * grad_var, 0.0)
 
 
 class TestFastPathMatchesReference:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from dpcomm import (
     DegenerateMechanismError,
@@ -263,6 +264,26 @@ class TestGuessing:
     def test_naive_guess(self):
         assert naive_guess(1, [0, 0]) == 1
         assert naive_guess(0, [1, 1, 1]) == 3
+
+    def test_naive_guess_one_guess_per_trial(self):
+        # A trials x others matrix used to be summed whole into one guess (3),
+        # and a single number was taken as one message.
+        guesses = naive_guess(1, [[0, 1], [1, 0]])
+        assert guesses.tolist() == [2, 2]
+        assert type(naive_guess(1, [0, 1])) is int
+        with pytest.raises(InvalidParameterError, match="received"):
+            naive_guess(1, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(own_bit=st.sampled_from([0, 1]),
+           msgs=arrays(np.int8, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                       elements=st.integers(0, 1)))
+    def test_naive_guess_is_aware_guess_at_p0(self, own_bit, msgs):
+        naive = naive_guess(own_bit, msgs)
+        aware = aware_guess(own_bit, msgs, 0.0)
+        assert naive.shape == aware.shape == (len(msgs),)
+        for row, guess, want in zip(msgs, naive, aware):
+            assert guess == want == naive_guess(own_bit, row)
 
     def test_naive_bias_examples(self):
         assert naive_bias([1, 1, 1], 0, 0.5) == pytest.approx(-0.5)

@@ -1,10 +1,13 @@
 """The public API of ``dpcomm``: the names it exports and where they come from."""
 
 import importlib
+import inspect
+from pathlib import Path
 
 import pytest
 
 import dpcomm
+from dpcomm import errors
 
 #: Every public name of the package, by the submodule that defines it.
 EXPORTS = {
@@ -81,3 +84,13 @@ def test_submodule_import_still_works():
 def test_version_is_a_plain_attribute():
     assert "__version__" in vars(dpcomm)
     assert dpcomm.__version__ == "0.1.0"
+
+
+def test_arrays_are_converted_in_one_place():
+    # A caller's values become a float array only in errors.require_float_array,
+    # so a bad entry raises the same InvalidParameterError wherever it enters.
+    hits = [(path.name, line.strip())
+            for path in sorted(Path(dpcomm.__file__).parent.glob("*.py"))
+            for line in path.read_text().splitlines() if "np.asarray(" in line]
+    assert hits == [("errors.py", "return np.asarray(value, dtype=float)")]
+    assert hits[0][1] in inspect.getsource(errors.require_float_array)
