@@ -144,8 +144,7 @@ def load_config(path: str, command: str) -> dict:
 
 
 def cmd_calibrate(config: dict, seed: int, jobs: int = 1) -> tuple:
-    from .accountant import (MechanismParams, PrivacyBudget, calibrate_episode, calibrate_step,
-                             round_trip)
+    from .accountant import MechanismParams, PrivacyBudget, calibrate_episode, round_trip
 
     table = ResultTable([
         "epsilon", "delta", "gamma1", "gamma2", "num_agents", "clip_norm",
@@ -164,11 +163,11 @@ def cmd_calibrate(config: dict, seed: int, jobs: int = 1) -> tuple:
     ]
     any_infeasible = False
     for eps, t, budget, params in runs:
-        episode = t > 1
         try:
-            result = (calibrate_episode if episode else calibrate_step)(budget, params)
+            # At episode_len 1 the episode variance is the step variance times 1.
+            result = calibrate_episode(budget, params)
             solved = (result.sigma_sq, result.alpha, result.beta, result.sigma_prime_sq, True,
-                      round_trip(result, budget, params, episode=episode).epsilon)
+                      round_trip(result, budget, params, episode=True).epsilon)
         except CalibrationInfeasibleError:
             any_infeasible = True
             solved = (None, None, None, None, False, None)
@@ -281,8 +280,8 @@ def cmd_sender(config: dict, seed: int, jobs: int = 1) -> tuple:
         "noise_var", "oblivious_kl", "aware_kl", "gd_kl", "gd_vs_closed_form",
     ])
     closed_forms = [_closed_form_kls(target.variances, noise) for noise in noise_vars]
-    _, _, gd_kls, _ = _diagonal_descent(target, noise_vars, config.get("gd_steps", 6000),
-                                        config.get("gd_learning_rate", 0.1))
+    steps, learning_rate = config.get("gd_steps", 6000), config.get("gd_learning_rate", 0.1)
+    gd_kls = [_diagonal_descent(target, noise, steps, learning_rate)[2] for noise in noise_vars]
     agree = True
     for noise, (obl_kl, aware_kl), gd_kl in zip(config["noise_vars"], closed_forms, gd_kls):
         gap = gd_kl - aware_kl

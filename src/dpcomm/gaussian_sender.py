@@ -14,10 +14,10 @@ one, and strictly better whenever noise_var > 0.
 ``aware_optimum_gd`` reproduces the closed form with projected gradient
 descent (mean plus diagonal variances, or a full covariance factor), mirroring
 how a learned sender would optimize the same objective. The CLI's sender table,
-whose targets are all diagonal, runs the diagonal descent on Python floats in
-``diagonal_sender``, every noise level of one target on one shared mean path;
-that module holds the rules both paths share, and the tests hold each of its
-rows to this module's one-row diagonal mode.
+whose targets are all diagonal, runs the same diagonal descent on Python floats
+in ``diagonal_sender``, one noise level at a time; that module holds the rules
+both paths share, and the tests hold each of its runs to this module's
+diagonal mode.
 
 A ``GaussianMessageDist`` is checked and eigendecomposed once, when built, and
 keeps the decomposition for the target checks, the closed-form shrink and the

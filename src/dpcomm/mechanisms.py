@@ -159,13 +159,16 @@ def clip(values, clip_norm: float) -> ClippedVector:
     """Rescale ``values`` onto the l2 ball of radius ``clip_norm``.
 
     Vectors already within the ball pass through unchanged (bit-exact). A
-    non-finite entry has no place on the ball and is rejected.
+    non-finite entry has no place on the ball and is rejected, and so is a
+    number or a matrix.
     """
     clip_norm = require_float_in("clip_norm", clip_norm, lambda v: 0 < v < math.inf,
                                  "be finite and positive")
     values = require_float_array("values", values)
     if not np.isfinite(values).all():
         raise InvalidParameterError(f"clip values must be finite, got {values}")
+    if values.ndim != 1:
+        raise InvalidParameterError(f"values must be a vector, got shape {values.shape}")
     norm = float(np.linalg.norm(values))
     if norm > clip_norm:
         values = values * clip_norm / norm

@@ -497,6 +497,46 @@ def test_shipped_outputs_unchanged(tmp_path, name):
     assert digests == SHIPPED_OUTPUTS[name]
 
 
+#: The configs of test_gaussian_sender's ``test_cli_configs_are_equal``, as
+#: (target mean, target variances, noise levels, gd_steps, gd_learning_rate),
+#: with the exit code and the sha256 of every file ``sender`` writes at seed 0.
+#: The last three stop at a StepSizeError and write nothing.
+SENDER_OUTPUTS = [
+    pytest.param(([0.0, 0.0], [1.0, 1.0], [0.0, 0.1, 0.5, 1.0], 6000, 0.1), EXIT_OK,
+                 {"sender.csv": "c811fc701aa7b317288eb38e8c65a6a8fce59251583a551f551668e411217016"},
+                 id="shipped"),
+    pytest.param(([0.0, 0.0], [1.0, 1.0], [0.0, 0.5], 3000, 0.1), EXIT_OK,
+                 {"sender.csv": "5782b6b74fab6c0a53091bf9b636014986f865c831e909c6df6aa217230a8a88"},
+                 id="3000-steps"),
+    pytest.param(([0.0, 0.0], [1.0, 1.0], [0.0, 0.5], 500, 0.1), EXIT_OK,
+                 {"sender.csv": "a8bdbb0a970aacddc22dacacd0f068df7e65aff28b6577dc27cd90e53e27562e"},
+                 id="500-steps"),
+    pytest.param(([0.0, 0.0], [1.0, 1.0], [0.0, 0.5], 200, 100.0), EXIT_INFEASIBLE,
+                 {"sender.csv": "70f21738f7be88ec4b321e98333e1d30859595d9acbeb3f6cbf76569a2651311"},
+                 id="rate-100"),
+    pytest.param(([0.0, 0.0], [1.0, 1.0], [0.5], 6000, 0.0), EXIT_INFEASIBLE,
+                 {"sender.csv": "17dac8f4e51415a2b479468862d0f5295467e784a65857601bfd3a44691837da"},
+                 id="rate-0"),
+    pytest.param(([1.0], [1.0], [0.1], 6000, 50.0), EXIT_INFEASIBLE,
+                 {}, id="rate-50"),
+    pytest.param(([0.1], [0.249], [0.1, 0.0, 0.5], 200, 0.5), EXIT_INFEASIBLE,
+                 {}, id="overflow-3-levels"),
+    pytest.param(([0.1], [0.249], [0.1, 0.5], 200, 0.5), EXIT_INFEASIBLE,
+                 {}, id="overflow-2-levels"),
+]
+
+
+@pytest.mark.parametrize("args,code,files", SENDER_OUTPUTS)
+def test_sender_outputs_unchanged(tmp_path, args, code, files):
+    mean, variances, noise_vars, steps, learning_rate = args
+    config = {"dim": len(mean), "target_mean": mean, "target_variances": variances,
+              "noise_vars": noise_vars, "gd_steps": steps, "gd_learning_rate": learning_rate}
+    out = tmp_path / "out"
+    assert run(tmp_path, "sender", config)[0] == code
+    written = sorted(out.iterdir()) if out.exists() else []
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written} == files
+
+
 class TestNumpyFreeStart:
     """Only binary-sums uses a numpy-backed module, so every other command
     never loads numpy; and each command loads only its own library modules."""

@@ -227,31 +227,26 @@ def _kl_gap(kl, kl_ref):
 
 
 def assert_rows_match_oracle(mean, variances, noise_vars, steps, learning_rate):
-    """Every row of ``diagonal_sender._diagonal_descent`` against
-    ``_reference_diagonal_gd`` on that row alone: equal iterates and KLs within
-    ``KL_TOL``, or the lowest failing row's message. The rows before the first
-    failing one are then checked as a batch of their own. Returns the rows'
+    """``diagonal_sender._diagonal_descent`` at each noise level against
+    ``_reference_diagonal_gd`` at that level: the same StepSizeError message,
+    or equal iterates and KLs within ``KL_TOL``. Returns the oracle's
     outcomes."""
     target = GaussianMessageDist.from_diagonal(mean, variances)
-    refs = [_outcome(_reference_diagonal_gd, SenderProblem(target, noise), steps, learning_rate)
-            for noise in noise_vars]
-    batch = _outcome(diagonal_sender._diagonal_descent,
-                     diagonal_sender._diagonal_target(mean, variances),
-                     [float(noise) for noise in noise_vars], steps, learning_rate)
-    failed = [k for k, ref in enumerate(refs) if isinstance(ref, str)]
-    if failed:
-        assert batch == refs[failed[0]]
-        if failed[0] > 0:
-            assert_rows_match_oracle(mean, variances, noise_vars[:failed[0]], steps,
-                                     learning_rate)
-        return refs
-    got_mean, got_variances, kls, ran = batch
-    assert 1 <= ran <= steps
-    assert len(got_variances) == len(kls) == len(noise_vars)
-    for k, (ref_mean, ref_variances, ref_kl) in enumerate(refs):
-        assert got_mean == ref_mean.tolist()
-        assert got_variances[k] == ref_variances.tolist()
-        assert _kl_gap(kls[k], ref_kl) <= KL_TOL  # a NaN gap fails; a returned KL is never NaN
+    checked = diagonal_sender._diagonal_target(mean, variances)
+    refs = []
+    for noise in noise_vars:
+        ref = _outcome(_reference_diagonal_gd, SenderProblem(target, noise), steps, learning_rate)
+        got = _outcome(diagonal_sender._diagonal_descent, checked, float(noise), steps,
+                       learning_rate)
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            (got_mean, got_variances, kl, ran), (ref_mean, ref_variances, ref_kl) = got, ref
+            assert 1 <= ran <= steps
+            assert got_mean == ref_mean.tolist()
+            assert got_variances == ref_variances.tolist()
+            assert _kl_gap(kl, ref_kl) <= KL_TOL  # a NaN gap fails; a returned KL is never NaN
+        refs.append(ref)
     return refs
 
 
@@ -713,9 +708,9 @@ class TestFastPathMatchesReference:
 
 
 class TestBatchedDescent:
-    """``diagonal_sender._diagonal_descent`` row by row against
-    ``_reference_diagonal_gd``, and ``aware_optimum_gd``'s one-row diagonal
-    mode against the same oracle on non-diagonal targets."""
+    """``diagonal_sender._diagonal_descent`` at each noise level of a table
+    against ``_reference_diagonal_gd``, and ``aware_optimum_gd``'s one-row
+    diagonal mode against the same oracle on non-diagonal targets."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_seeded_rows(self):
@@ -726,10 +721,10 @@ class TestBatchedDescent:
         for d in range(1, 17):
             mean, variances = rng.normal(size=d).tolist(), rng.uniform(0.3, 3.0, d).tolist()
             non_diagonal = random_spd_target(rng, d)
-            for batch in (True, False):
+            for diagonal in (True, False):
                 noise_vars = [0.0, *rng.uniform(0.0, 1.5, 4)]
                 for learning_rate in (0.05, 0.3, float(rng.choice([2.0, 50.0]))):
-                    if batch:
+                    if diagonal:
                         outcomes += assert_rows_match_oracle(mean, variances, noise_vars, 100,
                                                              learning_rate)
                     else:
@@ -742,17 +737,15 @@ class TestBatchedDescent:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_lowest_failing_row_raises(self):
         # Alone, row 1 (no noise) overflows at step 27 and row 2 has 10 rising
-        # steps by step 12; row 0 runs all 200 steps.
+        # steps by step 12; row 0 runs all 200 steps. The table stops at row
+        # 1's error, as cmd_sender does.
         refs = assert_rows_match_oracle([0.1], [0.249], [0.1, 0.0, 0.5], 200, 0.5)
         assert refs[1] == "a step overflowed the iterate; reduce the learning rate"
         assert refs[2] == "objective increased for 10 consecutive steps; reduce the learning rate"
         assert not isinstance(refs[0], str)
-        target = diagonal_sender._diagonal_target([0.1], [0.249])
-        with pytest.raises(StepSizeError, match="overflowed"):
-            diagonal_sender._diagonal_descent(target, [0.1, 0.0, 0.5], 200, 0.5)
-        # A failing row after converging rows still fails the call.
-        with pytest.raises(StepSizeError, match="increased"):
-            diagonal_sender._diagonal_descent(target, [0.1, 0.5], 200, 0.5)
+        assert _float_table([0.1], [0.249], [0.1, 0.0, 0.5], 200, 0.5)[1] == refs[1]
+        # A failing row after converging rows still fails the table.
+        assert _float_table([0.1], [0.249], [0.1, 0.5], 200, 0.5)[1] == refs[2]
 
     def test_shipped_sender_rows(self):
         refs = assert_rows_match_oracle([0.0, 0.0], [1.0, 1.0], [0.0, 0.1, 0.5, 1.0], 6000, 0.1)
@@ -775,12 +768,12 @@ class TestBatchedDescent:
                                  learning_rate)
 
 
-def _full_length_descent(target, noise_vars, steps, learning_rate):
+def _full_length_descent(target, noise_var, steps, learning_rate):
     """``diagonal_sender._diagonal_descent`` with its exit at the fixed point
     switched off: every run takes all ``steps`` steps (or fails)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(diagonal_sender, "_same_zero_signs", lambda new, old: False)
-        return _outcome(diagonal_sender._diagonal_descent, target, noise_vars, steps,
+        return _outcome(diagonal_sender._diagonal_descent, target, noise_var, steps,
                         learning_rate)
 
 
@@ -790,24 +783,34 @@ def _hex(values):
 
 class TestFixedPointExit:
     """The descent stops at the first step that changes neither the mean, nor
-    a surviving row's variances, nor a KL, and ends as the full-length run
-    does: the same iterates bit for bit, the same KLs, the same error."""
+    the variances, nor the KL, and ends as the full-length run does: the same
+    iterates bit for bit, the same KL, the same error."""
 
     def test_shipped_table_stops_at_step_736(self):
         # The mean never moves; the rows at noise 0, 0.1, 0.5 and 1.0 stop
         # changing at steps 1, 627, 667 and 736.
         target = diagonal_sender._diagonal_target([0.0, 0.0], [1.0, 1.0])
         noise_vars = [0.0, 0.1, 0.5, 1.0]
-        assert diagonal_sender._diagonal_descent(target, noise_vars, 6000, 0.1)[3] == 736
-        assert [diagonal_sender._diagonal_descent(target, [noise], 6000, 0.1)[3]
-                for noise in noise_vars] == [1, 627, 667, 736]
-        full = _full_length_descent(target, noise_vars, 6000, 0.1)
-        assert full[3] == 6000
-        assert diagonal_sender._diagonal_descent(target, noise_vars, 6000, 0.1)[:3] == full[:3]
+        rows = [diagonal_sender._diagonal_descent(target, noise, 6000, 0.1)
+                for noise in noise_vars]
+        assert [row[3] for row in rows] == [1, 627, 667, 736]
+        for row, noise in zip(rows, noise_vars):
+            full = _full_length_descent(target, noise, 6000, 0.1)
+            assert full[3] == 6000
+            assert row[:3] == full[:3]
 
     def test_steps_stay_the_bound(self):
         target = diagonal_sender._diagonal_target([0.0, 0.0], [1.0, 1.0])
-        assert diagonal_sender._diagonal_descent(target, [0.0, 0.1, 0.5, 1.0], 735, 0.1)[3] == 735
+        assert diagonal_sender._diagonal_descent(target, 1.0, 735, 0.1)[3] == 735
+
+    def test_mean_settles_after_the_variances(self):
+        # With no noise and the target's variances, the variances never move,
+        # and from about step 175 the KL reads 0: 0.5 * ((1 + quad) - 1) drops
+        # a quad below 1e-16. The mean still moves until step 334.
+        target = diagonal_sender._diagonal_target([1.0], [1.0])
+        got = diagonal_sender._diagonal_descent(target, 0.0, 6000, 0.1)
+        assert got[2] == 0.0 and got[3] == 334
+        assert got[:3] == _full_length_descent(target, 0.0, 6000, 0.1)[:3]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=25, deadline=None)
@@ -826,52 +829,50 @@ class TestFixedPointExit:
         noise_vars = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.5), clipping),
                                         min_size=1, max_size=4))
         target = diagonal_sender._diagonal_target(mean, variances)
-        got = _outcome(diagonal_sender._diagonal_descent, target, noise_vars, steps,
-                       learning_rate)
-        full = _full_length_descent(target, noise_vars, steps, learning_rate)
         dist = GaussianMessageDist.from_diagonal(mean, variances)
-        refs = [_outcome(_reference_diagonal_gd, SenderProblem(dist, noise), steps,
-                         learning_rate) for noise in noise_vars]
-        failed = [ref for ref in refs if isinstance(ref, str)]
-        if failed:
-            event("failed")
-            assert got == full == failed[0]
-            return
-        got_mean, got_variances, kls, ran = got
-        event("settled" if ran < steps else "ran every step")
-        assert 1 <= ran <= steps and full[3] == steps
-        for k, (ref_mean, ref_variances, _) in enumerate(refs):
+        for noise in noise_vars:
+            got = _outcome(diagonal_sender._diagonal_descent, target, noise, steps,
+                           learning_rate)
+            full = _full_length_descent(target, noise, steps, learning_rate)
+            ref = _outcome(_reference_diagonal_gd, SenderProblem(dist, noise), steps,
+                           learning_rate)
+            if isinstance(ref, str):
+                event("failed")
+                assert got == full == ref
+                continue
+            (got_mean, got_variances, kl, ran), (ref_mean, ref_variances, _) = got, ref
+            event("settled" if ran < steps else "ran every step")
+            assert 1 <= ran <= steps and full[3] == steps
             assert _hex(got_mean) == _hex(ref_mean)
-            assert _hex(got_variances[k]) == _hex(ref_variances)
-        # numpy's KLs may differ in the last bits; the full float run's may not.
-        assert kls == full[2]
+            assert _hex(got_variances) == _hex(ref_variances)
+            # numpy's KL may differ in the last bits; the full float run's may not.
+            assert kl == full[2]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rows_settle_before_a_row_fails(self):
         # Alone, the rows at noise 0.5 and 1.0 settle at step 3, and the row at
         # noise 0 overflows at step 27 with a NaN KL (inf - inf).
         target = diagonal_sender._diagonal_target([0.0], [0.249])
-        assert [diagonal_sender._diagonal_descent(target, [noise], 200, 0.5)[3]
+        assert [diagonal_sender._diagonal_descent(target, noise, 200, 0.5)[3]
                 for noise in (0.5, 1.0)] == [3, 3]
-        refs = assert_rows_match_oracle([0.0], [0.249], [0.5, 1.0, 0.0], 200, 0.5)
-        assert refs[2] == "a step overflowed the iterate; reduce the learning rate"
-        with pytest.raises(StepSizeError, match="overflowed"):
-            diagonal_sender._diagonal_descent(target, [0.5, 1.0, 0.0], 200, 0.5)
-        # One step short of the overflow, the call runs every step.
-        assert diagonal_sender._diagonal_descent(target, [0.5, 1.0, 0.0], 26, 0.5)[3] == 26
+        (_, descent), _ = assert_float_table_matches([0.0], [0.249], [0.5, 1.0, 0.0], 200, 0.5)
+        assert descent == "a step overflowed the iterate; reduce the learning rate"
+        # One step short of the overflow, the row runs every step.
+        assert diagonal_sender._diagonal_descent(target, 0.0, 26, 0.5)[3] == 26
+        (_, descent), _ = assert_float_table_matches([0.0], [0.249], [0.5, 1.0, 0.0], 26, 0.5)
+        assert not isinstance(descent, str)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rows_settle_after_a_row_failed(self):
         # The row at noise 0 overflows at step 27; the rows at noise 0.5 and
-        # 1.0 settle only at steps 1145 and 1161, and the call still fails.
+        # 1.0 settle only at steps 1145 and 1161, and the table still fails.
         target = diagonal_sender._diagonal_target([0.0, 0.0], [0.249, 3.0])
-        assert [diagonal_sender._diagonal_descent(target, [noise], 3000, 0.5)[3]
+        assert [diagonal_sender._diagonal_descent(target, noise, 3000, 0.5)[3]
                 for noise in (0.5, 1.0)] == [1145, 1161]
         for noise_vars in ([0.5, 1.0, 0.0], [0.5, 0.0, 1.0]):
-            refs = assert_rows_match_oracle([0.0, 0.0], [0.249, 3.0], noise_vars, 3000, 0.5)
-            assert "a step overflowed the iterate; reduce the learning rate" in refs
-            with pytest.raises(StepSizeError, match="overflowed"):
-                diagonal_sender._diagonal_descent(target, noise_vars, 3000, 0.5)
+            (_, descent), _ = assert_float_table_matches([0.0, 0.0], [0.249, 3.0], noise_vars,
+                                                         3000, 0.5)
+            assert descent == "a step overflowed the iterate; reduce the learning rate"
 
 
 def _numpy_table(mean, variances, noise_vars, steps, learning_rate):
@@ -897,15 +898,22 @@ def _numpy_table(mean, variances, noise_vars, steps, learning_rate):
 
 
 def _float_table(mean, variances, noise_vars, steps, learning_rate):
-    """The same table from ``diagonal_sender``, as ``cmd_sender`` builds it."""
+    """The same table from ``diagonal_sender``, as ``cmd_sender`` builds it:
+    every noise level checked, then one descent per level, in order, up to the
+    first StepSizeError."""
     try:
         target = diagonal_sender._diagonal_target(mean, variances)
         noise = [diagonal_sender._sender_problem(target.variances, n) for n in noise_vars]
         closed = [diagonal_sender._closed_form_kls(target.variances, n) for n in noise]
-        descent = _outcome(diagonal_sender._diagonal_descent, target, noise, steps, learning_rate)
+        rows = [diagonal_sender._diagonal_descent(target, n, steps, learning_rate)
+                for n in noise]
+    except StepSizeError as exc:
+        return closed, str(exc)
     except ValueError as exc:
         return type(exc), str(exc)
-    return closed, descent
+    means = [row[0] for row in rows]
+    assert means.count(means[0]) == len(means)  # the mean step reads no noise
+    return closed, (means[0], [row[1] for row in rows], [row[2] for row in rows])
 
 
 def assert_float_table_matches(mean, variances, noise_vars, steps, learning_rate, tol=KL_TOL):
@@ -1005,6 +1013,8 @@ class TestDiagonalSender:
         ([0.0], [1.0], [0.5], 10, -0.1),
         ([0.0], [1.0], [0.5], 10, math.inf),
         ([0.0], [1.0], [0.5], 10, 10**400),
+        # Alone, the first row fails with a StepSizeError; the bad level wins.
+        ([1.0], [1.0], [0.1, -0.1], 6000, 50.0),
     ])
     def test_input_errors_are_the_same(self, mean, variances, noise_vars, steps, learning_rate):
         ref, _ = assert_float_table_matches(mean, variances, noise_vars, steps, learning_rate)

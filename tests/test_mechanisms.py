@@ -448,6 +448,13 @@ class TestClip:
         with pytest.raises(InvalidParameterError, match="clip_norm"):
             clip([1.0], clip_norm)
 
+    @pytest.mark.parametrize("values", [2.5, [[3.0, 4.0], [0.0, 1.0]]], ids=["number", "2x2"])
+    def test_non_vector_values_rejected(self, values):
+        # A number used to give a 0-d message on which gaussian_perturb raised
+        # a bare IndexError; a matrix was clipped by its Frobenius norm.
+        with pytest.raises(InvalidParameterError, match="values must be a vector"):
+            clip(values, 1.0)
+
 
 class TestGaussianPerturb:
     def test_zero_noise_passthrough(self):
