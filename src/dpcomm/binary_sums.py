@@ -32,9 +32,9 @@ from .rng import block_sizes, substream
 
 RECEIVER_MODES = ("naive", "aware")
 
-#: Fewest agents at which ``run_game`` fans its blocks out to threads. Timed at
-#: 8 blocks on 2 vCPUs, jobs=2 over jobs=1 was 0.88-0.95x at N = 5-8, mixed
-#: (0.93-1.35x) at N = 12-16 and 1.3-1.7x from N = 24 to 64.
+#: Fewest agents at which ``run_game`` fans its blocks out to threads, set when jobs=2
+#: won 1.3-1.7x at N = 24-64 on 2 vCPUs; later 12- and 10-pair batches show no win at
+#: N = 24 (medians 0.96/0.72/0.99/0.97x) and mixed ones at N = 64 (0.88/1.33/1.09/1.44x).
 _POOL_MIN_AGENTS = 24
 
 

@@ -143,6 +143,10 @@ def load_config(path: str, command: str) -> dict:
     return doc
 
 
+def _given(config: dict, *keys: str) -> dict:  # the keys set; defaults stay in the library
+    return {key: config[key] for key in keys if key in config}
+
+
 def cmd_calibrate(config: dict, seed: int, jobs: int = 1) -> tuple:
     from .accountant import MechanismParams, PrivacyBudget, calibrate_episode, round_trip
 
@@ -220,15 +224,13 @@ def cmd_equilibrium(config: dict, seed: int, jobs: int = 1) -> tuple:
         "max_unilateral_gain", "is_potential_game", "max_cross_deviation",
     ])
     instance = make_binary_sums_cgp(config["benefit_weights"], config["privacy_weights"])
-    grid_step = config.get("grid_step", 0.01)
-    tol = config.get("tol", 1e-8)
     num_starts = require_count("num_starts", config.get("num_starts", 10), 1)
-    pg, deviation = is_potential_game(instance, grid_step=0.05, tol=1e-6)
+    pg, deviation = is_potential_game(instance)
     draws = uniforms(seed, 2 * num_starts)
     all_converged = True
     for start_p in zip(draws, draws):  # start k is (draws[2k], draws[2k+1])
         start = StrategyProfile(start_p)
-        res = find_nash(instance, start, tol=tol, grid_step=grid_step)
+        res = find_nash(instance, start, **_given(config, "tol", "grid_step"))
         all_converged &= res.converged
         table.append(start.p[0], start.p[1], res.profile.p[0], res.profile.p[1],
                      res.profile.p[0] + res.profile.p[1], res.converged,
@@ -242,8 +244,8 @@ def cmd_multi_round(config: dict, seed: int, jobs: int = 1) -> tuple:
     fields = {f.name for f in dataclasses.fields(MrsConfig)}
     cfg = MrsConfig(**{"discount": 1.0, **{k: v for k, v in config.items() if k in fields}})
     start = cfg.start_state()
-    is_mpg, violation = verify_mpg(cfg, start, tol=config.get("tol", 1e-12))
-    res = find_mpg_nash(cfg, start, max_sweeps=config.get("max_sweeps", 20))
+    is_mpg, violation = verify_mpg(cfg, start, **_given(config, "tol"))
+    res = find_mpg_nash(cfg, start, **_given(config, "max_sweeps"))
     table = ResultTable([
         "record", "agent", "saving", "round", "spend", "privacy",
         "is_mpg", "max_violation", "converged", "potential",

@@ -4,16 +4,16 @@ Every target the CLI builds is diagonal (its config gives only ``dim``,
 ``target_mean`` and ``target_variances``), so the checks, the two closed-form
 KLs and the descent are scalar work per coordinate. This module does that
 work in Python floats, and the command never loads numpy. The diagonal
-descent runs one noise level at a time, as ``aware_optimum_gd`` does; it stops
-at the first step that changes nothing, bit for bit, since every later step
-would repeat it, and reports the steps it ran. The module is private:
+descent runs one noise level at a time, as ``aware_optimum_gd`` does; both
+stop at the first step that leaves the mean and the variances as they were
+(``_settled``), and this one reports the steps it ran. The module is private:
 ``gaussian_sender`` stays the library API (full covariances, ``mode="full"``,
 the sampler), and its numpy path is the oracle the tests hold this module to,
 one ``aware_optimum_gd`` run per noise level.
 
 The rules both paths share live here, and ``gaussian_sender`` imports them:
-the eigenvalue floors, the step count and learning-rate checks, and the
-bad-step rule with its ``StepSizeError`` messages.
+the eigenvalue floors, the step count and learning-rate checks, the
+bad-step rule with its ``StepSizeError`` messages, and the stop rule.
 
 What matches the numpy path: every check, with its error type and message;
 the descent's iterates, bit for bit, because the inverse of a diagonal target
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
+from operator import eq
 from typing import NamedTuple
 
 from .errors import (InvalidParameterError, SingularTargetError, StepSizeError, require_count,
@@ -104,6 +105,14 @@ def _bad_steps(value: float, prev: float, bad_steps: int, mean, sent) -> int:
     return bad_steps + 1
 
 
+def _settled(mean, old_mean, variances, old_variances) -> bool:
+    """Whether a step left the mean and the variances (lists or 1-D arrays)
+    ``==``, entry by entry, to the iterate before it, so every later step would
+    repeat it. Exact: no iterate holds a -0.0 (a descent starts at +0.0, and ``x - y``
+    is -0.0 only when ``x`` is), an unchanged iterate repeats its KL, and NaN != NaN."""
+    return all(map(eq, mean, old_mean)) and all(map(eq, variances, old_variances))
+
+
 def _numpy_sum(values: list[float]) -> float:
     """The sum of ``values`` in the order numpy's float64 ``sum`` adds them:
     one running total below 8 terms, else 8 accumulators over blocks of at
@@ -127,12 +136,6 @@ def _numpy_sum(values: list[float]) -> float:
     half = n // 2
     half -= half % 8
     return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
-
-
-def _same_zero_signs(new: list[float], old: list[float]) -> bool:
-    """Whether two lists of floats that are ``==`` have the same sign on every
-    zero, and so are equal bit for bit."""
-    return all(x or math.copysign(1.0, x) == math.copysign(1.0, y) for x, y in zip(new, old))
 
 
 class _Target(NamedTuple):
@@ -203,13 +206,9 @@ def _diagonal_descent(target: _Target, noise_var: float, steps: int, learning_ra
     target (``_diagonal_target``'s result) at one checked noise variance.
 
     Returns the mean, the variances, the final KL and the number of steps run,
-    or raises the StepSizeError ``aware_optimum_gd`` raises.
-
-    A step is a function of the mean and the variances, so once a step leaves
-    them and the KL as they were, bit for bit, each later step would repeat it
-    (an unchanged KL is no bad step). The descent stops there, after at most
-    ``steps`` steps; on ``configs/sender.json`` the four noise levels stop
-    after 1, 627, 667 and 736 of 6000.
+    or raises the StepSizeError ``aware_optimum_gd`` raises. It stops at the
+    first step that ``_settled`` accepts, after at most ``steps`` steps: on
+    ``configs/sender.json`` after 1, 627, 667 and 736 of 6000.
     """
     steps, learning_rate = _descent_params(steps, learning_rate)
     target_mean = target.mean
@@ -248,12 +247,7 @@ def _diagonal_descent(target: _Target, noise_var: float, steps: int, learning_ra
         diff = [m - t for m, t in zip(mean, target_mean)]
         value = kl(diff, sent)
         bad = _bad_steps(value, prev, bad, mean, sent)
-        # A NaN KL never matches, so a step the bad-step rule counts never ends
-        # the descent; == cannot tell 0.0 from -0.0, and the stop needs
-        # equality bit for bit.
-        settled = (value == prev and mean == old_mean and variances == old_variances
-                   and _same_zero_signs(mean + variances, old_mean + old_variances))
         prev = value
-        if settled:
+        if _settled(mean, old_mean, variances, old_variances):
             break
     return mean, variances, prev, step

@@ -16,8 +16,7 @@ descent (mean plus diagonal variances, or a full covariance factor), mirroring
 how a learned sender would optimize the same objective. The CLI's sender table,
 whose targets are all diagonal, runs the same diagonal descent on Python floats
 in ``diagonal_sender``, one noise level at a time; that module holds the rules
-both paths share, and the tests hold each of its runs to this module's
-diagonal mode.
+both paths share, the stop rule too, and the tests hold its runs to this module.
 
 A ``GaussianMessageDist`` is checked and eigendecomposed once, when built, and
 keeps the decomposition for the target checks, the closed-form shrink and the
@@ -34,7 +33,7 @@ import numpy as np
 
 from .diagonal_sender import (_EIG_FLOOR, _bad_steps, _check_dimension, _check_lowest_eigenvalue,
                               _check_noise_var, _check_target_eigenvalue, _descent_params,
-                              _not_finite_error, _singular)
+                              _not_finite_error, _settled, _singular)
 from .errors import (InvalidParameterError, SingularTargetError, StepSizeError, require_count,
                      require_float_array)
 from .rng import substream
@@ -265,7 +264,8 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: f
     returned iterate is always finite.
 
     The target is checked once; the loop then runs on raw arrays and
-    evaluates the post-noise KL once per step.
+    evaluates the post-noise KL once per step. ``diagonal`` mode stops at the
+    first step that ``_settled`` accepts; ``full`` mode runs every step.
     """
     if mode not in ("diagonal", "full"):
         raise InvalidParameterError(f"mode must be 'diagonal' or 'full', got {mode!r}")
@@ -286,6 +286,7 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: f
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(steps):
                 grad_mean, grad_var = _grad_diag(target_inv, target_inv_diag, diff, sent)
+                old_mean, old_variances = mean, variances
                 mean = mean - learning_rate * grad_mean
                 # The bits of np.clip(..., 0.0, None) (no -0.0 arises) in a third of the time.
                 variances = np.maximum(variances - learning_rate * grad_var, 0.0)
@@ -294,6 +295,8 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: f
                 value = _sent_kl(target_inv, logdet_q, diff, sent)
                 bad_steps = _bad_steps(value, prev, bad_steps, mean, sent)
                 prev = value
+                if _settled(mean, old_mean, variances, old_variances):
+                    break
         return SenderSolution(GaussianMessageDist.from_diagonal(mean, variances), prev)
     noise_eye = problem.noise_var * np.eye(d)
     mean = np.zeros(d)

@@ -323,6 +323,23 @@ class TestPackedGram:
         x = _matmul_messages(instance, rng_seed, block, m)
         assert np.array_equal(binary_sums._message_gram(instance, rng_seed, block, m), x @ x.T)
 
+    @pytest.mark.parametrize("m", [1, 100, BLOCK_SIZE - 1])
+    def test_seeded_ragged_blocks(self, m):
+        # Mixed bits and flip rates over blocks with m mod 64 != 0, while every
+        # np.empty buffer comes back with all its bits set, as reused memory
+        # may: neither the padding nor an entry left unwritten may count.
+        instance = BinarySumsInstance((1, 0, 1, 1), (0.5, 1.0, 2.0, math.inf), "naive")
+        x = _matmul_messages(instance, 7, 3, m)
+
+        def empty_of_ones(shape, dtype=float):
+            buffer = np.zeros(shape, dtype)
+            buffer.view(np.uint8).fill(0xFF)
+            return buffer
+
+        with mock.patch.object(np, "empty", empty_of_ones):
+            gram = binary_sums._message_gram(instance, 7, 3, m)
+        assert np.array_equal(gram, x @ x.T)
+
     @pytest.mark.parametrize("m", [1, 7, 9, 63, 65, 100, BLOCK_SIZE - 1])
     def test_padding_never_counts(self, m):
         # Exact all-ones rows fill every bit a ragged block uses, and no more.

@@ -537,6 +537,32 @@ def test_sender_outputs_unchanged(tmp_path, args, code, files):
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written} == files
 
 
+#: This module's calibrate, binary-sums, equilibrium and multi-round configs,
+#: with the sha256 of every file each writes at seed 0; none gives an optional
+#: tuning key, so the library defaults decide these outputs.
+CONFIG_OUTPUTS = [
+    pytest.param("calibrate", CALIBRATE, {
+        "calibrate.csv": "0a7474faf1eda28cc046b55222c66e3b51431e233f40b52ad2e57ce36809eb03",
+    }, id="calibrate"),
+    pytest.param("binary-sums", BINARY_SUMS, {
+        "binary_sums.csv": "d4c1fb61cb11750c1a2fc7c6c556a834a21ecf338dcc367e0613dd025a345cef",
+    }, id="binary-sums"),
+    pytest.param("equilibrium", EQUILIBRIUM, {
+        "equilibrium.csv": "e040e7f7298e7e04d8efca63645902d69e485974a4c9a26367b2ec4d169f79e1",
+    }, id="equilibrium"),
+    pytest.param("multi-round", MULTI_ROUND, {
+        "multi_round.csv": "f534a50c35d691a49b255bd8ac45323230d1d00b2415b1f0abf67a5a0f64683b",
+    }, id="multi-round"),
+]
+
+
+@pytest.mark.parametrize("command,config,files", CONFIG_OUTPUTS)
+def test_config_outputs_unchanged(tmp_path, command, config, files):
+    assert run(tmp_path, command, config)[0] == EXIT_OK
+    written = sorted((tmp_path / "out").iterdir())
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written} == files
+
+
 class TestNumpyFreeStart:
     """Only binary-sums uses a numpy-backed module, so every other command
     never loads numpy; and each command loads only its own library modules."""

@@ -772,7 +772,7 @@ def _full_length_descent(target, noise_var, steps, learning_rate):
     """``diagonal_sender._diagonal_descent`` with its exit at the fixed point
     switched off: every run takes all ``steps`` steps (or fails)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(diagonal_sender, "_same_zero_signs", lambda new, old: False)
+        patch.setattr(diagonal_sender, "_settled", lambda *iterates: False)
         return _outcome(diagonal_sender._diagonal_descent, target, noise_var, steps,
                         learning_rate)
 
@@ -781,10 +781,37 @@ def _hex(values):
     return [float(value).hex() for value in values]
 
 
+def _numpy_descent(problem, steps, learning_rate):
+    """``aware_optimum_gd``'s diagonal mode, or the message of its
+    StepSizeError, and the number of post-noise KLs it evaluated: one for the
+    start and one per step run."""
+    with mock.patch.object(gaussian_sender, "_sent_kl", wraps=gaussian_sender._sent_kl) as kl:
+        return _outcome(aware_optimum_gd, problem, steps, learning_rate), kl.call_count
+
+
+def assert_numpy_descent_stops_alike(mean, variances, noise, steps, learning_rate):
+    """``aware_optimum_gd`` on a diagonal target takes the iterates of
+    ``diagonal_sender._diagonal_descent``, so it stops after the same step,
+    with the same mean and variances, or raises the same error. Returns the
+    float descent's outcome."""
+    got = _outcome(diagonal_sender._diagonal_descent,
+                   diagonal_sender._diagonal_target(mean, variances), noise, steps, learning_rate)
+    problem = SenderProblem(GaussianMessageDist.from_diagonal(mean, variances), noise)
+    solution, kls = _numpy_descent(problem, steps, learning_rate)
+    if isinstance(got, str):
+        assert solution == got
+        return got
+    assert kls == got[3] + 1
+    assert solution.dist.mean.tolist() == got[0]
+    assert np.diag(solution.dist.cov).tolist() == got[1]
+    return got
+
+
 class TestFixedPointExit:
-    """The descent stops at the first step that changes neither the mean, nor
-    the variances, nor the KL, and ends as the full-length run does: the same
-    iterates bit for bit, the same KL, the same error."""
+    """The descent stops at the first step that changes neither the mean nor
+    the variances, and ends as the full-length run does: the same iterates
+    bit for bit, the same KL, the same error. ``aware_optimum_gd``'s diagonal
+    mode stops by the same rule."""
 
     def test_shipped_table_stops_at_step_736(self):
         # The mean never moves; the rows at noise 0, 0.1, 0.5 and 1.0 stop
@@ -811,6 +838,34 @@ class TestFixedPointExit:
         got = diagonal_sender._diagonal_descent(target, 0.0, 6000, 0.1)
         assert got[2] == 0.0 and got[3] == 334
         assert got[:3] == _full_length_descent(target, 0.0, 6000, 0.1)[:3]
+
+    def test_numpy_descent_stops_at_the_same_step(self):
+        # The shipped table, whose mean never moves, and a target whose
+        # variances never move: each half of the stop rule decides one.
+        ran = [assert_numpy_descent_stops_alike([0.0, 0.0], [1.0, 1.0], noise, 6000, 0.1)[3]
+               for noise in (0.0, 0.1, 0.5, 1.0)]
+        assert ran == [1, 627, 667, 736]
+        assert assert_numpy_descent_stops_alike([1.0], [1.0], 0.0, 6000, 0.1)[3] == 334
+        # steps stays the bound.
+        assert assert_numpy_descent_stops_alike([0.0, 0.0], [1.0, 1.0], 1.0, 735, 0.1)[3] == 735
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        data=st.data(),
+        learning_rate=st.floats(0.05, 1.0),
+        steps=st.one_of(st.just(3000), st.integers(1, 3000)),
+    )
+    def test_numpy_descent_stops_alike(self, d, data, learning_rate, steps):
+        mean = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=d,
+                                  max_size=d))
+        variances = data.draw(st.lists(st.floats(0.2, 3.0), min_size=d, max_size=d))
+        noise = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.5),
+                                    st.sampled_from(variances)))
+        got = assert_numpy_descent_stops_alike(mean, variances, noise, steps, learning_rate)
+        event("failed" if isinstance(got, str) else
+              "settled" if got[3] < steps else "ran every step")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=25, deadline=None)
