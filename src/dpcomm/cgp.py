@@ -28,7 +28,7 @@ two-player binary sums game, whose utility reduces to the quadratic
 with best response p_n = clamp(C_n / B_n - p_other). Note the benefit of
 this instance is the raw value gap V^coop - V_n, which goes negative once
 p1 + p2 > 1; the nonnegativity required of a general benefit function holds
-only on the low-privacy region (``check_definitions`` reports this).
+only on the low-privacy region (the tests' ``check_definitions`` reports this).
 """
 
 from __future__ import annotations
@@ -293,62 +293,3 @@ def make_binary_sums_cgp(benefit_weight: Sequence[float], privacy_weight: Sequen
         privacy_loss_fn=lambda p: 1.0 - p,
         benefit_fn=lambda standalone, coop: coop - standalone,
     )
-
-
-def check_definitions(instance: CgpInstance, grid_step: float = 0.1) -> list:
-    """Sampled checks of the definitional properties of a CGP's ingredients.
-
-    Returns a list of human-readable violations (empty when all sampled
-    conditions hold): privacy loss strictly decreasing; cooperative value
-    decreasing in both privacy levels, capped by the standalone value when
-    either player goes fully private, and exceeding it at (0, 0); benefit
-    nonnegative and zero whenever standalone >= cooperative value.
-    """
-    grid_step = _check_step("grid_step", grid_step, _GRID_FLOOR)
-    violations = []
-    pts = _interior_grid(grid_step, grid_step / 2.0)
-    h = grid_step / 2.0
-
-    prev = None
-    for p in [0.0] + pts + [1.0]:
-        c = instance.privacy_loss_fn(p)
-        if prev is not None and c >= prev:
-            violations.append(f"privacy loss not strictly decreasing near p = {p:.3g}")
-            break
-        prev = c
-
-    for n in range(2):
-        v_n = lambda p1, p2: instance.value_fn(p1, p2)[n]
-        if not (instance.standalone_values[n] < v_n(0.0, 0.0)):
-            violations.append(f"player {n + 1}: cooperative value at (0,0) must beat standalone")
-        for full in ((1.0, 0.5), (0.5, 1.0)):
-            if v_n(*full) > instance.standalone_values[n] + 1e-12:
-                violations.append(
-                    f"player {n + 1}: cooperative value exceeds standalone at p = {full}"
-                )
-        for p1 in pts:
-            for p2 in pts:
-                d1 = (v_n(p1 + h, p2) - v_n(p1 - h, p2)) / (2.0 * h)
-                d2 = (v_n(p1, p2 + h) - v_n(p1, p2 - h)) / (2.0 * h)
-                if d1 >= 0.0 or d2 >= 0.0:
-                    violations.append(
-                        f"player {n + 1}: cooperative value not decreasing at ({p1:.3g}, {p2:.3g})"
-                    )
-                    break
-            else:
-                continue
-            break
-        for p1 in pts:
-            for p2 in pts:
-                coop = instance.value_fn(p1, p2)[n]
-                b = instance.benefit_fn(instance.standalone_values[n], coop)
-                if b < 0.0 or (instance.standalone_values[n] >= coop and b != 0.0):
-                    violations.append(
-                        f"player {n + 1}: benefit must be nonnegative and zero when "
-                        f"standalone >= cooperative (p = ({p1:.3g}, {p2:.3g}))"
-                    )
-                    break
-            else:
-                continue
-            break
-    return violations

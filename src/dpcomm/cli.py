@@ -1,8 +1,9 @@
 """Command-line experiment harness.
 
-Subcommands: calibrate | binary-sums | equilibrium | multi-round | sender.
+Commands: calibrate | binary-sums | equilibrium | multi-round | sender.
 Each takes a JSON config document, a seed, an output directory, and an
-output format, and writes one result table per run. The CLI checks only the
+output format, and writes one result table per run. The seed and the job
+count are checked once, for every command. The CLI checks only the
 document's shape (strict JSON, known keys, required keys, the JSON kind of
 each value), naming the offending line; the library objects built from the
 values check their ranges and report the parameter and the bad value. Exit
@@ -20,7 +21,7 @@ import re
 import sys
 
 from . import __version__
-from .errors import CalibrationInfeasibleError, StepSizeError, require_count
+from .errors import CalibrationInfeasibleError, StepSizeError, require_count, require_seed
 from .report import ResultTable, line_plot_svg, provenance_block
 
 # A command imports its own library modules in its body, so each process loads
@@ -310,23 +311,21 @@ COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dpcomm", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dpcomm {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config document")
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: $DPCOMM_OUT or '.')")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="threads for the binary-sums Monte-Carlo blocks (results "
-                            "identical for any count); other subcommands ignore it")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("command", choices=COMMANDS, help="the command to run")
+    parser.add_argument("--config", required=True, help="JSON config document")
+    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    parser.add_argument("--out", default=None,
+                        help="output directory (default: $DPCOMM_OUT or '.')")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="threads for the binary-sums Monte-Carlo blocks (results "
+                             "identical for any count); other commands ignore it")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -337,6 +336,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     out_dir = args.out or os.environ.get("DPCOMM_OUT", ".")
     try:
+        require_seed("seed", args.seed)
+        require_count("jobs", args.jobs, 1)
         config = load_config(args.config, args.command)
         table, code, svg = COMMANDS[args.command](config, args.seed, args.jobs)
     except ConfigError as exc:

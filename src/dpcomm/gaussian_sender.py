@@ -67,15 +67,6 @@ def _clipped_eigh(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return eigvals.min(initial=0.0), np.clip(eigvals, 0.0, None), eigvecs
 
 
-def positive_part(matrix: np.ndarray) -> np.ndarray:
-    """Project a symmetric matrix onto the PSD cone (eigenvalue clipping).
-
-    Idempotent: applying it twice gives the same matrix as applying it once.
-    """
-    _, eigvals, eigvecs = _clipped_eigh(matrix)
-    return (eigvecs * eigvals) @ eigvecs.T
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianMessageDist:
     """Mean and covariance of a stochastic message, with the eigenvalues

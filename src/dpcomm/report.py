@@ -69,10 +69,9 @@ class ResultTable:
             fh.write(text)
 
 
-def line_plot_svg(series: dict, x_label: str, y_label: str, provenance: dict,
-                  width: int = 640, height: int = 400) -> str:
+def line_plot_svg(series: dict, x_label: str, y_label: str, provenance: dict) -> str:
     """Minimal multi-series line plot; each series maps a name to (xs, ys)."""
-    margin = 50.0
+    width, height, margin = 640, 400, 50.0
     xs_all = [x for xs, _ in series.values() for x in xs]
     ys_all = [y for _, ys in series.values() for y in ys]
     if not xs_all:

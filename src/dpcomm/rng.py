@@ -35,12 +35,12 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
-def block_sizes(total: int, block_size: int = BLOCK_SIZE) -> list[int]:
-    """Split ``total`` trials into fixed-size blocks (last one ragged)."""
+def block_sizes(total: int) -> list[int]:
+    """Split ``total`` trials into blocks of ``BLOCK_SIZE`` (last one ragged)."""
     if total < 0:
         raise ValueError("total must be nonnegative")
-    full, rest = divmod(total, block_size)
-    return [block_size] * full + ([rest] if rest else [])
+    full, rest = divmod(total, BLOCK_SIZE)
+    return [BLOCK_SIZE] * full + ([rest] if rest else [])
 
 
 # numpy.random.SeedSequence's hash constants (a 4-word pool of uint32).

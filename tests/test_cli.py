@@ -71,6 +71,18 @@ SENDER = {
     "gd_steps": 3000,
 }
 
+# Small valid configs, one per command, that run quickly and set every key, so
+# that the fuzz test can mutate each.
+SMALL = {
+    "calibrate": dict(CALIBRATE, epsilons=[2.0], episode_lens=[1], svg="c.svg"),
+    "binary-sums": dict(BINARY_SUMS, trials=1000, receiver_modes=["naive"]),
+    "equilibrium": dict(EQUILIBRIUM, num_starts=1, grid_step=0.1, tol=1e-6),
+    "multi-round": dict(MULTI_ROUND, horizon=1, discount=1.0, team_weights=[1.0, 1.0],
+                        tol=1e-12, max_sweeps=2, svg="p.svg"),
+    "sender": {"dim": 1, "target_variances": [1.0], "target_mean": [0.0], "noise_vars": [0.5],
+               "gd_steps": 50, "gd_learning_rate": 0.1, "svg": "s.svg"},
+}
+
 
 def parse_csv(path):
     lines = path.read_bytes().decode().split("\r\n")  # RFC-4180 line endings
@@ -415,6 +427,35 @@ class TestHarness:
         assert main(["calibrate"]) == EXIT_USAGE  # --config missing
         assert main(["no-such-command", "--config", "x"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, named", [
+        (["calibrate"], "--config"),
+        (["calibrate", "--config", "x", "--seed", "abc"], "abc"),
+        (["no-such-command", "--config", "x"], "no-such-command"),
+        (["calibrate", "--config", "x", "--format", "xml"], "xml"),
+    ], ids=["no-config", "bad-seed", "bad-command", "bad-format"])
+    def test_usage_error_says_what_is_wrong(self, capsys, argv, named):
+        # The usage used to be printed alone, without argparse's message.
+        assert main(argv) == EXIT_USAGE
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("dpcomm: error: ") and named in last
+
+    @pytest.mark.parametrize("command", SMALL)
+    def test_negative_seed_exits_1(self, tmp_path, capsys, command):
+        # calibrate, multi-round and sender used to run and write seed=-1.
+        code, path = run(tmp_path, command, SMALL[command], seed=-1)
+        assert code == EXIT_USAGE and not path.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "seed" in err[0]
+
+    # binary-sums' bad counts are TestBinarySums::test_bad_jobs_exits_1.
+    @pytest.mark.parametrize("command", [name for name in SMALL if name != "binary-sums"])
+    def test_bad_jobs_exits_1(self, tmp_path, capsys, command):
+        # Only binary-sums used to reject --jobs 0, through run_game.
+        code, path = run(tmp_path, command, SMALL[command], extra=("--jobs", "0"))
+        assert code == EXIT_USAGE and not path.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "jobs" in err[0]
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_number_exits_1(self, tmp_path, capsys, literal):
         # "svg" names a file with the literal in it: a string is not a number.
@@ -748,17 +789,6 @@ OLD_SCHEMAS = {
         "gd_learning_rate": (float, False, _positive),
         "svg": (str, False, None),
     }),
-}
-
-# Small valid configs that set every key, so that each can be mutated.
-SMALL = {
-    "calibrate": dict(CALIBRATE, epsilons=[2.0], episode_lens=[1], svg="c.svg"),
-    "binary-sums": dict(BINARY_SUMS, trials=1000, receiver_modes=["naive"]),
-    "equilibrium": dict(EQUILIBRIUM, num_starts=1, grid_step=0.1, tol=1e-6),
-    "multi-round": dict(MULTI_ROUND, horizon=1, discount=1.0, team_weights=[1.0, 1.0],
-                        tol=1e-12, max_sweeps=2, svg="p.svg"),
-    "sender": {"dim": 1, "target_variances": [1.0], "target_mean": [0.0], "noise_vars": [0.5],
-               "gd_steps": 50, "gd_learning_rate": 0.1, "svg": "s.svg"},
 }
 
 # inf stands for the raw JSON number 1e999, which parses to inf; 10**400 is

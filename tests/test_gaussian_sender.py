@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,7 +24,7 @@ from dpcomm import (
     sample_message,
 )
 from dpcomm import diagonal_sender, gaussian_sender
-from dpcomm.gaussian_sender import _symmetric_part, objective_grad_diag, positive_part
+from dpcomm.gaussian_sender import _symmetric_part, objective_grad_diag
 
 
 def random_spd_target(rng, d):
@@ -509,14 +509,6 @@ class TestOptima:
                 assert aware <= oblivious
                 assert aware < oblivious  # strict whenever noise > 0
 
-    def test_projection_idempotent(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            m = rng.normal(size=(4, 4))
-            sym = (m + m.T) / 2
-            once = positive_part(sym)
-            assert np.allclose(positive_part(once), once, atol=1e-12)
-
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), noise=st.floats(1e-3, 2.0))
     def test_dominance_property(self, d, seed, noise):
@@ -524,14 +516,6 @@ class TestOptima:
         # on these targets (eigenvalues at most 3), far above rounding.
         problem = SenderProblem(random_spd_target(np.random.default_rng(seed), d), noise)
         assert aware_optimum(problem).kl < oblivious_optimum(problem).kl
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 6).flatmap(
-        lambda d: arrays(np.float64, (d, d), elements=st.floats(-10.0, 10.0))))
-    def test_projection_idempotent_property(self, m):
-        once = positive_part((m + m.T) / 2)
-        np.testing.assert_allclose(positive_part(once), once, rtol=0.0,
-                                   atol=1e-12 * max(1.0, np.abs(once).max()))
 
     def test_aware_projection_stable(self):
         # Re-deriving the optimum from the already-shrunk spectrum changes nothing.
@@ -1232,13 +1216,12 @@ class TestDiagonalStoredExactly:
     @given(st.lists(st.one_of(st.floats(0.0, _FLOAT_MAX),
                               st.sampled_from(_EDGE_FLOATS + [-0.0, -1e-13, -1e-12])),
                     min_size=1, max_size=5))
+    @example([1.0, 1.8435488931228486e+293, -0.0, -1e-13])  # eigh rounds the 1.0
     def test_any_diagonal(self, variances):
         dist = GaussianMessageDist.from_diagonal(np.zeros(len(variances)), variances)
         clipped = [v if v > 0.0 else 0.0 for v in variances]  # diagonal_sender's rule
-        want = np.diag(clipped)
-        assert np.array_equal(dist.cov, want) and not np.signbit(dist.cov).any()
+        assert np.array_equal(dist.cov, np.diag(clipped)) and not np.signbit(dist.cov).any()
         assert np.array_equal(dist._eigvals, clipped) and not np.signbit(dist._eigvals).any()
-        assert np.array_equal(positive_part(np.diag(variances)), want)
 
     def test_off_diagonal_entry_still_decomposed(self):
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
