@@ -4,11 +4,12 @@ Commands: calibrate | binary-sums | equilibrium | multi-round | sender.
 Each takes a JSON config document, a seed, an output directory, and an
 output format, and writes one result table per run. The seed and the job
 count are checked once, for every command. The CLI checks only the
-document's shape (strict JSON, known keys, required keys, the JSON kind of
-each value), naming the offending line; the library objects built from the
-values check their ranges and report the parameter and the bad value. Exit
-codes: 0 success, 1 usage or config error, 2 infeasible result or oracle
-failure.
+document's shape (strict UTF-8 JSON, known keys, required keys, the JSON
+kind of each value, ``svg`` a plain file name), naming the offending line, and
+that no output replaces the config or the table; the library objects built
+from the values check their ranges and report the parameter and the bad
+value. Exit codes: 0 success, 1 usage, config or write error, 2 infeasible
+result or oracle failure.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ SENDER_GD_TOL = 1e-6  # largest gd_kl - aware_kl the sender oracle accepts
 
 
 class ConfigError(Exception):
-    """Config file is unreadable or has the wrong shape (exit code 1)."""
+    """Config file is unreadable, has the wrong shape, or names outputs that
+    would replace an input or each other (exit code 1)."""
 
 
 def _is_number(value) -> bool:  # JSON true and false are not numbers
@@ -47,11 +49,17 @@ def _is_list_of(is_item):
     return lambda value: isinstance(value, list) and len(value) > 0 and all(map(is_item, value))
 
 
+def _is_file_name(value) -> bool:  # a name inside --out: no directory part, not "." or ".."
+    return (isinstance(value, str) and value not in ("", ".", "..")
+            and not any(c in value for c in ("/", os.sep, "\0")))
+
+
 # JSON kinds of config values: (description, test).
 NUMBER = ("a number", _is_number)
 NUMBERS = ("a non-empty list of numbers", _is_list_of(_is_number))
 STRING = ("a string", lambda value: isinstance(value, str))
 STRINGS = ("a non-empty list of strings", _is_list_of(STRING[1]))
+FILE_NAME = ("a plain file name", _is_file_name)
 
 #: Config keys per subcommand, (required, optional), each mapping a key to the
 #: JSON kind of its value. Only this shape is checked here; the library objects
@@ -60,7 +68,7 @@ CONFIG_KEYS = {
     "calibrate": (
         {"epsilons": NUMBERS, "delta": NUMBER, "gamma1": NUMBER, "gamma2": NUMBER,
          "num_agents": NUMBER, "clip_norm": NUMBER},
-        {"episode_lens": NUMBERS, "svg": STRING},
+        {"episode_lens": NUMBERS, "svg": FILE_NAME},
     ),
     "binary-sums": (
         {"bits": NUMBERS, "epsilons": NUMBERS, "trials": NUMBER},
@@ -74,12 +82,12 @@ CONFIG_KEYS = {
         {"num_agents": NUMBER, "horizon": NUMBER, "reward_alpha": NUMBER, "reward_beta": NUMBER,
          "initial_savings": NUMBERS, "spend_grid": NUMBERS, "privacy_grid": NUMBERS},
         {"discount": NUMBER, "team_weights": NUMBERS, "tol": NUMBER, "max_sweeps": NUMBER,
-         "svg": STRING},
+         "svg": FILE_NAME},
     ),
     "sender": (
         {"dim": NUMBER, "noise_vars": NUMBERS},
         {"target_variances": NUMBERS, "target_mean": NUMBERS, "gd_steps": NUMBER,
-         "gd_learning_rate": NUMBER, "svg": STRING},
+         "gd_learning_rate": NUMBER, "svg": FILE_NAME},
     ),
 }
 
@@ -130,9 +138,9 @@ def _parse_int(text: str):
 
 def load_config(path: str, command: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259)
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(raw, parse_constant=_reject_constant(raw), parse_int=_parse_int)
@@ -142,6 +150,15 @@ def load_config(path: str, command: str) -> dict:
         raise ConfigError("config document must be a JSON object")
     _check_shape(doc, raw, command)
     return doc
+
+
+def _check_outputs(config_path: str, table_path: str, svg_path: str | None) -> None:
+    """ConfigError if the SVG would replace the table, or an output the config."""
+    if svg_path == table_path:
+        raise ConfigError(f"svg {os.path.basename(svg_path)!r} is the result table's file name")
+    for path in (table_path, svg_path):
+        if path is not None and os.path.exists(path) and os.path.samefile(path, config_path):
+            raise ConfigError(f"output {path} would replace the config file")
 
 
 def _given(config: dict, *keys: str) -> dict:  # the keys set; defaults stay in the library
@@ -335,10 +352,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     out_dir = args.out or os.environ.get("DPCOMM_OUT", ".")
+    out_path = os.path.join(out_dir, f"{args.command.replace('-', '_')}.{args.format}")
     try:
         require_seed("seed", args.seed)
         require_count("jobs", args.jobs, 1)
         config = load_config(args.config, args.command)
+        _check_outputs(args.config, out_path,
+                       os.path.join(out_dir, config["svg"]) if "svg" in config else None)
         table, code, svg = COMMANDS[args.command](config, args.seed, args.jobs)
     except ConfigError as exc:
         print(f"dpcomm {args.command}: config error: {exc}", file=sys.stderr)
@@ -349,14 +369,18 @@ def main(argv=None) -> int:
     except StepSizeError as exc:
         print(f"dpcomm {args.command}: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    os.makedirs(out_dir, exist_ok=True)
     table.provenance = provenance_block(config, args.seed)
-    out_path = os.path.join(out_dir, f"{args.command.replace('-', '_')}.{args.format}")
-    table.write(out_path, args.format)
-    if svg is not None:
-        name, series, x_label, y_label = svg
-        with open(os.path.join(out_dir, name), "w", newline="") as fh:
-            fh.write(line_plot_svg(series, x_label, y_label, table.provenance))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        table.write(out_path, args.format)
+        if svg is not None:
+            name, series, x_label, y_label = svg
+            with open(os.path.join(out_dir, name), "w", newline="") as fh:
+                fh.write(line_plot_svg(series, x_label, y_label, table.provenance))
+    except OSError as exc:
+        print(f"dpcomm {args.command}: cannot write {exc.filename or out_dir}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(out_path)
     return code
 

@@ -12,22 +12,23 @@ the sampler), and its numpy path is the oracle the tests hold this module to,
 one ``aware_optimum_gd`` run per noise level.
 
 The rules both paths share live here, and ``gaussian_sender`` imports them:
-the eigenvalue floors, the step count and learning-rate checks, the
-bad-step rule with its ``StepSizeError`` messages, and the stop rule.
+the eigenvalue floors, the sender-problem, step count and learning-rate
+checks, the bad-step rule with its ``StepSizeError`` messages, and the stop rule.
 
 What matches the numpy path: every check, with its error type and message;
 the descent's iterates, bit for bit, because the inverse of a diagonal target
-is diagonal with exact zeros off it; and the KL arithmetic, term by term, in
-numpy's summation order. The KLs may still differ in the last bits: numpy's
-vectorized ``log`` is not always correctly rounded where ``math.log`` is, and
-BLAS may fuse the quadratic form's multiply-adds.
+is diagonal with exact zeros off it; and the KL arithmetic, term by term. Each
+sum is one correctly rounded ``math.fsum``, equal to numpy's sum of one or two
+terms, as in every pinned table (d <= 2). KLs may differ in the last bits from
+d = 3, where numpy sums pairwise, and wherever numpy's vectorized ``log`` is
+not correctly rounded and ``math.log`` is, or BLAS fuses multiply-adds.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from operator import eq
+from operator import eq, mul
 from typing import NamedTuple
 
 from .errors import (InvalidParameterError, SingularTargetError, StepSizeError, require_count,
@@ -63,13 +64,18 @@ def _check_noise_var(noise_var) -> float:
                             "be finite and >= 0")
 
 
-def _check_target_eigenvalue(lowest: float) -> None:
-    """InvalidParameterError unless a target's smallest eigenvalue makes it positive-definite."""
+def _sender_problem(variances, noise_var) -> float:
+    """The checks ``SenderProblem`` makes on a target with eigenvalues ``variances``
+    (a list or a 1-D array) and a noise variance; returns the noise variance."""
+    noise_var = _check_noise_var(noise_var)
+    lowest, largest = min(variances), float(max(variances))  # float: no numpy overflow warning
     if lowest < _TARGET_MIN_EIG:
-        raise InvalidParameterError(
-            f"target covariance must be positive-definite (min eigenvalue "
-            f"{lowest:.3g} < {_TARGET_MIN_EIG})"
-        )
+        raise InvalidParameterError(f"target covariance must be positive-definite (min "
+                                    f"eigenvalue {lowest:.3g} < {_TARGET_MIN_EIG})")
+    if not math.isfinite(largest + noise_var):  # a post-noise variance would overflow
+        raise InvalidParameterError(f"noise_var plus the largest target variance must be "
+                                    f"finite, got {noise_var} + {largest}")
+    return noise_var
 
 
 def _singular(lowest: float, largest: float, dim: int) -> bool:
@@ -113,29 +119,12 @@ def _settled(mean, old_mean, variances, old_variances) -> bool:
     return all(map(eq, mean, old_mean)) and all(map(eq, variances, old_variances))
 
 
-def _numpy_sum(values: list[float]) -> float:
-    """The sum of ``values`` in the order numpy's float64 ``sum`` adds them:
-    one running total below 8 terms, else 8 accumulators over blocks of at
-    most 128, split in halves above that."""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-    if n <= 128:
-        acc = values[:8]
-        whole = n - n % 8
-        for i in range(8, whole, 8):
-            for j in range(8):
-                acc[j] += values[i + j]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for value in values[whole:]:
-            total += value
-        return total
-    half = n // 2
-    half -= half % 8
-    return _numpy_sum(values[:half]) + _numpy_sum(values[half:])
+def _fsum(values) -> float:
+    """``math.fsum``, or +inf where finite terms >= 0 overflow it, as numpy's sum does."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 class _Target(NamedTuple):
@@ -165,31 +154,15 @@ def _target_terms(variances: list[float]) -> tuple[list[float], float]:
     SingularTargetError unless it is positive-definite."""
     if _singular(min(variances), max(variances), len(variances)):
         raise SingularTargetError("q covariance must be positive-definite")
-    logdet = 0.0
-    for v in variances:
-        logdet += math.log(v)
-    return [1.0 / v for v in variances], logdet
-
-
-def _sender_problem(variances: list[float], noise_var) -> float:
-    """The checks ``SenderProblem(target, noise_var)`` makes; returns the noise variance."""
-    noise_var = _check_noise_var(noise_var)
-    _check_target_eigenvalue(min(variances))
-    return noise_var
+    return [1.0 / v for v in variances], _fsum(map(math.log, variances))
 
 
 def _dense_kl(target_inv: list[float], logdet_q: float, sent: list[float]) -> float:
-    """``_sent_kl``'s Cholesky branch on a message with the target's mean and
-    the diagonal post-noise covariance ``sent``: the log-determinant from the
-    Cholesky diagonal, the trace over all d * d products."""
-    if not min(sent) > 0.0:  # Cholesky fails on a variance <= 0
-        return math.inf
-    d = len(sent)
-    logdet_p = 2.0 * _numpy_sum([math.log(math.sqrt(s)) for s in sent])
-    products = [0.0] * (d * d)
-    products[::d + 1] = [t * s for t, s in zip(target_inv, sent)]
-    quad = 0.0  # the message has the target's mean
-    return 0.5 * (logdet_q - logdet_p + _numpy_sum(products) + quad - d)
+    """``_sent_kl``'s Cholesky branch for a message with the target's mean and diagonal
+    post-noise covariance ``sent`` (finite and > 0, by ``_sender_problem``): the
+    log-determinant from the Cholesky diagonal sqrt(s), the trace over d products."""
+    logdet_p = 2.0 * _fsum(math.log(math.sqrt(s)) for s in sent)
+    return 0.5 * (logdet_q - logdet_p + _fsum(map(mul, target_inv, sent)) - len(sent))
 
 
 def _closed_form_kls(variances: list[float], noise_var: float) -> tuple[float, float]:
@@ -217,19 +190,13 @@ def _diagonal_descent(target: _Target, noise_var: float, steps: int, learning_ra
     log, inf = math.log, math.inf
 
     def kl(diff, sent):
-        # _sent_kl's diagonal branch, with the quadratic form and the trace as
-        # running sums. Python's min() is NaN or <= 0 unless every variance is
-        # > 0; a NaN elsewhere, which only an overflowed iterate holds, makes
-        # the KL NaN.
+        # _sent_kl's diagonal branch. Python's min() is NaN or <= 0 unless every variance
+        # is > 0; a NaN elsewhere, which only an overflowed iterate holds, makes the KL NaN.
         if not min(sent) > 0.0:
             return inf
-        quad = 0.0
-        for x, t in zip(diff, target_inv):
-            quad += x * t * x
-        trace = 0.0
-        for s, t in zip(sent, target_inv):
-            trace += s * t
-        return 0.5 * (logdet_q - _numpy_sum(list(map(log, sent))) + trace + quad - d)
+        quad = _fsum(x * t * x for x, t in zip(diff, target_inv))
+        trace = _fsum(map(mul, sent, target_inv))
+        return 0.5 * (logdet_q - _fsum(map(log, sent)) + trace + quad - d)
 
     mean = [0.0] * d
     variances = [1.0] * d

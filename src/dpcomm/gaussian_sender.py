@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagonal_sender import (_EIG_FLOOR, _bad_steps, _check_dimension, _check_lowest_eigenvalue,
-                              _check_noise_var, _check_target_eigenvalue, _descent_params,
-                              _not_finite_error, _settled, _singular)
+                              _check_noise_var, _descent_params, _not_finite_error,
+                              _sender_problem, _settled, _singular)
 from .errors import (InvalidParameterError, SingularTargetError, StepSizeError, require_count,
                      require_float_array)
 from .rng import substream
@@ -110,8 +110,7 @@ class SenderProblem:
     noise_var: float
 
     def __post_init__(self):
-        object.__setattr__(self, "noise_var", _check_noise_var(self.noise_var))
-        _check_target_eigenvalue(self.target._eigvals.min())
+        object.__setattr__(self, "noise_var", _sender_problem(self.target._eigvals, self.noise_var))
 
     @property
     def dim(self) -> int:

@@ -178,15 +178,6 @@ class TestBinarySums:
         code, _ = run(tmp_path, "binary-sums", dict(BINARY_SUMS, trials=0))
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_bad_jobs_exits_1(self, tmp_path, capsys, jobs):
-        # A jobs count below 1 used to run serially and exit 0.
-        code, _ = run(tmp_path, "binary-sums", dict(BINARY_SUMS, trials=1000),
-                      extra=("--jobs", jobs))
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "jobs" in err[0]
-
     def test_jobs_flag_does_not_change_output(self, tmp_path):
         config = dict(BINARY_SUMS, trials=100000)
         _, path1 = run(tmp_path / "a", "binary-sums", config)
@@ -333,6 +324,8 @@ SENDER_FAILURES = [
      "q covariance must be positive-definite"),
     ('{"dim": 1, "noise_vars": [0.5, -0.1]}', 1, "noise_var must be finite and >= 0, got -0.1"),
     ('{"dim": 1, "noise_vars": [1e999]}', 1, "noise_var must be finite and >= 0, got inf"),
+    ('{"dim": 1, "target_variances": [1e308], "noise_vars": [1e308]}', 1,
+     "noise_var plus the largest target variance must be finite, got 1e+308 + 1e+308"),
     ('{"dim": 1, "target_variances": [0.0], "noise_vars": [-1.0]}', 1,
      "noise_var must be finite and >= 0, got -1.0"),
     ('{"dim": 1, "target_variances": [0.0], "noise_vars": [1.0, -1.0]}', 1,
@@ -447,14 +440,79 @@ class TestHarness:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "seed" in err[0]
 
-    # binary-sums' bad counts are TestBinarySums::test_bad_jobs_exits_1.
-    @pytest.mark.parametrize("command", [name for name in SMALL if name != "binary-sums"])
-    def test_bad_jobs_exits_1(self, tmp_path, capsys, command):
-        # Only binary-sums used to reject --jobs 0, through run_game.
-        code, path = run(tmp_path, command, SMALL[command], extra=("--jobs", "0"))
+    @pytest.mark.parametrize("command,jobs", [*((name, "0") for name in SMALL),
+                                              ("binary-sums", "-3")], ids=[*SMALL, "binary-sums--3"])
+    def test_bad_jobs_exits_1(self, tmp_path, capsys, command, jobs):
+        # Only binary-sums used to reject a count below 1, through run_game.
+        code, path = run(tmp_path, command, SMALL[command], extra=("--jobs", jobs))
         assert code == EXIT_USAGE and not path.exists()
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "jobs" in err[0]
+
+    @pytest.mark.parametrize("name", ["../up.svg", "{tmp}/abs.svg", "sub/x.svg", "", ".", "..",
+                                      "a\0.svg"],
+                             ids=["parent", "absolute", "subdirectory", "empty", "dot", "dot-dot",
+                                  "nul"])
+    def test_svg_must_be_a_plain_file_name(self, tmp_path, capsys, name):
+        # Each used to write outside --out, or end in a traceback after the table.
+        name = name.format(tmp=tmp_path)
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"dim": 1,\n "noise_vars": [0.5],\n "svg": ' + json.dumps(name) + "}")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["sender", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"dpcomm sender: config error: line 3: config key 'svg' "
+                                           f"must be a plain file name, got {json.dumps(name)}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_svg_named_like_the_table_exits_1(self, tmp_path, capsys):
+        # The SVG used to replace the table, with exit 0.
+        code, path = run(tmp_path, "sender", dict(SMALL["sender"], svg="sender.csv"))
+        assert code == EXIT_USAGE and not path.parent.exists()
+        assert capsys.readouterr().err == (
+            "dpcomm sender: config error: svg 'sender.csv' is the result table's file name\n")
+
+    @pytest.mark.parametrize("config_name,fmt,svg", [
+        ("sender.json", "json", "s.svg"), ("plot.svg", "csv", "plot.svg")], ids=["table", "svg"])
+    def test_output_that_is_the_config_exits_1(self, tmp_path, capsys, config_name, fmt, svg):
+        # `--out configs --format json` used to replace configs/sender.json.
+        cfg = write_config(tmp_path / config_name, dict(SMALL["sender"], svg=svg))
+        text = pathlib.Path(cfg).read_text()
+        argv = ["sender", "--config", cfg, "--out", str(tmp_path), "--format", fmt]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"dpcomm sender: config error: output {cfg} would "
+                                           f"replace the config file\n")
+        assert pathlib.Path(cfg).read_text() == text and os.listdir(tmp_path) == [config_name]
+
+    def test_out_that_is_a_file_exits_1(self, tmp_path, capsys):
+        # A FileExistsError used to escape main.
+        cfg = write_config(tmp_path / "config.json", SMALL["sender"])
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert main(["sender", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"dpcomm sender: cannot write {out}: File exists\n"
+        assert out.read_text() == "kept"
+
+    def test_config_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        # Its decoding error used to be printed without the path or "config error".
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'{"dim": 1, "noise_vars": [0.5], "svg": "\xe9.svg"}')
+        assert main(["sender", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"dpcomm sender: config error: cannot read config {cfg}: 'utf-8' "
+                              "codec can't decode byte 0xe9")
+        assert len(err.splitlines()) == 1 and not (tmp_path / "out").exists()
+
+    def test_config_is_utf8_in_an_ascii_locale(self, tmp_path):
+        # The config used to be read in the locale's encoding.
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes('{"d\u00edm": 1}'.encode())
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0")
+        done = subprocess.run([sys.executable, "-m", "dpcomm", "sender", "--config", str(cfg),
+                               "--out", str(tmp_path / "out")], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == "dpcomm sender: config error: line 1: unknown config key 'd\\xedm'\n"
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_number_exits_1(self, tmp_path, capsys, literal):

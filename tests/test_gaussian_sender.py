@@ -994,10 +994,20 @@ class TestDiagonalSender:
     def test_cli_configs_are_equal(self, config):
         assert_float_table_matches(*config, tol=0.0)
 
+    @pytest.mark.parametrize("config", [
+        ([0.5], [0.7], [0.2, 0.35, 0.8], 300, 0.1),
+        ([-1.2, -1.2], [0.3, 0.18], [0.2, 0.8], 300, 0.1),
+    ])
+    def test_small_tables_are_equal(self, config):
+        # At d <= 2 each sum has one or two terms, which math.fsum adds as numpy
+        # does, and on these tables np.log and math.log agree, so every KL is
+        # equal; reordering a KL's terms changes some of them.
+        assert_float_table_matches(*config, tol=0.0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_seeded_tables(self):
-        # d 1-16 exercises numpy's 8-accumulator sums, in the logs and in the
-        # d * d trace of the closed forms.
+        # d 1-16: from 8 terms numpy sums pairwise, in the logs and in the
+        # d * d trace of the closed forms, where math.fsum rounds once.
         rng = np.random.default_rng(60)
         failed = 0
         for d in range(1, 17):
@@ -1054,10 +1064,22 @@ class TestDiagonalSender:
         ([0.0], [1.0], [0.5], 10, 10**400),
         # Alone, the first row fails with a StepSizeError; the bad level wins.
         ([1.0], [1.0], [0.1, -0.1], 6000, 50.0),
+        # The oblivious variance 1e308 + 1e308 overflowed, and its KL was NaN.
+        ([0.0], [1e308], [1e308], 10, 0.1),
     ])
     def test_input_errors_are_the_same(self, mean, variances, noise_vars, steps, learning_rate):
         ref, _ = assert_float_table_matches(mean, variances, noise_vars, steps, learning_rate)
         assert isinstance(ref[0], type) and issubclass(ref[0], ValueError)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mean,variances,noise_vars", [
+        ([1.3e154, 1.3e154], [1.0, 1.0], [0.5]),  # the descent's first quadratic form
+        ([0.0, 0.0], [1e-8, 1e-8], [1e300]),  # the closed-form and the descent's traces
+    ])
+    def test_overflowing_sums_are_inf(self, mean, variances, noise_vars):
+        # math.fsum raises OverflowError where finite terms sum past the float
+        # range; numpy's sum, and so the KL, is +inf there.
+        assert_float_table_matches(mean, variances, noise_vars, 50, 0.1, tol=0.0)
 
     def test_near_max_variances(self):
         # Above half the largest float, the symmetrization in
@@ -1066,13 +1088,6 @@ class TestDiagonalSender:
             (_, descent), _ = assert_float_table_matches([0.0] * len(variances), variances,
                                                          [0.0, 0.5], 50, 0.1)
             assert not isinstance(descent, str)
-
-    def test_numpy_sum_order(self):
-        # Terms of mixed sign and size, so that the order shows in the result.
-        rng = np.random.default_rng(61)
-        for n in range(300):
-            values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, n)
-            assert diagonal_sender._numpy_sum(values.tolist()) == float(np.sum(values))
 
 
 class TestDivergingFullMode:
