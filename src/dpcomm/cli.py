@@ -1,13 +1,14 @@
 """Command-line experiment harness.
 
 Commands: calibrate | binary-sums | equilibrium | multi-round | sender.
-Each takes a JSON config document, a seed, an output directory, and an
-output format, and writes one result table per run. The seed and the job
-count are checked once, for every command. The CLI checks only the
-document's shape (strict UTF-8 JSON, known keys, required keys, the JSON
-kind of each value, ``svg`` a plain file name), naming the offending line, and
-that no output replaces the config or the table; the library objects built
-from the values check their ranges and report the parameter and the bad
+Each takes a JSON config document, a seed, an output directory, and an output
+format. A command returns its table, exit code and plot; ``main`` renders the
+table and, if the config names one, the SVG, and writes all of them or none.
+The seed and the job count are checked once, for every command. The CLI checks
+only the document's shape (strict UTF-8 JSON, known keys, required keys, the
+JSON kind of each value, ``svg`` a plain file name), naming the offending
+line, and that no output replaces the config or the table; the library objects
+built from the values check their ranges and report the parameter and the bad
 value. Exit codes: 0 success, 1 usage, config or write error, 2 infeasible
 result or oracle failure.
 """
@@ -15,6 +16,7 @@ result or oracle failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -93,10 +95,10 @@ CONFIG_KEYS = {
 
 
 def _key_line(raw_text: str, key: str) -> str:
-    """'line N: ' prefix locating the first occurrence of a key in the file."""
-    pos = raw_text.find(f'"{key}"')
-    lineno = raw_text.count("\n", 0, pos) + 1
-    return f"line {lineno}: " if pos >= 0 else ""
+    """'line N: ' prefix locating the first occurrence of a key, a string followed by ':'."""
+    found = re.search(rf'"{re.escape(key)}"\s*:', raw_text)
+    lineno = raw_text.count("\n", 0, found.start()) + 1 if found else 0
+    return f"line {lineno}: " if found else ""
 
 
 def _check_shape(config: dict, raw_text: str, command: str) -> None:
@@ -195,13 +197,11 @@ def cmd_calibrate(config: dict, seed: int, jobs: int = 1) -> tuple:
             solved = (None, None, None, None, False, None)
         table.append(eps, config["delta"], config["gamma1"], config["gamma2"],
                      config["num_agents"], config["clip_norm"], t, *solved)
-    svg = None
-    if "svg" in config:
-        feasible = [(e, s) for e, s, ok in zip(
-            table.column("epsilon"), table.column("sigma_sq"), table.column("feasible")) if ok]
-        svg = (config["svg"], {"sigma_sq": ([e for e, _ in feasible], [s for _, s in feasible])},
-               "epsilon", "sigma_sq")
-    return table, (EXIT_INFEASIBLE if any_infeasible else EXIT_OK), svg
+    feasible = [(e, s) for e, s, ok in zip(
+        table.column("epsilon"), table.column("sigma_sq"), table.column("feasible")) if ok]
+    plot = ({"sigma_sq": ([e for e, _ in feasible], [s for _, s in feasible])},
+            "epsilon", "sigma_sq")
+    return table, (EXIT_INFEASIBLE if any_infeasible else EXIT_OK), plot
 
 
 def cmd_binary_sums(config: dict, seed: int, jobs: int = 1) -> tuple:
@@ -277,12 +277,10 @@ def cmd_multi_round(config: dict, seed: int, jobs: int = 1) -> tuple:
         for (saving, step), action in sorted(policy.actions.items()):
             table.append("policy", policy.agent, saving, step,
                          action.spend, action.privacy, None, None, None, None)
-    svg = None
-    if "svg" in config:
-        xs = list(range(len(res.potential_trace)))
-        svg = (config["svg"], {"potential": (xs, list(res.potential_trace))},
-               "best-response updates", "potential value")
-    return table, (EXIT_OK if is_mpg else EXIT_INFEASIBLE), svg
+    xs = list(range(len(res.potential_trace)))
+    plot = ({"potential": (xs, list(res.potential_trace))},
+            "best-response updates", "potential value")
+    return table, (EXIT_OK if is_mpg else EXIT_INFEASIBLE), plot
 
 
 def cmd_sender(config: dict, seed: int, jobs: int = 1) -> tuple:
@@ -307,13 +305,9 @@ def cmd_sender(config: dict, seed: int, jobs: int = 1) -> tuple:
         gap = gd_kl - aware_kl
         agree &= gap <= SENDER_GD_TOL  # False for a NaN gap too
         table.append(noise, obl_kl, aware_kl, gd_kl, gap)
-    svg = None
-    if "svg" in config:
-        svg = (config["svg"], {
-            "oblivious": (noise_vars, table.column("oblivious_kl")),
-            "aware": (noise_vars, table.column("aware_kl")),
-        }, "noise variance", "KL to target")
-    return table, (EXIT_OK if agree else EXIT_INFEASIBLE), svg
+    plot = ({"oblivious": (noise_vars, table.column("oblivious_kl")),
+             "aware": (noise_vars, table.column("aware_kl"))}, "noise variance", "KL to target")
+    return table, (EXIT_OK if agree else EXIT_INFEASIBLE), plot
 
 
 COMMANDS = {
@@ -357,9 +351,9 @@ def main(argv=None) -> int:
         require_seed("seed", args.seed)
         require_count("jobs", args.jobs, 1)
         config = load_config(args.config, args.command)
-        _check_outputs(args.config, out_path,
-                       os.path.join(out_dir, config["svg"]) if "svg" in config else None)
-        table, code, svg = COMMANDS[args.command](config, args.seed, args.jobs)
+        svg_path = os.path.join(out_dir, config["svg"]) if "svg" in config else None
+        _check_outputs(args.config, out_path, svg_path)
+        table, code, plot = COMMANDS[args.command](config, args.seed, args.jobs)
     except ConfigError as exc:
         print(f"dpcomm {args.command}: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -370,24 +364,22 @@ def main(argv=None) -> int:
         print(f"dpcomm {args.command}: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     table.provenance = provenance_block(config, args.seed)
+    files = {out_path: table.to_csv() if args.format == "csv" else table.to_json()}
+    if svg_path is not None:
+        files[svg_path] = line_plot_svg(*plot, table.provenance)
+    written = []  # every file this run opened, removed again if any write fails
     try:
         os.makedirs(out_dir, exist_ok=True)
-        table.write(out_path, args.format)
-        if svg is not None:
-            name, series, x_label, y_label = svg
-            with open(os.path.join(out_dir, name), "w", newline="") as fh:
-                fh.write(line_plot_svg(series, x_label, y_label, table.provenance))
+        for path, text in files.items():
+            with open(path, "w", newline="") as fh:
+                written.append(path)
+                fh.write(text)
     except OSError as exc:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         print(f"dpcomm {args.command}: cannot write {exc.filename or out_dir}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     print(out_path)
     return code
-
-
-def entry():  # console-script wrapper
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

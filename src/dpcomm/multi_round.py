@@ -45,6 +45,12 @@ def _rounded(x: float) -> float:
     return round(x, _KEY_DECIMALS)
 
 
+def _affordable(key: float, spend: float) -> bool:
+    """Whether a spend fits a saving, judged on the saving's key (``_rounded``),
+    so the lattice, the actions offered and ``transition`` agree."""
+    return spend <= key + _SPEND_TOL
+
+
 @dataclass(frozen=True)
 class MrsConfig:
     num_agents: int
@@ -149,12 +155,13 @@ class TabularPolicy:
 
 
 def valid_actions(cfg: MrsConfig, saving: float) -> list:
-    """Actions available at a saving level: spends that do not overdraw,
-    in ascending (spend, privacy) order; InvalidActionError if there is none."""
+    """Actions available at a saving level, a key (``_rounded``): spends that
+    do not overdraw, in ascending (spend, privacy) order; InvalidActionError
+    if there is none."""
     actions = [
         MrsAction(b, p)
         for b in cfg.spend_grid
-        if b <= saving + _SPEND_TOL
+        if _affordable(saving, b)
         for p in cfg.privacy_grid
     ]
     if not actions:
@@ -172,7 +179,7 @@ def _after_spend(saving: float, spend: float) -> float:
 def _spent(savings: tuple, actions: Sequence[MrsAction]) -> tuple:
     """Savings after one round; InvalidActionError if an agent overspends."""
     for j, (x, a) in enumerate(zip(savings, actions)):
-        if a.spend > x + _SPEND_TOL:
+        if not _affordable(_rounded(x), a.spend):
             raise InvalidActionError(f"agent {j}'s spend {a.spend:.6g} exceeds saving {x:.6g}")
     return _clean_savings(_after_spend(x, a.spend) for x, a in zip(savings, actions))
 
@@ -280,7 +287,7 @@ def reachable_savings(cfg: MrsConfig, agent: int, start: MrsState) -> list:
         nxt = set()
         for x in levels[-1]:
             for b in cfg.spend_grid:
-                if b <= x + _SPEND_TOL:
+                if _affordable(x, b):
                     nxt.add(_rounded(_after_spend(x, b)))
         levels.append(nxt)
     return [sorted(s) for s in levels]

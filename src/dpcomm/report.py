@@ -63,11 +63,6 @@ class ResultTable:
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-    def write(self, path, fmt: str = "csv"):
-        text = self.to_csv() if fmt == "csv" else self.to_json()
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-
 
 def line_plot_svg(series: dict, x_label: str, y_label: str, provenance: dict) -> str:
     """Minimal multi-series line plot; each series maps a name to (xs, ys)."""

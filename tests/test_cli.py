@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
+import importlib.metadata
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -246,6 +248,18 @@ class TestMultiRound:
         assert code == EXIT_OK
         _, header, rows = parse_csv(path)
         assert not [r for r in rows if r[header.index("record")] == "potential_trace"]
+
+    def test_spend_offered_on_the_key_is_accepted(self, tmp_path, capsys):
+        # After 3.3 - 1.0000000005 - 1.0000000005 - 1.0 the saving is
+        # 0.29999999899999974, its key 0.299999999: the lattice offered the
+        # spend 0.3 on the key, and the rollout used to reject it on the raw
+        # saving with "agent 0's spend 0.3 exceeds saving 0.3" and exit 1.
+        config = {"num_agents": 1, "horizon": 4, "reward_alpha": -0.3, "reward_beta": 0.0,
+                  "initial_savings": [3.3], "spend_grid": [0.0, 0.3, 1.0, 1.0000000005],
+                  "privacy_grid": [0.0]}
+        code, path = run(tmp_path, "multi-round", config)
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        assert sorted(os.listdir(path.parent)) == ["multi_round.csv"]
 
 
 class TestSender:
@@ -492,6 +506,17 @@ class TestHarness:
         assert capsys.readouterr().err == f"dpcomm sender: cannot write {out}: File exists\n"
         assert out.read_text() == "kept"
 
+    @pytest.mark.parametrize("taken", ["s.svg", "sender.csv"], ids=["svg", "table"])
+    def test_failed_write_leaves_no_output(self, tmp_path, capsys, taken):
+        # A directory in the place of the SVG used to leave the table behind.
+        cfg = write_config(tmp_path / "config.json", SMALL["sender"])
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        assert main(["sender", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"dpcomm sender: cannot write {out / taken}: "
+                                           "Is a directory\n")
+        assert os.listdir(out) == [taken] and not os.listdir(out / taken)
+
     def test_config_that_is_not_utf8_exits_1(self, tmp_path, capsys):
         # Its decoding error used to be printed without the path or "config error".
         cfg = tmp_path / "config.json"
@@ -525,6 +550,14 @@ class TestHarness:
         err = capsys.readouterr().err
         assert f"line 3: {literal} is not a JSON number" in err
 
+    def test_bad_value_names_the_line_of_its_key(self, tmp_path, capsys):
+        # The line used to be that of the first "dim" in the file, here a string value.
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{\n "svg": "dim",\n "noise_vars": [0.5],\n "dim": "two"\n}')
+        assert main(["sender", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("dpcomm sender: config error: line 4: config key 'dim' "
+                                           'must be a number, got "two"\n')
+
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -555,6 +588,12 @@ def fresh_python(*args):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip().splitlines()[-1]
+
+
+def test_console_script_is_main():
+    # The installed script calls sys.exit(main()); `python -m dpcomm` runs __main__.py.
+    target = re.search(r'^dpcomm = "(.+)"$', (REPO / "pyproject.toml").read_text(), re.M)[1]
+    assert importlib.metadata.EntryPoint("dpcomm", target, "console_scripts").load() is main
 
 
 #: sha256 of every file the six shipped configs write at seed 0, per config.

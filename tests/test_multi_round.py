@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dpcomm import (
@@ -24,6 +24,7 @@ from dpcomm import (
     verify_mpg,
 )
 from dpcomm.multi_round import (
+    _rounded,
     lex_min_profile,
     policy_space_size,
     reachable_savings,
@@ -418,6 +419,30 @@ class TestSpendTolerance:
         # Both agents keep their saving, then spend it in the open in the last round.
         for policy in result.policies:
             assert policy.action_at(1.0, 2) == MrsAction(1.0000000005, 0.0)
+
+
+# Amounts with up to 10 decimals, a digit finer than the keys, or any float in [0, 10].
+_AMOUNTS = st.one_of(st.integers(0, 10**11).map(lambda n: n / 10**10), st.floats(0.0, 10.0))
+
+
+class TestAffordability:
+    # The lattice and valid_actions judge a spend on the saving's 9-decimal
+    # key; transition used to judge it on the raw saving, so the spend 0.3
+    # offered at the key 0.299999999 was rejected from 0.29999999899999974.
+    @settings(max_examples=500, deadline=None)
+    @given(saving=_AMOUNTS, other=_AMOUNTS, near=st.booleans(), offset=st.integers(-30, 30))
+    @example(saving=3.3 - 1.0000000005 - 1.0000000005 - 1.0, other=0.3, near=False, offset=0)
+    def test_offered_exactly_when_transition_accepts(self, saving, other, near, offset):
+        # The spend is within 30 steps of 1e-10 of the saving, or of any amount.
+        spend = max((saving if near else other) + offset * 1e-10, 0.0)
+        cfg = MrsConfig(1, 1, 1.0, 0.0, 0.0, (saving,), (0.0, spend), (0.0,))
+        offered = spend in {a.spend for a in valid_actions(cfg, _rounded(saving))}
+        try:
+            transition(MrsState((saving,), 0), [MrsAction(spend, 0.0)])
+        except InvalidActionError:
+            assert not offered
+        else:
+            assert offered
 
 
 class TestBestResponse:
