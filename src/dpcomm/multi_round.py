@@ -2,8 +2,9 @@
 
 Each of N agents starts with a saving x_i and at every round chooses how much
 to give out (b_i, from a finite spend grid, never more than it has left) and
-a privacy level p_i for the message announcing the spend. Savings evolve
-deterministically, x_i <- x_i - b_i, and the per-round reward of agent i is
+a privacy level p_i for the message announcing the spend. Savings live on a
+1e-9 lattice and evolve deterministically, x_i <- round(x_i - b_i, 9), and the
+per-round reward of agent i is
 
     r_i = sum_j (1 - p_j) b_j  +  alpha * x_i  +  beta * p_i
 
@@ -46,9 +47,18 @@ def _rounded(x: float) -> float:
 
 
 def _affordable(key: float, spend: float) -> bool:
-    """Whether a spend fits a saving, judged on the saving's key (``_rounded``),
-    so the lattice, the actions offered and ``transition`` agree."""
+    """Whether a spend fits a saving, which is always a key (``_rounded``)."""
     return spend <= key + _SPEND_TOL
+
+
+def _fsum(terms) -> float:
+    """``math.fsum``; InvalidParameterError where a sum overflows or adds +inf to -inf."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        raise InvalidParameterError(
+            "spend_grid, initial_savings, reward_alpha, reward_beta or team_weights "
+            "overflow a reward sum") from None
 
 
 @dataclass(frozen=True)
@@ -101,22 +111,18 @@ class MrsConfig:
         return MrsState(self.initial_savings, 0)
 
 
-def _clean_savings(savings) -> tuple:
-    """Float savings with |x| < 1e-12 snapped to 0; InvalidParameterError
-    unless every one is finite and >= 0."""
-    cleaned = tuple(0.0 if abs(x) < 1e-12 else x for x in savings)
-    if not all(0.0 <= x < math.inf for x in cleaned):
-        raise InvalidParameterError(f"savings must be finite and >= 0, got {cleaned}")
-    return cleaned
-
-
 @dataclass(frozen=True)
 class MrsState:
+    """The round and each agent's saving, stored as its key (``_rounded``)."""
+
     savings: tuple
     step: int
 
     def __post_init__(self):
-        object.__setattr__(self, "savings", _clean_savings(require_floats("savings", self.savings)))
+        cleaned = tuple(0.0 if abs(x) < 1e-12 else x for x in require_floats("savings", self.savings))
+        if not all(0.0 <= x < math.inf for x in cleaned):
+            raise InvalidParameterError(f"savings must be finite and >= 0, got {cleaned}")
+        object.__setattr__(self, "savings", tuple(map(_rounded, cleaned)))
         require_count("step", self.step, 0)
 
 
@@ -144,13 +150,12 @@ class TabularPolicy:
     actions: dict = field(default_factory=dict)
 
     def action_at(self, saving: float, step: int) -> MrsAction:
-        key = (_rounded(saving), step)
+        key = _rounded(saving)
         try:
-            return self.actions[key]
+            return self.actions[(key, step)]
         except KeyError:
             raise InvalidActionError(
-                f"policy of agent {self.agent} has no action for saving "
-                f"{saving:.6g} at round {step}"
+                f"policy of agent {self.agent} has no action for saving {key!r} at round {step}"
             ) from None
 
 
@@ -166,22 +171,22 @@ def valid_actions(cfg: MrsConfig, saving: float) -> list:
     ]
     if not actions:
         raise InvalidActionError(
-            f"no spend in spend_grid {cfg.spend_grid} is affordable at saving {saving:.6g}")
+            f"no spend in spend_grid {cfg.spend_grid} is affordable at saving {saving!r}")
     return actions
 
 
 def _after_spend(saving: float, spend: float) -> float:
-    """Saving left after an affordable spend: a spend up to _SPEND_TOL above
-    the saving leaves 0, not a negative remainder."""
-    return max(saving - spend, 0.0)
+    """Key of what an affordable spend leaves, the one place a saving steps; a
+    spend up to _SPEND_TOL above the saving leaves 0, not a negative remainder."""
+    return _rounded(max(saving - spend, 0.0))
 
 
 def _spent(savings: tuple, actions: Sequence[MrsAction]) -> tuple:
-    """Savings after one round; InvalidActionError if an agent overspends."""
+    """Savings (keys) after one round; InvalidActionError if an agent overspends."""
     for j, (x, a) in enumerate(zip(savings, actions)):
-        if not _affordable(_rounded(x), a.spend):
-            raise InvalidActionError(f"agent {j}'s spend {a.spend:.6g} exceeds saving {x:.6g}")
-    return _clean_savings(_after_spend(x, a.spend) for x, a in zip(savings, actions))
+        if not _affordable(x, a.spend):
+            raise InvalidActionError(f"agent {j}'s spend {a.spend!r} exceeds saving {x!r}")
+    return tuple(_after_spend(x, a.spend) for x, a in zip(savings, actions))
 
 
 def transition(state: MrsState, actions: Sequence[MrsAction]) -> MrsState:
@@ -192,8 +197,8 @@ def transition(state: MrsState, actions: Sequence[MrsAction]) -> MrsState:
 
 
 def _reward(savings: tuple, actions: Sequence[MrsAction], agent: int, cfg: MrsConfig) -> float:
-    team = math.fsum((1.0 - a.privacy) * a.spend for a in actions)
-    return math.fsum((
+    team = _fsum((1.0 - a.privacy) * a.spend for a in actions)
+    return _fsum((
         cfg.team_weights[agent] * team,
         cfg.reward_alpha * savings[agent],
         cfg.reward_beta * actions[agent].privacy,
@@ -204,7 +209,7 @@ def _potential(savings: tuple, actions: Sequence[MrsAction], cfg: MrsConfig) -> 
     terms = [(1.0 - a.privacy) * a.spend for a in actions]
     terms += [cfg.reward_alpha * x for x in savings]
     terms += [cfg.reward_beta * a.privacy for a in actions]
-    return math.fsum(terms)
+    return _fsum(terms)
 
 
 def _check_profile(state: MrsState, actions: Sequence[MrsAction], cfg: MrsConfig) -> None:
@@ -238,15 +243,11 @@ def theta(state: MrsState, actions: Sequence[MrsAction], agent: int, cfg: MrsCon
     """
     agent = require_index("agent", agent, cfg.num_agents)
     _check_profile(state, actions, cfg)
-    return -math.fsum(
+    return -_fsum(
         cfg.reward_alpha * x + cfg.reward_beta * a.privacy
         for j, (x, a) in enumerate(zip(state.savings, actions))
         if j != agent
     )
-
-
-def _profile_actions(policies: Sequence[TabularPolicy], savings: tuple, step: int) -> list:
-    return [policies[j].action_at(x, step) for j, x in enumerate(savings)]
 
 
 def rollout(policies: Sequence[TabularPolicy], cfg: MrsConfig, start: MrsState):
@@ -256,13 +257,13 @@ def rollout(policies: Sequence[TabularPolicy], cfg: MrsConfig, start: MrsState):
     potential_terms = []
     savings = start.savings
     for t in range(start.step, cfg.horizon):
-        actions = _profile_actions(policies, savings, t)
+        actions = [policies[j].action_at(x, t) for j, x in enumerate(savings)]
         gamma_t = cfg.discount ** (t - start.step)
         for i in range(n):
             reward_terms[i].append(gamma_t * _reward(savings, actions, i, cfg))
         potential_terms.append(gamma_t * _potential(savings, actions, cfg))
         savings = _spent(savings, actions)
-    return tuple(math.fsum(terms) for terms in reward_terms), math.fsum(potential_terms)
+    return tuple(_fsum(terms) for terms in reward_terms), _fsum(potential_terms)
 
 
 def policy_value(policies: Sequence[TabularPolicy], agent: int, cfg: MrsConfig,
@@ -282,14 +283,10 @@ def reachable_savings(cfg: MrsConfig, agent: int, start: MrsState) -> list:
     agent = require_index("agent", agent, cfg.num_agents)
     if cfg.horizon <= start.step:
         return []
-    levels = [{_rounded(start.savings[agent])}]
+    levels = [{start.savings[agent]}]
     for _ in range(start.step, cfg.horizon - 1):
-        nxt = set()
-        for x in levels[-1]:
-            for b in cfg.spend_grid:
-                if _affordable(x, b):
-                    nxt.add(_rounded(_after_spend(x, b)))
-        levels.append(nxt)
+        levels.append({_after_spend(x, b) for x in levels[-1]
+                       for b in cfg.spend_grid if _affordable(x, b)})
     return [sorted(s) for s in levels]
 
 
@@ -308,12 +305,12 @@ def _team_contribution_range(cfg: MrsConfig, agent: int, start: MrsState) -> tup
             lows, highs = [], []
             for a in valid_actions(cfg, s):
                 own = (1.0 - a.privacy) * a.spend
-                low, high = after[_rounded(_after_spend(s, a.spend))] if after else (0.0, 0.0)
+                low, high = after[_after_spend(s, a.spend)] if after else (0.0, 0.0)
                 lows.append(own + cfg.discount * low)
                 highs.append(own + cfg.discount * high)
             level[s] = (min(lows), max(highs))
         after = level
-    return after[_rounded(start.savings[agent])] if after else (0.0, 0.0)
+    return after[start.savings[agent]] if after else (0.0, 0.0)
 
 
 def verify_mpg(cfg: MrsConfig, start: MrsState, tol: float = 1e-12):
@@ -350,7 +347,7 @@ def best_response_policy(policies: Sequence[TabularPolicy], agent: int, cfg: Mrs
     for t in range(start.step, cfg.horizon):
         actions = [no_spend if j == agent else policies[j].action_at(x, t)
                    for j, x in enumerate(savings)]
-        team_others.append(math.fsum((1.0 - a.privacy) * a.spend for a in actions))
+        team_others.append(_fsum((1.0 - a.privacy) * a.spend for a in actions))
         savings = _spent(savings, actions)
 
     levels = reachable_savings(cfg, agent, start)
@@ -364,18 +361,18 @@ def best_response_policy(policies: Sequence[TabularPolicy], agent: int, cfg: Mrs
             best_a = None
             for a in valid_actions(cfg, s):
                 own = (1.0 - a.privacy) * a.spend
-                q = math.fsum((
+                q = _fsum((
                     cfg.team_weights[agent] * (own + team_others[offset]),
                     cfg.reward_alpha * s,
                     cfg.reward_beta * a.privacy,
                 ))
                 if offset + 1 < len(levels):
-                    q += cfg.discount * value_next[_rounded(_after_spend(s, a.spend))]
+                    q += cfg.discount * value_next[_after_spend(s, a.spend)]
                 if best_a is None or q > best_q:  # an overflowed q = -inf still picks an action
                     best_q = q
                     best_a = a
-            level_value[_rounded(s)] = best_q
-            best_actions[(_rounded(s), t)] = best_a
+            level_value[s] = best_q
+            best_actions[(s, t)] = best_a
         value_next = level_value
     return TabularPolicy(agent, best_actions)
 

@@ -261,6 +261,30 @@ class TestMultiRound:
         assert code == EXIT_OK and capsys.readouterr().err == ""
         assert sorted(os.listdir(path.parent)) == ["multi_round.csv"]
 
+    def test_rollout_steps_the_lattice(self, tmp_path, capsys):
+        # The lattice steps 1.2999999995 (key 1.3) to 1.0 and 0.7. The rollout
+        # used to step the raw saving to 0.9999999995 (key 0.999999999), find
+        # no action there and exit 1.
+        config = {"num_agents": 1, "horizon": 3, "reward_alpha": 0.0, "reward_beta": 1.0,
+                  "initial_savings": [1.2999999995], "spend_grid": [0.0, 0.3],
+                  "privacy_grid": [0.5]}
+        code, path = run(tmp_path, "multi-round", config)
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        _, header, rows = parse_csv(path)
+        savings = {float(r[header.index("saving")]) for r in rows
+                   if r[header.index("record")] == "policy"}
+        assert savings == {1.3, 1.0, 0.7}
+
+    def test_overflowing_reward_sum_is_one_line(self, tmp_path, capsys):
+        config = {"num_agents": 1, "horizon": 2, "reward_alpha": 1e308, "reward_beta": 1e308,
+                  "initial_savings": [1.0], "spend_grid": [0.0, 1.0], "privacy_grid": [1.0]}
+        code, path = run(tmp_path, "multi-round", config)
+        assert code == EXIT_USAGE
+        assert not path.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "reward_alpha, reward_beta or team_weights overflow a reward sum" in err[0]
+
 
 class TestSender:
     def test_dominance_columns(self, tmp_path):

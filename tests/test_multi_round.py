@@ -445,6 +445,69 @@ class TestAffordability:
             assert offered
 
 
+# The three kinds of amounts of a random sweep: one decimal, ten decimals (a
+# digit finer than the keys), and one decimal shifted by +-1e-10 or +-5e-10.
+_SWEEP_AMOUNTS = st.one_of(
+    st.integers(0, 30).map(lambda n: n / 10),
+    st.integers(0, 3 * 10**10).map(lambda n: n / 10**10),
+    st.builds(lambda n, shift: max(n / 10 + shift, 0.0), st.integers(0, 30),
+              st.sampled_from((-5e-10, -1e-10, 1e-10, 5e-10))),
+)
+
+
+class _Recording:
+    """A policy that records each (agent, saving, round) it is asked for."""
+
+    def __init__(self, policy, seen):
+        self.policy = policy
+        self.seen = seen
+
+    def action_at(self, saving, step):
+        self.seen.append((self.policy.agent, saving, step))
+        return self.policy.action_at(saving, step)
+
+
+class TestKeyLattice:
+    # A saving is stored and stepped as its 9-decimal key. The rollout used to
+    # step the raw saving: from 1.2999999995 a spend of 0.3 left 0.9999999995,
+    # key 0.999999999, where the lattice (1.3 -> 1.0) planned the action.
+    @settings(max_examples=150, deadline=None)
+    @given(savings=st.lists(_SWEEP_AMOUNTS, min_size=1, max_size=2),
+           spends=st.lists(_SWEEP_AMOUNTS, min_size=1, max_size=3),
+           horizon=st.integers(1, 4), alpha=st.sampled_from((-0.5, 0.0, 0.3)),
+           beta=st.sampled_from((0.0, 1.0)), privacy=st.sampled_from(((0.5,), (0.0, 1.0))))
+    @example(savings=[1.2999999995], spends=[0.3], horizon=3, alpha=0.0, beta=1.0,
+             privacy=(0.5,))
+    def test_rollout_stays_on_the_lattice(self, savings, spends, horizon, alpha, beta, privacy):
+        cfg = MrsConfig(len(savings), horizon, 1.0, alpha, beta, tuple(savings),
+                        (0.0, *spends), privacy)
+        start = cfg.start_state()
+        levels = [reachable_savings(cfg, agent, start) for agent in range(cfg.num_agents)]
+        assert all(_rounded(x) == x for agent in levels for level in agent for x in level)
+        result = find_mpg_nash(cfg, start)
+        seen = []
+        rollout([_Recording(policy, seen) for policy in result.policies], cfg, start)
+        assert len(seen) == cfg.num_agents * horizon
+        assert all(saving in levels[agent][step] for agent, saving, step in seen)
+        state = start
+        for step in range(horizon):
+            assert all(_rounded(x) == x for x in state.savings)
+            state = transition(state, [policy.action_at(x, step)
+                                       for policy, x in zip(result.policies, state.savings)])
+        assert all(_rounded(x) == x for x in state.savings)
+
+    def test_messages_show_the_key(self):
+        # Formatted with .6g, each of these amounts printed as 0.3.
+        with pytest.raises(InvalidActionError,
+                           match=r"^agent 0's spend 0\.3000000005 exceeds saving 0\.299999999$"):
+            transition(MrsState((0.299999999,), 0), [MrsAction(0.3000000005, 0.0)])
+        with pytest.raises(InvalidActionError, match=r"no action for saving 0\.999999999 at round 1$"):
+            TabularPolicy(0, {}).action_at(0.9999999995, 1)
+        cfg = MrsConfig(1, 1, 1.0, 0.0, 0.0, (0.299999999,), (0.3000000005,), (0.0,))
+        with pytest.raises(InvalidActionError, match=r"affordable at saving 0\.299999999$"):
+            valid_actions(cfg, 0.299999999)
+
+
 class TestBestResponse:
     def test_large_privacy_reward_dominates(self):
         cfg = small_config(reward_beta=25.0)
@@ -632,6 +695,23 @@ class TestValidation:
         br = best_response_policy(lex_min_profile(cfg, cfg.start_state()), 0, cfg,
                                   cfg.start_state())
         assert all(a == MrsAction(0.0, 0.0) for a in br.actions.values())
+
+    @pytest.mark.parametrize("cfg", [
+        # alpha * saving and beta * privacy are finite, their sum is not:
+        # math.fsum raised a bare OverflowError.
+        MrsConfig(1, 2, 1.0, 1e308, 1e308, (1.0,), (0.0, 1.0), (1.0,)),
+        # The weighted team term is -inf and alpha * saving +inf: math.fsum
+        # raised a bare ValueError.
+        MrsConfig(1, 1, 1.0, 1e308, 0.0, (2.0,), (0.0, 2.0), (0.0,), team_weights=(-1e308,)),
+        # alpha and beta are 0 and the weights 1: the team sum of two finite
+        # spends overflows on its own.
+        MrsConfig(2, 1, 1.0, 0.0, 0.0, (1e308, 1e308), (0.0, 1e308), (0.0,)),
+    ], ids=["overflow", "inf-minus-inf", "team-spends"])
+    def test_overflowing_reward_sum_rejected(self, cfg):
+        with pytest.raises(InvalidParameterError, match=(
+                "^spend_grid, initial_savings, reward_alpha, reward_beta or team_weights "
+                "overflow a reward sum$")):
+            find_mpg_nash(cfg, cfg.start_state())
 
     def test_negative_state(self):
         with pytest.raises(InvalidParameterError):
