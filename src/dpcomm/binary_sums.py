@@ -5,17 +5,16 @@ probabilities). Agent utility is r_i = -|sum_j b_j - E[g_i]|, so 0 is perfect
 and the team reward is the sum over agents.
 
 ``run_game`` estimates expected guesses by seeded Monte-Carlo; results are
-reproducible for a given seed regardless of block scheduling because each
-(agent, block) pair draws from its own substream and block aggregates are
-combined with exact summation. Every guess is affine in the 0/1 messages,
-so a block is reduced to sufficient statistics, each agent's count of 1s and
-the Gram matrix of the messages, from which the per-agent sum and sum of
-squares of the guesses follow in closed form (see ``_simulate_block``). The
-Gram matrix is counted with popcounts over bit-packed message rows, so its
-entries are exact integers. Each agent's row of a block is drawn by
-``mechanisms._rr_row`` from one call for raw PCG64 words, with the bits that
-``random()`` and ``integers(0, 2)`` would give; these draws are most of a
-block's time.
+reproducible for a given seed because each (agent, block) pair draws from its
+own substream and block aggregates are combined with exact summation. Every
+guess is affine in the 0/1 messages, so a block is reduced to sufficient
+statistics, each agent's count of 1s and the Gram matrix of the messages,
+from which the per-agent sum and sum of squares of the guesses follow in
+closed form (see ``_simulate_block``). The Gram matrix is counted with
+popcounts over bit-packed message rows, so its entries are exact integers.
+Each agent's row of a block is drawn by ``mechanisms._rr_row`` from one call
+for raw PCG64 words, with the bits that ``random()`` and ``integers(0, 2)``
+would give; these draws are most of a block's time.
 """
 
 from __future__ import annotations
@@ -28,14 +27,9 @@ import numpy as np
 from .errors import (DegenerateMechanismError, InvalidParameterError, require_count, require_floats,
                      require_iterable, require_seed)
 from .mechanisms import _check_bit, _rr_row, rr_flip_prob
-from .rng import block_sizes, substream
+from .rng import BLOCK_SIZE, substream
 
 RECEIVER_MODES = ("naive", "aware")
-
-#: Fewest agents at which ``run_game`` fans its blocks out to threads, set when jobs=2
-#: won 1.3-1.7x at N = 24-64 on 2 vCPUs; later 12- and 10-pair batches show no win at
-#: N = 24 (medians 0.96/0.72/0.99/0.97x) and mixed ones at N = 64 (0.88/1.33/1.09/1.44x).
-_POOL_MIN_AGENTS = 24
 
 
 @dataclass(frozen=True)
@@ -170,11 +164,10 @@ def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,
 
     Each trial broadcasts one randomized-response message per agent; every
     receiver sees the same broadcast. Standard errors come from the empirical
-    variance of the per-trial guesses. ``jobs`` bounds the worker count for
-    the block fan-out, which runs only for games of ``_POOL_MIN_AGENTS`` or
-    more agents, where a second worker pays for its start; the result is
-    identical either way because blocks use independent substreams and block
-    sums are combined exactly, in order.
+    variance of the per-trial guesses. The trials run in blocks of
+    ``BLOCK_SIZE`` (the last one ragged), in order, in the calling thread.
+    ``jobs`` is checked (an integer >= 1) and changes neither the result nor
+    the work.
     """
     require_count("trials", trials, 1)
     require_count("jobs", jobs, 1)
@@ -182,16 +175,9 @@ def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,
     _check_aware_defined(instance)
     n = instance.num_agents
     bit_sum = int(sum(instance.bits))
-    blocks = list(enumerate(block_sizes(trials)))
-    if jobs > 1 and len(blocks) > 1 and n >= _POOL_MIN_AGENTS:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda bm: _simulate_block(instance, rng_seed, bm[0], bm[1]), blocks
-            ))
-    else:
-        results = [_simulate_block(instance, rng_seed, b, m) for b, m in blocks]
+    full, rest = divmod(trials, BLOCK_SIZE)
+    sizes = [BLOCK_SIZE] * full + ([rest] if rest else [])
+    results = [_simulate_block(instance, rng_seed, b, m) for b, m in enumerate(sizes)]
 
     means, std_errors = [], []
     for i in range(n):

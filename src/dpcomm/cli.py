@@ -167,7 +167,7 @@ def _given(config: dict, *keys: str) -> dict:  # the keys set; defaults stay in 
     return {key: config[key] for key in keys if key in config}
 
 
-def cmd_calibrate(config: dict, seed: int, jobs: int = 1) -> tuple:
+def cmd_calibrate(config: dict, seed: int) -> tuple:
     from .accountant import MechanismParams, PrivacyBudget, calibrate_episode, round_trip
 
     table = ResultTable([
@@ -204,7 +204,7 @@ def cmd_calibrate(config: dict, seed: int, jobs: int = 1) -> tuple:
     return table, (EXIT_INFEASIBLE if any_infeasible else EXIT_OK), plot
 
 
-def cmd_binary_sums(config: dict, seed: int, jobs: int = 1) -> tuple:
+def cmd_binary_sums(config: dict, seed: int) -> tuple:
     from .binary_sums import BinarySumsInstance, analytic_outcome, run_game
 
     table = ResultTable([
@@ -222,7 +222,7 @@ def cmd_binary_sums(config: dict, seed: int, jobs: int = 1) -> tuple:
     for instance in instances:
         mode = instance.receiver_mode
         exact = analytic_outcome(instance)
-        mc = run_game(instance, config["trials"], seed, jobs=jobs)
+        mc = run_game(instance, config["trials"], seed)
         for i in range(instance.num_agents):
             gap = mc.guesses[i] - exact.guesses[i]
             if abs(gap) > 3.0 * mc.mc_std_errors[i] + 1e-12:
@@ -233,7 +233,7 @@ def cmd_binary_sums(config: dict, seed: int, jobs: int = 1) -> tuple:
     return table, (EXIT_OK if agree else EXIT_INFEASIBLE), None
 
 
-def cmd_equilibrium(config: dict, seed: int, jobs: int = 1) -> tuple:
+def cmd_equilibrium(config: dict, seed: int) -> tuple:
     from .cgp import StrategyProfile, find_nash, is_potential_game, make_binary_sums_cgp
     from .rng import uniforms
 
@@ -256,7 +256,7 @@ def cmd_equilibrium(config: dict, seed: int, jobs: int = 1) -> tuple:
     return table, (EXIT_OK if all_converged else EXIT_INFEASIBLE), None
 
 
-def cmd_multi_round(config: dict, seed: int, jobs: int = 1) -> tuple:
+def cmd_multi_round(config: dict, seed: int) -> tuple:
     from .multi_round import MrsConfig, find_mpg_nash, verify_mpg
 
     fields = {f.name for f in dataclasses.fields(MrsConfig)}
@@ -283,7 +283,7 @@ def cmd_multi_round(config: dict, seed: int, jobs: int = 1) -> tuple:
     return table, (EXIT_OK if is_mpg else EXIT_INFEASIBLE), plot
 
 
-def cmd_sender(config: dict, seed: int, jobs: int = 1) -> tuple:
+def cmd_sender(config: dict, seed: int) -> tuple:
     from .diagonal_sender import (_closed_form_kls, _diagonal_descent, _diagonal_target,
                                   _sender_problem)
 
@@ -334,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None,
                         help="output directory (default: $DPCOMM_OUT or '.')")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="threads for the binary-sums Monte-Carlo blocks (results "
-                             "identical for any count); other commands ignore it")
+                        help="an integer >= 1, checked for every command; it changes "
+                             "neither the output nor the speed")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
@@ -353,7 +353,7 @@ def main(argv=None) -> int:
         config = load_config(args.config, args.command)
         svg_path = os.path.join(out_dir, config["svg"]) if "svg" in config else None
         _check_outputs(args.config, out_path, svg_path)
-        table, code, plot = COMMANDS[args.command](config, args.seed, args.jobs)
+        table, code, plot = COMMANDS[args.command](config, args.seed)
     except ConfigError as exc:
         print(f"dpcomm {args.command}: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,9 +3,9 @@
 Every randomized operation in this package takes an integer seed and derives
 its draws from ``substream(seed, *key)``. Distinct keys give statistically
 independent streams, and a given (seed, key) pair always yields the same
-stream regardless of what else has been drawn. Monte-Carlo loops fan out
-over per-(agent, block) substreams so results do not depend on execution
-order or worker count; block aggregates are combined with ``math.fsum``.
+stream regardless of what else has been drawn. Monte-Carlo loops draw from
+per-(agent, block) substreams, so a block's draws do not depend on the blocks
+before it; block aggregates are combined with ``math.fsum``.
 
 numpy is imported inside ``substream``, so importing this module does not
 load it. The equilibrium command's start points come from ``uniforms``, a
@@ -22,8 +22,8 @@ from .errors import require_seed
 if TYPE_CHECKING:
     import numpy as np
 
-#: Trials per substream block in Monte-Carlo loops. Fixed so that results
-#: are reproducible for a given seed no matter how blocks are scheduled.
+#: Trials per substream block in Monte-Carlo loops. Fixed so that a seed and a
+#: trial count always give the same blocks, and so the same results.
 BLOCK_SIZE = 1 << 15
 
 
@@ -33,14 +33,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
     require_seed("seed", seed)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
-
-
-def block_sizes(total: int) -> list[int]:
-    """Split ``total`` trials into blocks of ``BLOCK_SIZE`` (last one ragged)."""
-    if total < 0:
-        raise ValueError("total must be nonnegative")
-    full, rest = divmod(total, BLOCK_SIZE)
-    return [BLOCK_SIZE] * full + ([rest] if rest else [])
 
 
 # numpy.random.SeedSequence's hash constants (a 4-word pool of uint32).

@@ -219,17 +219,6 @@ class TestRunGame:
         inst = make([1, 0, 1, 1], 1.0, "naive")
         assert run_game(inst, 10**5, 4) == run_game(inst, 10**5, 4, jobs=4)
 
-    def test_pool_only_for_wide_games(self):
-        # Below the cut-off a second worker costs more than it saves, so a
-        # narrow game runs its blocks in this thread whatever ``jobs`` says.
-        import concurrent.futures
-
-        pool = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
-        with mock.patch.object(concurrent.futures, "ThreadPoolExecutor", pool):
-            for n in (binary_sums._POOL_MIN_AGENTS - 1, binary_sums._POOL_MIN_AGENTS):
-                run_game(make([1] * n, 1.0, "naive"), 2 * BLOCK_SIZE, 0, jobs=2)
-        pool.assert_called_once_with(max_workers=2)
-
     @pytest.mark.parametrize("jobs", [0, -1, True, 2.5, "2"])
     def test_bad_jobs(self, jobs):
         # These used to run serially, and "2" raised a bare TypeError.
@@ -260,6 +249,19 @@ class TestRunGame:
     def test_bad_trials(self):
         with pytest.raises(InvalidParameterError):
             run_game(make([1], 1.0, "naive"), 0, 0)
+
+    def test_block_sums_combined_exactly(self):
+        # 1e16 + 3 - 1e-16 rounds to 1e16 + 2, but to 1e16 + 4 when summed in
+        # floats, plainly or with the compensated sum of Python >= 3.12.
+        sums = {0: 1e16, 1: 3.0, 2: -1e-16}
+
+        def block(instance, rng_seed, b, m):
+            return np.array([sums[b]]), np.array([abs(sums[b])])
+
+        trials = 2 * BLOCK_SIZE + 1
+        with mock.patch.object(binary_sums, "_simulate_block", block):
+            out = run_game(make([1], 1.0, "naive"), trials, 0)
+        assert out.guesses == ((1e16 + 2) / trials,)
 
 
 SWEEP_GRID = [
@@ -376,10 +378,10 @@ class TestRawWordDraws:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("mode", ["naive", "aware"])
     def test_run_game_unchanged(self, mode, jobs):
-        # Wide enough for jobs=2 to run its blocks on threads, with a ragged last
-        # block of odd length, and one agent at each of p = 0, 1/2 and ~1.
+        # 24 agents, a ragged last block of odd length, and one agent at each
+        # of p = 0, 1/2 and ~1.
         rng = np.random.default_rng(24)
-        n = binary_sums._POOL_MIN_AGENTS
+        n = 24
         bits = tuple(int(b) for b in rng.integers(0, 2, n))
         epsilons = (math.inf, LN3, 1e-9) + tuple(rng.uniform(0.2, 4.0, n - 3))
         instance = BinarySumsInstance(bits, epsilons, mode)
@@ -442,7 +444,7 @@ class TestValidation:
             run_game(make([1], 1.0, "naive"), 2.0, 0)
 
     def test_trials_beyond_float_precision_rejected(self):
-        # A 401-digit count used to overflow in rng.block_sizes.
+        # A 401-digit count used to overflow when split into blocks.
         with pytest.raises(InvalidParameterError, match="trials must be at most 2"):
             run_game(make([1], 1.0, "naive"), 10**400, 0)
 

@@ -454,10 +454,6 @@ class TestHarness:
         assert code == EXIT_OK
         assert (tmp_path / "env_out" / "equilibrium.csv").exists()
 
-    def test_usage_error_exit_code(self):
-        assert main(["calibrate"]) == EXIT_USAGE  # --config missing
-        assert main(["no-such-command", "--config", "x"]) == EXIT_USAGE
-
     @pytest.mark.parametrize("argv, named", [
         (["calibrate"], "--config"),
         (["calibrate", "--config", "x", "--seed", "abc"], "abc"),
