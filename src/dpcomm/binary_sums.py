@@ -6,12 +6,12 @@ and the team reward is the sum over agents.
 
 ``run_game`` estimates expected guesses by seeded Monte-Carlo; results are
 reproducible for a given seed because each (agent, block) pair draws from its
-own substream and block aggregates are combined with exact summation. Every
-guess is affine in the 0/1 messages, so a block is reduced to sufficient
-statistics, each agent's count of 1s and the Gram matrix of the messages,
-from which the per-agent sum and sum of squares of the guesses follow in
-closed form (see ``_simulate_block``). The Gram matrix is counted with
-popcounts over bit-packed message rows, so its entries are exact integers.
+own substream. Every guess is affine in the 0/1 messages, so a game is
+reduced to one sufficient statistic, the Gram matrix of the messages (its
+diagonal holds each agent's count of 1s), from which the per-agent sum and
+sum of squares of the guesses follow in closed form (see ``run_game``). Each
+block's Gram matrix is counted with popcounts over bit-packed message rows,
+and the game sums them, so every entry is an exact integer.
 Each agent's row of a block is drawn by ``mechanisms._rr_row`` from one call
 for raw PCG64 words, with the bits that ``random()`` and ``integers(0, 2)``
 would give; these draws are most of a block's time.
@@ -128,36 +128,6 @@ def _message_gram(instance: BinarySumsInstance, rng_seed: int, block: int, m: in
     return gram
 
 
-def _simulate_block(instance: BinarySumsInstance, rng_seed: int, block: int, m: int):
-    """Per-agent (sum, sum-of-squares) of the guesses over one trial block.
-
-    Agent j's messages form row j of an N x m 0/1 matrix X. The block keeps
-    only the Gram matrix G = X X^T, counted by popcounts over bit-packed rows
-    (``_message_gram``), and the counts c = X 1, which are the diagonal of G
-    since x^2 = x; both are exact integers. A message of agent j is worth
-    v0_j or v1_j to a receiver (0 and 1 when naive, (x - p_j/2) / (1 - p_j)
-    when aware), so agent i's guess in one trial is k_i + w_i . x, with
-    k_i = b_i + sum_{j != i} v0_j and w_i = v1 - v0 with entry i zeroed. Over
-    the block its sum is m k_i + w_i . c and its sum of squares is
-    m k_i^2 + 2 k_i (w_i . c) + w_i^T G w_i.
-    """
-    n = instance.num_agents
-    probs = np.array(instance.flip_probs)
-    gram = _message_gram(instance, rng_seed, block, m)
-    counts = gram.diagonal()
-    if instance.receiver_mode == "aware":
-        low = (0.0 - probs / 2.0) / (1.0 - probs)
-        high = (1.0 - probs / 2.0) / (1.0 - probs)
-    else:
-        low, high = np.zeros(n), np.ones(n)
-    others = 1.0 - np.eye(n)  # receiver i does not count its own message
-    base = np.array(instance.bits, dtype=float) + others @ low
-    weights = others * (high - low)
-    linear = weights @ counts
-    quadratic = ((weights @ gram) * weights).sum(axis=1)
-    return m * base + linear, m * base * base + 2.0 * base * linear + quadratic
-
-
 def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,
              jobs: int = 1) -> BinarySumsOutcome:
     """Monte-Carlo estimate of the expected guesses over ``trials`` rounds.
@@ -168,6 +138,17 @@ def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,
     ``BLOCK_SIZE`` (the last one ragged), in order, in the calling thread.
     ``jobs`` is checked (an integer >= 1) and changes neither the result nor
     the work.
+
+    Agent j's messages form row j of an N x trials 0/1 matrix X. The game
+    keeps only the Gram matrix G = X X^T, the sum of its blocks' Grams
+    (``_message_gram``), and the counts c = X 1, which are the diagonal of G
+    since x^2 = x. Every entry is an integer of at most ``trials`` <= 2**53,
+    so each partial sum of the blocks is exact in float64. A message of agent
+    j is worth v0_j or v1_j to a receiver (0 and 1 when naive,
+    (x - p_j/2) / (1 - p_j) when aware), so agent i's guess in one trial is
+    k_i + w_i . x, with k_i = b_i + sum_{j != i} v0_j and w_i = v1 - v0 with
+    entry i zeroed. Over the game its sum is T k_i + w_i . c and its sum of
+    squares is T k_i^2 + 2 k_i (w_i . c) + w_i^T G w_i, for T = ``trials``.
     """
     require_count("trials", trials, 1)
     require_count("jobs", jobs, 1)
@@ -177,14 +158,19 @@ def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,
     bit_sum = int(sum(instance.bits))
     full, rest = divmod(trials, BLOCK_SIZE)
     sizes = [BLOCK_SIZE] * full + ([rest] if rest else [])
-    results = [_simulate_block(instance, rng_seed, b, m) for b, m in enumerate(sizes)]
-
-    means, std_errors = [], []
-    for i in range(n):
-        s = math.fsum(float(r[0][i]) for r in results)
-        ss = math.fsum(float(r[1][i]) for r in results)
-        mean = s / trials
-        var = max(ss - trials * mean * mean, 0.0) / max(trials - 1, 1)
-        means.append(mean)
-        std_errors.append(math.sqrt(var / trials))
-    return _outcome(bit_sum, means, std_errors)
+    gram = sum(_message_gram(instance, rng_seed, b, m) for b, m in enumerate(sizes))
+    probs = np.array(instance.flip_probs)
+    if instance.receiver_mode == "aware":
+        low = (0.0 - probs / 2.0) / (1.0 - probs)
+        high = (1.0 - probs / 2.0) / (1.0 - probs)
+    else:
+        low, high = np.zeros(n), np.ones(n)
+    others = 1.0 - np.eye(n)  # receiver i does not count its own message
+    base = np.array(instance.bits, dtype=float) + others @ low
+    weights = others * (high - low)
+    linear = weights @ gram.diagonal()
+    quadratic = ((weights @ gram) * weights).sum(axis=1)
+    means = (trials * base + linear) / trials
+    squares = trials * base * base + 2.0 * base * linear + quadratic
+    variances = np.maximum(squares - trials * means * means, 0.0) / max(trials - 1, 1)
+    return _outcome(bit_sum, means.tolist(), np.sqrt(variances / trials).tolist())

@@ -5,7 +5,7 @@ its draws from ``substream(seed, *key)``. Distinct keys give statistically
 independent streams, and a given (seed, key) pair always yields the same
 stream regardless of what else has been drawn. Monte-Carlo loops draw from
 per-(agent, block) substreams, so a block's draws do not depend on the blocks
-before it; block aggregates are combined with ``math.fsum``.
+before it.
 
 numpy is imported inside ``substream``, so importing this module does not
 load it. The equilibrium command's start points come from ``uniforms``, a

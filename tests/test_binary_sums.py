@@ -59,36 +59,35 @@ def _matmul_messages(instance, rng_seed, block, m):
     return x
 
 
-# The block kernel the library used before it counted the Gram matrix with
-# popcounts over bit-packed rows, kept as the test oracle: the Gram matrix is
-# the float64 BLAS product x @ x.T of the N x m messages.
-def _matmul_simulate_block(instance, rng_seed, block, m):
-    n = instance.num_agents
-    probs = np.array(instance.flip_probs)
+# The Gram matrix the library used before it counted it with popcounts over
+# bit-packed rows, kept as the test oracle: the float64 BLAS product x @ x.T of
+# the N x m messages.
+def _matmul_gram(instance, rng_seed, block, m):
     x = _matmul_messages(instance, rng_seed, block, m)
-    gram = x @ x.T
-    counts = gram.diagonal()
-    if instance.receiver_mode == "aware":
-        low = (0.0 - probs / 2.0) / (1.0 - probs)
-        high = (1.0 - probs / 2.0) / (1.0 - probs)
-    else:
-        low, high = np.zeros(n), np.ones(n)
-    others = 1.0 - np.eye(n)
-    base = np.array(instance.bits, dtype=float) + others @ low
-    weights = others * (high - low)
-    linear = weights @ counts
-    quadratic = ((weights @ gram) * weights).sum(axis=1)
-    return m * base + linear, m * base * base + 2.0 * base * linear + quadratic
+    return x @ x.T
 
 
 def matmul_run_game(instance, trials, rng_seed):
-    with mock.patch.object(binary_sums, "_simulate_block", _matmul_simulate_block):
+    with mock.patch.object(binary_sums, "_message_gram", _matmul_gram):
         return run_game(instance, trials, rng_seed)
 
 
+# The game the library ran before it summed its blocks' Gram matrices, kept as
+# the test oracle: per-block guess sums and sums of squares, combined per agent
+# with math.fsum.
 def reference_run_game(instance, trials, rng_seed):
-    with mock.patch.object(binary_sums, "_simulate_block", _reference_simulate_block):
-        return run_game(instance, trials, rng_seed)
+    full, rest = divmod(trials, BLOCK_SIZE)
+    sizes = [BLOCK_SIZE] * full + ([rest] if rest else [])
+    results = [_reference_simulate_block(instance, rng_seed, b, m) for b, m in enumerate(sizes)]
+    means, std_errors = [], []
+    for i in range(instance.num_agents):
+        s = math.fsum(float(r[0][i]) for r in results)
+        ss = math.fsum(float(r[1][i]) for r in results)
+        mean = s / trials
+        var = max(ss - trials * mean * mean, 0.0) / max(trials - 1, 1)
+        means.append(mean)
+        std_errors.append(math.sqrt(var / trials))
+    return binary_sums._outcome(int(sum(instance.bits)), means, std_errors)
 
 
 def assert_matches_reference(instance, trials, rng_seed):
@@ -109,21 +108,23 @@ def assert_matches_reference(instance, trials, rng_seed):
         assert abs(g * g - w * w) * trials <= 1e-11 * (mean * mean + w * w * trials)
 
 
-def _exact_block(instance, rng_seed, block, m):
-    """Per-agent guess sum and sum of squares over one block in rational
-    arithmetic, from the same draws and the same float message values."""
+def _exact_game(instance, rng_seed, sizes):
+    """Per-agent guess sum and sum of squares over the blocks of ``sizes`` in
+    rational arithmetic, from the same draws and the same float message values."""
     probs = instance.flip_probs
-    rows = []
-    for j, bit in enumerate(instance.bits):
-        rng = substream(rng_seed, j, block)
-        flips = rng.random(m) < probs[j]
-        coins = rng.integers(0, 2, size=m)
-        rows.append(np.where(flips, coins, bit).tolist())
+    patterns = collections.Counter()
+    for block, m in enumerate(sizes):
+        rows = []
+        for j, bit in enumerate(instance.bits):
+            rng = substream(rng_seed, j, block)
+            flips = rng.random(m) < probs[j]
+            coins = rng.integers(0, 2, size=m)
+            rows.append(np.where(flips, coins, bit).tolist())
+        patterns.update(zip(*rows))
     if instance.receiver_mode == "aware":
         values = [((0.0 - p / 2.0) / (1.0 - p), (1.0 - p / 2.0) / (1.0 - p)) for p in probs]
     else:
         values = [(0.0, 1.0)] * len(probs)
-    patterns = collections.Counter(zip(*rows))
     sums, squares = [], []
     for i, bit in enumerate(instance.bits):
         s = ss = Fraction(0)
@@ -234,7 +235,7 @@ class TestRunGame:
     @pytest.mark.parametrize("rng_seed", [-1, 2.5, math.nan, "3", None, True, 3.0])
     def test_bad_seed_rejected_before_any_block(self, rng_seed):
         # 2.5 and NaN used to raise numpy's TypeError, and "3" '<' not supported.
-        with mock.patch.object(binary_sums, "_simulate_block") as block:
+        with mock.patch.object(binary_sums, "_message_gram") as block:
             with pytest.raises(InvalidParameterError, match="rng_seed"):
                 run_game(make([1, 0, 1], 1.0, "naive"), 1000, rng_seed)
         block.assert_not_called()
@@ -249,19 +250,6 @@ class TestRunGame:
     def test_bad_trials(self):
         with pytest.raises(InvalidParameterError):
             run_game(make([1], 1.0, "naive"), 0, 0)
-
-    def test_block_sums_combined_exactly(self):
-        # 1e16 + 3 - 1e-16 rounds to 1e16 + 2, but to 1e16 + 4 when summed in
-        # floats, plainly or with the compensated sum of Python >= 3.12.
-        sums = {0: 1e16, 1: 3.0, 2: -1e-16}
-
-        def block(instance, rng_seed, b, m):
-            return np.array([sums[b]]), np.array([abs(sums[b])])
-
-        trials = 2 * BLOCK_SIZE + 1
-        with mock.patch.object(binary_sums, "_simulate_block", block):
-            out = run_game(make([1], 1.0, "naive"), trials, 0)
-        assert out.guesses == ((1e16 + 2) / trials,)
 
 
 SWEEP_GRID = [
@@ -400,12 +388,16 @@ class TestKernelAccuracy:
         (0.5, 1.0, 2.0, 3.0, math.inf),
     ])
     def test_block_statistics_match_exact_arithmetic(self, mode, epsilons):
+        # One full block and one ragged block. The second moment is the one
+        # the standard error implies, mean^2 + se^2 (trials - 1), taken exactly.
         instance = BinarySumsInstance((1, 1, 0, 1, 1), epsilons, mode)
-        for block, m in ((0, BLOCK_SIZE), (1, 1234)):
-            exact_s, exact_ss = _exact_block(instance, 21, block, m)
-            sums, squares = binary_sums._simulate_block(instance, 21, block, m)
-            for got, exact in zip((*sums, *squares), (*exact_s, *exact_ss)):
-                assert abs(Fraction(float(got)) - exact) <= 1e-14 * abs(exact)
+        trials = BLOCK_SIZE + 1234
+        out = run_game(instance, trials, 21)
+        exact_s, exact_ss = _exact_game(instance, 21, (BLOCK_SIZE, 1234))
+        for g, se, s, ss in zip(out.guesses, out.mc_std_errors, exact_s, exact_ss):
+            assert abs(Fraction(g) - s / trials) <= 1e-14 * max(1, abs(s / trials))
+            second = Fraction(g) ** 2 + Fraction(se) ** 2 * (trials - 1)
+            assert abs(second - ss / trials) <= 1e-14 * (ss / trials)
 
 
 class TestDominance:

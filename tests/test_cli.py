@@ -705,6 +705,11 @@ CONFIG_OUTPUTS = [
     pytest.param("binary-sums", BINARY_SUMS, {
         "binary_sums.csv": "d4c1fb61cb11750c1a2fc7c6c556a834a21ecf338dcc367e0613dd025a345cef",
     }, id="binary-sums"),
+    pytest.param("binary-sums", {  # p != 1/2: the aware message values are not dyadic
+        "bits": [1, 0, 1, 1, 0], "epsilons": [0.5, 1.0, 2.0, 3.0, 4.0], "trials": 50000,
+    }, {
+        "binary_sums.csv": "f574cfc0035810874c1e58fed423b5d5bf3c27eae1ffbe1d63f743334a932194",
+    }, id="binary-sums-mixed-budgets"),
     pytest.param("equilibrium", EQUILIBRIUM, {
         "equilibrium.csv": "e040e7f7298e7e04d8efca63645902d69e485974a4c9a26367b2ec4d169f79e1",
     }, id="equilibrium"),
