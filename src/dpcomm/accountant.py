@@ -43,6 +43,7 @@ BETA_GRID = tuple(b / 100.0 for b in range(1, 100))
 #: Minimum normalized noise for the subsampled-Gaussian bound to apply.
 MIN_SIGMA_PRIME_SQ = 0.7
 _SIGMA_PRIME_CONDITION = f"sigma'^2 >= {MIN_SIGMA_PRIME_SQ}"
+_ORDER_CONDITION = "alpha <= order bound"
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,10 @@ class PrivacyBudget:
     delta: float
 
     def __post_init__(self):
-        epsilon = require_float_in("epsilon", self.epsilon, lambda v: 0 < v < math.inf,
-                                   "be finite and > 0")
+        # A subnormal epsilon makes beta * epsilon round to 0 in the calibrator.
+        epsilon = require_float_in("epsilon", self.epsilon,
+                                   lambda v: sys.float_info.min <= v < math.inf,
+                                   "be finite and a normal float > 0")
         delta = require_float_in("delta", self.delta, lambda v: 0.0 < v < 1.0, "be in (0,1)")
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "delta", delta)
@@ -159,14 +162,19 @@ def _invalidity(sigma_prime_sq: float, gamma: float, alpha: float) -> tuple[floa
     Returns the condition that fails, as (margin, condition), or None when
     sigma'^2 >= MIN_SIGMA_PRIME_SQ and alpha <= the order bound both hold. The
     bound's log argument 1/(gamma*alpha*(1+sigma'^2)) can fall below 1, making
-    the bound negative, which is plain infeasibility.
+    the bound negative, which is plain infeasibility. The argument rounds to 0
+    when the product overflows, and is NaN when an infinite alpha meets a
+    variance that underflowed to 0: then no finite bound exists, and alpha
+    misses it by inf.
     """
     if sigma_prime_sq < MIN_SIGMA_PRIME_SQ:
         return MIN_SIGMA_PRIME_SQ - sigma_prime_sq, _SIGMA_PRIME_CONDITION
     arg = 1.0 / (gamma * alpha * (1.0 + sigma_prime_sq))
+    if not arg > 0.0:
+        return math.inf, _ORDER_CONDITION
     bound = 2.0 * sigma_prime_sq * math.log(arg) / 3.0 + 1.0
     if alpha > bound:
-        return alpha - bound, "alpha <= order bound"
+        return alpha - bound, _ORDER_CONDITION
     return None
 
 
@@ -245,7 +253,7 @@ def _calibrate(budget: PrivacyBudget, params: MechanismParams, episode: bool) ->
     variance = episode_noise_variance if episode else step_noise_variance
     best: CalibrationResult | None = None
     # The least-violated constraint across the grid, for the error path.
-    tightest = (math.inf, "", 0.0)
+    tightest = None
     sensitivity = params.sensitivity
     for beta in BETA_GRID:
         alpha = order_for_beta(budget, beta)
@@ -253,7 +261,7 @@ def _calibrate(budget: PrivacyBudget, params: MechanismParams, episode: bool) ->
         sigma_prime_sq = _sigma_prime_sq(sigma_sq, sensitivity)
         invalid = _invalidity(sigma_prime_sq, params.sample_rate_data, alpha)
         if invalid is not None:
-            if invalid[0] < tightest[0]:
+            if tightest is None or invalid[0] < tightest[0]:
                 tightest = (*invalid, beta)
         elif best is None or sigma_sq < best.sigma_sq:
             best = CalibrationResult(sigma_sq, alpha, beta, sigma_prime_sq, True)

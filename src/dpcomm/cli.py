@@ -4,7 +4,7 @@ Commands: calibrate | binary-sums | equilibrium | multi-round | sender.
 Each takes a JSON config document, a seed, an output directory, and an output
 format. A command returns its table, exit code and plot; ``main`` renders the
 table and, if the config names one, the SVG, and writes all of them or none.
-The seed and the job count are checked once, for every command. The CLI checks
+The seed is checked once, for every command. The CLI checks
 only the document's shape (strict UTF-8 JSON, known keys, required keys, the
 JSON kind of each value, ``svg`` a plain file name), naming the offending
 line, and that no output replaces the config or the table; the library objects
@@ -333,9 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     parser.add_argument("--out", default=None,
                         help="output directory (default: $DPCOMM_OUT or '.')")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="an integer >= 1, checked for every command; it changes "
-                             "neither the output nor the speed")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
@@ -349,7 +346,6 @@ def main(argv=None) -> int:
     out_path = os.path.join(out_dir, f"{args.command.replace('-', '_')}.{args.format}")
     try:
         require_seed("seed", args.seed)
-        require_count("jobs", args.jobs, 1)
         config = load_config(args.config, args.command)
         svg_path = os.path.join(out_dir, config["svg"]) if "svg" in config else None
         _check_outputs(args.config, out_path, svg_path)

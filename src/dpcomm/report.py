@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -67,8 +68,12 @@ class ResultTable:
 def line_plot_svg(series: dict, x_label: str, y_label: str, provenance: dict) -> str:
     """Minimal multi-series line plot; each series maps a name to (xs, ys)."""
     width, height, margin = 640, 400, 50.0
-    xs_all = [x for xs, _ in series.values() for x in xs]
-    ys_all = [y for _, ys in series.values() for y in ys]
+    # A point with a non-finite value (an overflowed KL, a NaN gap) has no place
+    # on the axes: it is left out of the plot and of the axis ranges.
+    points = {name: [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
+              for name, (xs, ys) in series.items()}
+    xs_all = [x for pairs in points.values() for x, _ in pairs]
+    ys_all = [y for pairs in points.values() for _, y in pairs]
     if not xs_all:
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
@@ -96,9 +101,9 @@ def line_plot_svg(series: dict, x_label: str, y_label: str, provenance: dict) ->
         f'<text x="14" y="{height / 2:.1f}" text-anchor="middle" font-size="13" '
         f'transform="rotate(-90 14 {height / 2:.1f})">{y_label}</text>',
     ]
-    for k, (name, (xs, ys)) in enumerate(sorted(series.items())):
+    for k, (name, pairs) in enumerate(sorted(points.items())):
         color = colors[k % len(colors)]
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pairs)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{margin + 8}" y="{margin + 16 * k + 4}" font-size="11" '

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammaln, logsumexp
 
+from dpcomm import errors
 from dpcomm import (
     CalibrationInfeasibleError,
     CompositionOrderError,
@@ -138,6 +140,12 @@ class TestSubsampledGaussianRdp:
         # gamma = 0.9 makes the log argument fall below 1: bound < alpha.
         with pytest.raises(InfeasibleOrderError, match="bound"):
             subsampled_gaussian_rdp(1.0, 1.0, 2.0, 0.9)
+
+    def test_overflowing_order_bound_is_infeasible(self):
+        # gamma * alpha * (1 + sigma'^2) overflows, so the bound's log argument
+        # rounds to 0; this used to raise a bare ValueError (math domain error).
+        with pytest.raises(InfeasibleOrderError, match="alpha <= order bound, missed by inf"):
+            subsampled_gaussian_rdp(1.0, 1e150, 1e10, 0.5)
 
     def test_low_noise_rejected(self):
         with pytest.raises(InfeasibleOrderError, match="sigma"):
@@ -321,6 +329,19 @@ class TestCalibrateStep:
         with pytest.raises(CalibrationInfeasibleError, match="alpha <= order bound"):
             calibrate_step(PrivacyBudget(1.0, DELTA), params)
 
+    @pytest.mark.parametrize("budget,params", [
+        # sigma'^2 overflows; this used to raise a bare ValueError (math domain error).
+        (PrivacyBudget(1e-200, DELTA), MechanismParams(1.0, 0.005, 0.5, 1000)),
+        # alpha overflows and gamma1^2 underflows, so sigma^2 is 0 * inf = NaN,
+        # which used to pass both checks as a feasible calibration.
+        (PrivacyBudget(1e-307, 1e-300), MechanismParams(1.0, 1e-300, 0.5, 10)),
+    ], ids=["overflow", "nan"])
+    def test_order_bound_beyond_the_float_range(self, budget, params):
+        # Every margin is inf, and the error still names its condition.
+        with pytest.raises(CalibrationInfeasibleError, match=r"tightest constraint: alpha <= "
+                           r"order bound, missed by inf at beta = 0\.01$"):
+            calibrate_step(budget, params)
+
     def test_infeasible_extreme_corner(self):
         params = MechanismParams(1.0, 0.99, 0.5, 1000)
         with pytest.raises(CalibrationInfeasibleError):
@@ -414,6 +435,46 @@ def test_round_trip_never_exceeds_the_budget(epsilon, delta_exp, gamma1_exp, gam
     event("feasible")
     assert result.feasible
     assert round_trip(result, budget, params, episode=episode).epsilon <= epsilon + 1e-9
+
+
+TYPED_ERRORS = tuple(obj for obj in vars(errors).values()
+                     if isinstance(obj, type) and issubclass(obj, Exception)
+                     and obj.__module__ == errors.__name__)
+
+
+def _log_uniform(lo, hi):
+    """10**e for e uniform in [lo, hi]: 0, subnormals and the float extremes."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    epsilon=_log_uniform(-324, 308),
+    delta=_log_uniform(-324, 0),
+    gamma1=_log_uniform(-324, 0),
+    gamma2=_log_uniform(-324, 0),
+    num_agents=st.integers(1, 2**53),
+    clip_norm=_log_uniform(-324, 308),
+    episode_len=st.integers(1, 2**53),
+    sigma=_log_uniform(-324, 308),
+    alpha=_log_uniform(-3, 308),
+)
+def test_extremes_raise_only_typed_errors(epsilon, delta, gamma1, gamma2, num_agents, clip_norm,
+                                          episode_len, sigma, alpha):
+    # About one draw in eight used to end in a bare ValueError (math domain
+    # error), and a subnormal epsilon in a ZeroDivisionError.
+    with contextlib.suppress(*TYPED_ERRORS):
+        subsampled_gaussian_rdp(clip_norm, sigma, alpha, gamma1)
+    for calibrate, episode in ((calibrate_step, False), (calibrate_episode, True)):
+        try:
+            budget = PrivacyBudget(epsilon, delta)
+            params = MechanismParams(clip_norm, gamma1, gamma2, num_agents, episode_len)
+            result = calibrate(budget, params)
+            back = round_trip(result, budget, params, episode=episode)
+        except TYPED_ERRORS:
+            continue
+        assert 0.0 < result.sigma_sq < math.inf
+        assert back.epsilon <= epsilon * (1.0 + 1e-9)
 
 
 def _composed_round_trip(result, budget, params, episode=False):
@@ -636,6 +697,10 @@ class TestValidation:
     def test_budget_ranges(self):
         with pytest.raises(InvalidParameterError):
             PrivacyBudget(0.0, 1e-4)
+        # calibrate_step used to raise a bare ZeroDivisionError on a subnormal
+        # epsilon: beta * epsilon rounded to 0.
+        with pytest.raises(InvalidParameterError, match="epsilon must be finite and a normal"):
+            PrivacyBudget(5e-324, 1e-4)
         with pytest.raises(InvalidParameterError):
             PrivacyBudget(1.0, 0.0)
         with pytest.raises(InvalidParameterError):

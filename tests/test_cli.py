@@ -125,6 +125,14 @@ class TestCalibrate:
         assert rows[0][header.index("feasible")] == "False"
         assert rows[0][header.index("sigma_sq")] == ""
 
+    def test_overflowing_order_bound_row_exits_2(self, tmp_path, capsys):
+        # sigma'^2 overflows at every beta; this used to print "dpcomm calibrate:
+        # math domain error" and exit 1 without a table.
+        code, path = run(tmp_path, "calibrate", dict(CALIBRATE, epsilons=[1e-300]))
+        assert code == EXIT_INFEASIBLE and capsys.readouterr().err == ""
+        _, header, rows = parse_csv(path)
+        assert [row[header.index("feasible")] for row in rows] == ["False"]
+
     def test_validity_edge_row_exits_0(self, tmp_path):
         # The witness sits on sigma'^2 = 0.7, where round_trip used to disagree
         # with the calibrator by one ulp and the run exited 1.
@@ -179,12 +187,6 @@ class TestBinarySums:
     def test_zero_trials_rejected(self, tmp_path):
         code, _ = run(tmp_path, "binary-sums", dict(BINARY_SUMS, trials=0))
         assert code == EXIT_USAGE
-
-    def test_jobs_flag_does_not_change_output(self, tmp_path):
-        config = dict(BINARY_SUMS, trials=100000)
-        _, path1 = run(tmp_path / "a", "binary-sums", config)
-        _, path2 = run(tmp_path / "b", "binary-sums", config, extra=("--jobs", "4"))
-        assert path1.read_bytes() == path2.read_bytes()
 
 
 class TestEquilibrium:
@@ -332,6 +334,20 @@ class TestSender:
         assert capsys.readouterr().err == (
             "dpcomm sender: a step overflowed the iterate; reduce the learning rate\n")
 
+    def test_non_finite_kls_are_left_out_of_the_svg(self, tmp_path):
+        # The 1e300 row's KLs overflow to inf and its gap is NaN; the SVG used
+        # to carry the point "590.00,nan". The table keeps the values.
+        config = {"dim": 1, "target_variances": [1e-9], "noise_vars": [0.1, 1e300], "svg": "s.svg"}
+        code, path = run(tmp_path, "sender", config)
+        assert code == EXIT_INFEASIBLE
+        _, header, rows = parse_csv(path)
+        assert rows[1][header.index("aware_kl")] == "inf"
+        assert rows[1][header.index("gd_vs_closed_form")] == "nan"
+        svg = (path.parent / "s.svg").read_text()
+        points = re.findall(r'points="([^"]*)"', svg)
+        assert points == ["50.00,350.00", "50.00,50.00"]
+        assert not re.search(r"nan|inf", svg.split("-->", 1)[1])
+
 
 #: Sender configs that fail, with the exit code and the one stderr line they
 #: gave when the table was computed with numpy (gaussian_sender); the numpy-free
@@ -459,7 +475,8 @@ class TestHarness:
         (["calibrate", "--config", "x", "--seed", "abc"], "abc"),
         (["no-such-command", "--config", "x"], "no-such-command"),
         (["calibrate", "--config", "x", "--format", "xml"], "xml"),
-    ], ids=["no-config", "bad-seed", "bad-command", "bad-format"])
+        (["calibrate", "--config", "x", "--jobs", "2"], "unrecognized arguments: --jobs 2"),
+    ], ids=["no-config", "bad-seed", "bad-command", "bad-format", "jobs"])
     def test_usage_error_says_what_is_wrong(self, capsys, argv, named):
         # The usage used to be printed alone, without argparse's message.
         assert main(argv) == EXIT_USAGE
@@ -473,15 +490,6 @@ class TestHarness:
         assert code == EXIT_USAGE and not path.exists()
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "seed" in err[0]
-
-    @pytest.mark.parametrize("command,jobs", [*((name, "0") for name in SMALL),
-                                              ("binary-sums", "-3")], ids=[*SMALL, "binary-sums--3"])
-    def test_bad_jobs_exits_1(self, tmp_path, capsys, command, jobs):
-        # Only binary-sums used to reject a count below 1, through run_game.
-        code, path = run(tmp_path, command, SMALL[command], extra=("--jobs", jobs))
-        assert code == EXIT_USAGE and not path.exists()
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "jobs" in err[0]
 
     @pytest.mark.parametrize("name", ["../up.svg", "{tmp}/abs.svg", "sub/x.svg", "", ".", "..",
                                       "a\0.svg"],

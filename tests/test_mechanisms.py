@@ -423,6 +423,16 @@ class TestClip:
             v = rng.normal(size=rng.integers(1, 12)) * 10.0 ** rng.integers(-3, 4)
             c = float(rng.uniform(0.1, 5.0))
             assert np.linalg.norm(clip(v, c).values) <= c + 1e-12
+        # Vectors whose x.x overflows or underflows, and clip norms as extreme.
+        for _ in range(400):
+            v = rng.normal(size=rng.integers(1, 12)) * 10.0 ** rng.integers(-300, 301)
+            c = float(rng.uniform(0.1, 5.0)) * 10.0 ** rng.integers(-300, 301)
+            assert np.linalg.norm(clip(v, c).values / c) <= 1.0 + 1e-12
+        # [1e200] used to give [0.0] with a RuntimeWarning; the other two used
+        # to leave the ball, at 5 and 1.65 times the clip norm.
+        assert np.array_equal(clip([1e200], 1.0).values, [1.0])
+        for values, c in [([3e-170, 4e-170], 1e-170), ([2e-154], 1.5e-170)]:
+            assert math.hypot(*clip(values, c).values) / c == pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_bad_norm(self):
         with pytest.raises(InvalidParameterError):
