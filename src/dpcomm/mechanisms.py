@@ -9,7 +9,6 @@ accepts an optional ``size`` for vectorized Monte-Carlo draws.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,17 +169,10 @@ def clip(values, clip_norm: float) -> ClippedVector:
         raise InvalidParameterError(f"clip values must be finite, got {values}")
     if values.ndim != 1:
         raise InvalidParameterError(f"values must be a vector, got shape {values.shape}")
-    with np.errstate(over="ignore"):  # x.x overflows above about 1.3e154
-        square = float(values.dot(values))
-    tiny, huge = sys.float_info.min, sys.float_info.max
-    if tiny <= square <= huge and clip_norm * clip_norm >= tiny:
-        norm = math.sqrt(square)  # np.linalg.norm(values)
-        if norm > clip_norm:
-            values = values * clip_norm / norm
-    elif values.any():
-        # x.x left the normal range, or x * clip_norm may round in the subnormals:
-        # work on x / max|x|, whose square lies in [1, d].
-        scale = float(np.abs(values).max())
+    # Measure x / max|x|, whose square lies in [1, d]: x.x itself overflows
+    # above about 1.3e154 and underflows below about 1e-162.
+    scale = float(np.abs(values).max(initial=0.0))
+    if scale > 0.0:
         unit = values / scale
         unit_norm = math.sqrt(float(unit.dot(unit)))
         if scale * unit_norm > clip_norm:
