@@ -125,17 +125,14 @@ class CalibrationResult:
 def gaussian_rdp(sensitivity: float, sigma: float, alpha: float) -> RdpPoint:
     """RDP of the Gaussian mechanism: rho = alpha * Delta^2 / (2 sigma^2).
 
-    A rho beyond the float range (a sigma^2 that underflows to 0, a Delta^2
-    that overflows) is rejected, naming the inputs it came from.
+    A ratio Delta/sigma whose square leaves the float range gives a rho
+    beyond it, which is rejected, naming the inputs it came from.
     """
     sensitivity = require_float_in("sensitivity", sensitivity, lambda v: v > 0, "be positive")
     sigma = require_float_in("sigma", sigma, lambda v: v > 0, "be positive")
     alpha = require_float("alpha", alpha)
-    try:
-        rho = alpha * sensitivity**2 / (2.0 * sigma**2)
-    except (OverflowError, ZeroDivisionError):  # a square outside the float range
-        ratio = sensitivity / sigma
-        rho = alpha * ratio * ratio / 2.0
+    ratio = sensitivity / sigma
+    rho = alpha / 2.0 * ratio * ratio
     if rho == math.inf:
         raise InvalidParameterError(
             f"rho = alpha * sensitivity^2 / (2 sigma^2) exceeds the float range at "
@@ -244,20 +241,15 @@ def step_noise_variance(params: MechanismParams, budget: PrivacyBudget, alpha: f
     )
 
 
-def episode_noise_variance(params: MechanismParams, budget: PrivacyBudget, alpha: float, beta: float) -> float:
-    """Episode-level noise variance: T times the per-step variance."""
-    return step_noise_variance(params, budget, alpha, beta) * params.episode_len
-
-
-def _calibrate(budget: PrivacyBudget, params: MechanismParams, episode: bool) -> CalibrationResult:
-    variance = episode_noise_variance if episode else step_noise_variance
+def _calibrate(budget: PrivacyBudget, params: MechanismParams, rounds: int) -> CalibrationResult:
+    """Calibration over ``rounds`` composed rounds: 1 for a step, T for an episode."""
     best: CalibrationResult | None = None
     # The least-violated constraint across the grid, for the error path.
     tightest = None
     sensitivity = params.sensitivity
     for beta in BETA_GRID:
         alpha = order_for_beta(budget, beta)
-        sigma_sq = variance(params, budget, alpha, beta)
+        sigma_sq = step_noise_variance(params, budget, alpha, beta) * rounds
         sigma_prime_sq = _sigma_prime_sq(sigma_sq, sensitivity)
         invalid = _invalidity(sigma_prime_sq, params.sample_rate_data, alpha)
         if invalid is not None:
@@ -281,12 +273,12 @@ def calibrate_step(budget: PrivacyBudget, params: MechanismParams) -> Calibratio
     one minimizing sigma^2. Raises CalibrationInfeasibleError when the grid
     is exhausted.
     """
-    return _calibrate(budget, params, episode=False)
+    return _calibrate(budget, params, 1)
 
 
 def calibrate_episode(budget: PrivacyBudget, params: MechanismParams) -> CalibrationResult:
     """Episode-level variant: sigma^2 scales by episode_len, same constraints."""
-    return _calibrate(budget, params, episode=True)
+    return _calibrate(budget, params, params.episode_len)
 
 
 def round_trip(result: CalibrationResult, budget: PrivacyBudget, params: MechanismParams,

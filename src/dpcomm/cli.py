@@ -269,7 +269,7 @@ def cmd_multi_round(config: dict, seed: int) -> tuple:
         "is_mpg", "max_violation", "converged", "potential",
     ])
     table.append("summary", None, None, None, None, None,
-                 is_mpg, violation, res.converged, res.potential_trace[-1] if res.potential_trace else 0.0)
+                 is_mpg, violation, res.converged, res.potential_trace[-1])
     if cfg.horizon > 0:
         for k, value in enumerate(res.potential_trace):
             table.append("potential_trace", None, None, k, None, None, None, None, None, value)

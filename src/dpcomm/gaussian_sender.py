@@ -327,6 +327,5 @@ def sample_message(dist: GaussianMessageDist, noise_var: float, rng_seed: int,
     root = (dist._eigvecs * np.sqrt(dist._eigvals)) @ dist._eigvecs.T
     xi = rng.standard_normal((n, d))
     out = dist.mean + xi @ root.T
-    if noise_var > 0:
-        out = out + math.sqrt(noise_var) * rng.standard_normal((n, d))
+    out = out + math.sqrt(noise_var) * rng.standard_normal((n, d))
     return out[0] if size is None else out

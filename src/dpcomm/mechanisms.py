@@ -183,6 +183,7 @@ def clip(values, clip_norm: float) -> ClippedVector:
 def gaussian_perturb(msg: ClippedVector, sigma: float, rng_seed: int, size: int | None = None):
     """Add iid N(0, sigma^2) noise per coordinate of a clipped message.
 
+    At sigma = 0 the draws are exact zeros, so the message comes back as is.
     ``size=None`` returns one perturbed vector; integer ``size`` returns a
     (size, d) array of independent perturbations.
     """
@@ -190,11 +191,7 @@ def gaussian_perturb(msg: ClippedVector, sigma: float, rng_seed: int, size: int 
     rng = substream(rng_seed)
     d = msg.values.shape[0]
     shape = (d,) if size is None else (require_count("size", size, 0), d)
-    if sigma == 0:
-        noise = np.zeros(shape)
-    else:
-        noise = rng.normal(0.0, sigma, size=shape)
-    return msg.values + noise
+    return msg.values + rng.normal(0.0, sigma, size=shape)
 
 
 def subsample(items, rate: float, rng_seed: int) -> list:

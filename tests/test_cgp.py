@@ -354,6 +354,14 @@ class TestBinarySumsConstruction:
             CgpInstance(game.benefit_weight, game.privacy_weight, game.value_fn, standalone,
                         game.privacy_loss_fn, game.benefit_fn)
 
+    @pytest.mark.parametrize("loss, want", [(lambda p: 0.5 - p, 1.0), (lambda p: 1.0 - p / 2, 0.0)],
+                             ids=["at-0", "at-1"])
+    def test_privacy_loss_must_run_from_1_to_0(self, loss, want):
+        game = make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0))
+        with pytest.raises(InvalidParameterError, match=f"privacy loss must be {want}"):
+            CgpInstance(game.benefit_weight, game.privacy_weight, game.value_fn,
+                        game.standalone_values, loss, game.benefit_fn)
+
     def test_infinite_weight_rejected(self):
         with pytest.raises(InvalidParameterError):
             make_binary_sums_cgp((math.inf, 1.0), (1.0, 1.0))

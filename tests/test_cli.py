@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import importlib.metadata
 import io
@@ -15,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpcomm.binary_sums
 import dpcomm.rng
 from dpcomm.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, ConfigError, main
+from dpcomm.report import ResultTable, line_plot_svg
 from dpcomm.rng import substream
 
 
@@ -188,6 +191,26 @@ class TestBinarySums:
         code, _ = run(tmp_path, "binary-sums", dict(BINARY_SUMS, trials=0))
         assert code == EXIT_USAGE
 
+    def test_guess_off_the_oracle_exits_2(self, tmp_path, monkeypatch):
+        # One Monte-Carlo guess moved by 10 standard errors fails the 3-error
+        # gate; the table is still written and holds that row.
+        run_game = dpcomm.binary_sums.run_game
+
+        def shifted(instance, trials, seed):
+            out = run_game(instance, trials, seed)
+            guesses = list(out.guesses)
+            guesses[2] += 10.0 * out.mc_std_errors[2]
+            return dataclasses.replace(out, guesses=tuple(guesses))
+
+        monkeypatch.setattr(dpcomm.binary_sums, "run_game", shifted)
+        code, path = run(tmp_path, "binary-sums", dict(BINARY_SUMS, receiver_modes=["naive"]))
+        assert code == EXIT_INFEASIBLE
+        _, header, rows = parse_csv(path)
+        gaps = [abs(float(r[header.index("bias_vs_analytic")])) /
+                float(r[header.index("mc_std_error")]) for r in rows]
+        assert len(rows) == 5
+        assert gaps[2] > 3.0 and all(gap <= 3.0 for k, gap in enumerate(gaps) if k != 2)
+
 
 class TestEquilibrium:
     def test_all_starts_reach_the_line(self, tmp_path):
@@ -347,6 +370,15 @@ class TestSender:
         points = re.findall(r'points="([^"]*)"', svg)
         assert points == ["50.00,350.00", "50.00,50.00"]
         assert not re.search(r"nan|inf", svg.split("-->", 1)[1])
+
+    @pytest.mark.parametrize("series", [
+        {"a": ([0.0, 1.0], [-1e308, 1e308])}, {"a": ([-1e308, 1e308], [0.0, 1.0])},
+    ], ids=["y-range", "x-range"])
+    def test_span_beyond_the_float_range_is_plotted(self, series):
+        # Finite values 2e308 apart used to give the point "590.00,nan" (y) or
+        # "nan,50.00" (x): the span overflowed to inf.
+        svg = line_plot_svg(series, "x", "y", {})
+        assert re.findall(r'points="([^"]*)"', svg) == ["50.00,350.00 590.00,50.00"]
 
 
 #: Sender configs that fail, with the exit code and the one stderr line they
@@ -544,6 +576,19 @@ class TestHarness:
         assert capsys.readouterr().err == (f"dpcomm sender: cannot write {out / taken}: "
                                            "Is a directory\n")
         assert os.listdir(out) == [taken] and not os.listdir(out / taken)
+
+    def test_config_that_is_a_list_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", [SMALL["sender"]])
+        assert main(["sender", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "dpcomm sender: config error: config document must be a JSON object\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_row_of_the_wrong_arity_is_rejected(self):
+        table = ResultTable(["a", "b", "c"])
+        with pytest.raises(ValueError, match="row arity 2 does not match 3 columns"):
+            table.append(1, 2)
+        assert table.rows == []
 
     def test_config_that_is_not_utf8_exits_1(self, tmp_path, capsys):
         # Its decoding error used to be printed without the path or "config error".

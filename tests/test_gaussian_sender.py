@@ -307,6 +307,12 @@ class TestKlGaussian:
         with pytest.raises(SingularTargetError):
             kl_gaussian(p, q)
 
+    def test_dimensions_must_match(self):
+        p = GaussianMessageDist(np.zeros(2), np.eye(2))
+        q = GaussianMessageDist(np.zeros(3), np.eye(3))
+        with pytest.raises(InvalidParameterError, match="share one dimension"):
+            kl_gaussian(p, q)
+
     def test_singular_p_is_infinite(self):
         p = GaussianMessageDist(np.zeros(2), np.diag([1.0, 0.0]))
         q = GaussianMessageDist(np.zeros(2), np.eye(2))
@@ -1286,7 +1292,7 @@ class TestValidation:
     # A 401-digit learning rate used to escape as a bare OverflowError.
     @pytest.mark.parametrize("kwargs", [{"steps": 0}, {"steps": 2.0}, {"steps": True},
                                         {"learning_rate": -0.1}, {"learning_rate": math.inf},
-                                        {"learning_rate": 10**400}])
+                                        {"learning_rate": 10**400}, {"mode": "dense"}])
     def test_bad_descent_parameters_rejected(self, kwargs):
         problem = SenderProblem(GaussianMessageDist(np.zeros(1), np.eye(1)), 0.1)
         name = next(iter(kwargs))
@@ -1321,3 +1327,12 @@ class TestValidation:
         point[where][1] = bad
         with pytest.raises(InvalidParameterError, match="finite"):
             objective_grad_diag(problem, **point)
+
+    @pytest.mark.parametrize("mean, variances, match", [
+        ([0.0, 0.0, 0.0], [1.0, 1.0], "must have shape"),
+        ([0.0, 0.0], [1.0, -0.5], "variances must be nonnegative"),
+    ], ids=["shape", "negative-variance"])
+    def test_objective_rejects_out_of_domain_iterates(self, mean, variances, match):
+        problem = SenderProblem(GaussianMessageDist.from_diagonal([0.0, 1.0], [1.0, 2.0]), 0.3)
+        with pytest.raises(InvalidParameterError, match=match):
+            objective_grad_diag(problem, np.array(mean), np.array(variances))

@@ -126,6 +126,10 @@ class TestTransition:
         with pytest.raises(InvalidActionError):
             transition(MrsState((1.0,), 0), [MrsAction(2.0, 0.0)])
 
+    def test_one_action_per_agent(self):
+        with pytest.raises(InvalidParameterError, match="need one action per agent"):
+            transition(STATE, ACTIONS[:1])
+
 
 class TestRewardAndPotential:
     def test_step_reward_example(self):
@@ -593,6 +597,11 @@ class TestValidation:
     def test_bad_privacy_grid(self):
         with pytest.raises(InvalidParameterError):
             small_config(privacy_grid=(0.0, 1.5))
+
+    @pytest.mark.parametrize("grid", ["spend_grid", "privacy_grid"])
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(InvalidParameterError, match="grids must be non-empty"):
+            small_config(**{grid: ()})
 
     def test_zero_sweeps_rejected(self):
         cfg = small_config()
