@@ -134,10 +134,10 @@ def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,
 
     Each trial broadcasts one randomized-response message per agent; every
     receiver sees the same broadcast. Standard errors come from the empirical
-    variance of the per-trial guesses. The trials run in blocks of
-    ``BLOCK_SIZE`` (the last one ragged), in order, in the calling thread.
-    ``jobs`` is checked (an integer >= 1) and changes neither the result nor
-    the work.
+    variance of the per-trial guesses, so a game needs at least two trials.
+    The trials run in blocks of ``BLOCK_SIZE`` (the last one ragged), in
+    order, in the calling thread. ``jobs`` is checked (an integer >= 1) and
+    changes neither the result nor the work.
 
     Agent j's messages form row j of an N x trials 0/1 matrix X. The game
     keeps only the Gram matrix G = X X^T, the sum of its blocks' Grams
@@ -150,7 +150,7 @@ def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,
     entry i zeroed. Over the game its sum is T k_i + w_i . c and its sum of
     squares is T k_i^2 + 2 k_i (w_i . c) + w_i^T G w_i, for T = ``trials``.
     """
-    require_count("trials", trials, 1)
+    require_count("trials", trials, 2)
     require_count("jobs", jobs, 1)
     require_seed("rng_seed", rng_seed)
     _check_aware_defined(instance)
@@ -172,5 +172,5 @@ def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,
     quadratic = ((weights @ gram) * weights).sum(axis=1)
     means = (trials * base + linear) / trials
     squares = trials * base * base + 2.0 * base * linear + quadratic
-    variances = np.maximum(squares - trials * means * means, 0.0) / max(trials - 1, 1)
+    variances = np.maximum(squares - trials * means * means, 0.0) / (trials - 1)
     return _outcome(bit_sum, means.tolist(), np.sqrt(variances / trials).tolist())

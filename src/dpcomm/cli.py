@@ -284,8 +284,8 @@ def cmd_multi_round(config: dict, seed: int) -> tuple:
 
 
 def cmd_sender(config: dict, seed: int) -> tuple:
-    from .diagonal_sender import (_closed_form_kls, _diagonal_descent, _diagonal_target,
-                                  _sender_problem)
+    from .diagonal_sender import (_GD_LEARNING_RATE, _GD_STEPS, _closed_form_kls,
+                                  _diagonal_descent, _diagonal_target, _sender_problem)
 
     d = require_count("dim", config["dim"], 1)
     variances = config.get("target_variances", [1.0] * d)
@@ -298,7 +298,8 @@ def cmd_sender(config: dict, seed: int) -> tuple:
         "noise_var", "oblivious_kl", "aware_kl", "gd_kl", "gd_vs_closed_form",
     ])
     closed_forms = [_closed_form_kls(target.variances, noise) for noise in noise_vars]
-    steps, learning_rate = config.get("gd_steps", 6000), config.get("gd_learning_rate", 0.1)
+    steps = config.get("gd_steps", _GD_STEPS)
+    learning_rate = config.get("gd_learning_rate", _GD_LEARNING_RATE)
     gd_kls = [_diagonal_descent(target, noise, steps, learning_rate)[2] for noise in noise_vars]
     agree = True
     for noise, (obl_kl, aware_kl), gd_kl in zip(config["noise_vars"], closed_forms, gd_kls):

@@ -4,16 +4,18 @@ Every target the CLI builds is diagonal (its config gives only ``dim``,
 ``target_mean`` and ``target_variances``), so the checks, the two closed-form
 KLs and the descent are scalar work per coordinate. This module does that
 work in Python floats, and the command never loads numpy. The diagonal
-descent runs one noise level at a time, as ``aware_optimum_gd`` does; both
-stop at the first step that leaves the mean and the variances as they were
-(``_settled``), and this one reports the steps it ran. The module is private:
+descent runs one noise level at a time, as ``aware_optimum_gd`` does. Every
+descent, this one and both modes of ``aware_optimum_gd``, stops at the first
+step that leaves its iterate as it was (``_settled``), and this one reports
+the steps it ran. The module is private:
 ``gaussian_sender`` stays the library API (full covariances, ``mode="full"``,
 the sampler), and its numpy path is the oracle the tests hold this module to,
 one ``aware_optimum_gd`` run per noise level.
 
 The rules both paths share live here, and ``gaussian_sender`` imports them:
 the eigenvalue floors, the sender-problem, step count and learning-rate
-checks, the bad-step rule with its ``StepSizeError`` messages, and the stop rule.
+checks, the default step cap and learning rate (``dpcomm sender`` takes them
+too), the bad-step rule with its ``StepSizeError`` messages, and the stop rule.
 
 What matches the numpy path: every check, with its error type and message;
 the descent's iterates, bit for bit, because the inverse of a diagonal target
@@ -37,6 +39,8 @@ from .errors import (InvalidParameterError, SingularTargetError, StepSizeError, 
 _EIG_FLOOR = -1e-12       # a covariance eigenvalue above this is projected to >= 0
 _TARGET_MIN_EIG = 1e-9    # smallest eigenvalue of a target covariance
 _EPS = sys.float_info.epsilon
+_GD_STEPS = 5000          # a descent's default step cap
+_GD_LEARNING_RATE = 0.1   # a descent's default learning rate
 
 
 def _check_dimension(shape: tuple, dim: int) -> None:
@@ -111,12 +115,15 @@ def _bad_steps(value: float, prev: float, bad_steps: int, mean, sent) -> int:
     return bad_steps + 1
 
 
-def _settled(mean, old_mean, variances, old_variances) -> bool:
-    """Whether a step left the mean and the variances (lists or 1-D arrays)
-    ``==``, entry by entry, to the iterate before it, so every later step would
-    repeat it. Exact: no iterate holds a -0.0 (a descent starts at +0.0, and ``x - y``
-    is -0.0 only when ``x`` is), an unchanged iterate repeats its KL, and NaN != NaN."""
-    return all(map(eq, mean, old_mean)) and all(map(eq, variances, old_variances))
+def _settled(mean, old_mean, spread, old_spread) -> bool:
+    """Whether a step left the mean and the spread (the variances, or the
+    flattened covariance factor of ``mode="full"``; lists or 1-D arrays) ``==``,
+    entry by entry, to the iterate before it, so every later step would repeat
+    it. Exact: a step reads only the mean and the spread; no iterate holds a
+    -0.0 (a descent starts at zeros and ones, or the identity, and ``x - y`` is
+    -0.0 only when ``x`` is); an unchanged iterate repeats its KL, so no later
+    step changes the bad-step count either; and NaN != NaN."""
+    return all(map(eq, mean, old_mean)) and all(map(eq, spread, old_spread))
 
 
 def _fsum(values) -> float:

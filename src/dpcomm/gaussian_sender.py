@@ -31,9 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagonal_sender import (_EIG_FLOOR, _bad_steps, _check_dimension, _check_lowest_eigenvalue,
-                              _check_noise_var, _descent_params, _not_finite_error,
-                              _sender_problem, _settled, _singular)
+from .diagonal_sender import (_EIG_FLOOR, _GD_LEARNING_RATE, _GD_STEPS, _bad_steps,
+                              _check_dimension, _check_lowest_eigenvalue, _check_noise_var,
+                              _descent_params, _not_finite_error, _sender_problem, _settled,
+                              _singular)
 from .errors import (InvalidParameterError, SingularTargetError, StepSizeError, require_count,
                      require_float_array)
 from .rng import substream
@@ -240,7 +241,8 @@ def _grad_diag(target_inv, target_inv_diag, diff, sent) -> tuple[np.ndarray, np.
     return target_inv @ diff, 0.5 * (target_inv_diag - 1.0 / sent)
 
 
-def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: float = 0.1,
+def aware_optimum_gd(problem: SenderProblem, steps: int = _GD_STEPS,
+                     learning_rate: float = _GD_LEARNING_RATE,
                      mode: str = "diagonal") -> SenderSolution:
     """Noise-aware optimization by projected gradient descent.
 
@@ -254,8 +256,9 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: f
     returned iterate is always finite.
 
     The target is checked once; the loop then runs on raw arrays and
-    evaluates the post-noise KL once per step. ``diagonal`` mode stops at the
-    first step that ``_settled`` accepts; ``full`` mode runs every step.
+    evaluates the post-noise KL once per step. Both modes stop at the first
+    step that ``_settled`` accepts: one that leaves the mean and the variances,
+    or the mean and the factor, as they were.
     """
     if mode not in ("diagonal", "full"):
         raise InvalidParameterError(f"mode must be 'diagonal' or 'full', got {mode!r}")
@@ -303,12 +306,15 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = 5000, learning_rate: f
                 "post-noise covariance became singular; reduce the learning rate"
             ) from None
         grad_sigma = 0.5 * (target_inv - sent_inv)
+        old_mean, old_factor = mean, factor
         mean = mean - learning_rate * grad_mean
         factor = factor - learning_rate * 2.0 * (grad_sigma @ factor)
         sent = factor @ factor.T + noise_eye
         value = _sent_kl(target_inv, logdet_q, mean - target_mean, sent)
         bad_steps = _bad_steps(value, prev, bad_steps, mean, sent.ravel())
         prev = value
+        if _settled(mean, old_mean, factor.ravel(), old_factor.ravel()):
+            break
     return SenderSolution(GaussianMessageDist(mean, factor @ factor.T), prev)
 
 

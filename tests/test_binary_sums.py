@@ -250,6 +250,11 @@ class TestRunGame:
     def test_bad_trials(self):
         with pytest.raises(InvalidParameterError):
             run_game(make([1], 1.0, "naive"), 0, 0)
+        # One trial leaves no variance to estimate: the game used to divide by
+        # max(T - 1, 1) and report cancellation noise, such as 2.98e-08, as
+        # the standard error of an aware agent.
+        with pytest.raises(InvalidParameterError, match="trials must be an integer >= 2, got 1$"):
+            run_game(BinarySumsInstance((1, 0, 1), (1.0,) * 3, "aware"), 1, 4)
 
 
 SWEEP_GRID = [
@@ -444,7 +449,7 @@ class TestValidation:
         # Formatting the message used to raise Python's 4300-digit ValueError.
         with pytest.raises(InvalidParameterError, match="trials must be at most 2"):
             run_game(make([1], 1.0, "naive"), 10**5000, 0)
-        with pytest.raises(InvalidParameterError, match="trials must be an integer >= 1"):
+        with pytest.raises(InvalidParameterError, match="trials must be an integer >= 2"):
             run_game(make([1], 1.0, "naive"), -10**5000, 0)
 
     def test_epsilon_beyond_float_range_rejected(self):

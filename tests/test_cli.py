@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import importlib.metadata
+import inspect
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import dpcomm.binary_sums
 import dpcomm.rng
+from dpcomm import aware_optimum_gd, diagonal_sender
 from dpcomm.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, ConfigError, main
 from dpcomm.report import ResultTable, line_plot_svg
 from dpcomm.rng import substream
@@ -325,6 +327,23 @@ class TestSender:
         zero_noise = rows[0]
         assert float(zero_noise[header.index("oblivious_kl")]) == 0.0
         assert float(zero_noise[header.index("aware_kl")]) == 0.0
+
+    def test_defaults_are_the_library_defaults(self, tmp_path, monkeypatch):
+        # A config without gd_steps and gd_learning_rate runs every descent with
+        # aware_optimum_gd's defaults; the arguments are recorded, since a
+        # larger step cap gives the same table wherever every row settles first.
+        calls = []
+        real = diagonal_sender._diagonal_descent
+
+        def recording(target, noise_var, steps, learning_rate):
+            calls.append((steps, learning_rate))
+            return real(target, noise_var, steps, learning_rate)
+
+        monkeypatch.setattr(diagonal_sender, "_diagonal_descent", recording)
+        code, _ = run(tmp_path, "sender", {"dim": 2, "noise_vars": [0.0, 0.5]})
+        defaults = inspect.signature(aware_optimum_gd).parameters
+        assert code == EXIT_OK
+        assert calls == [(defaults["steps"].default, defaults["learning_rate"].default)] * 2
 
     def test_gd_far_from_closed_form_exits_2(self, tmp_path):
         # Too large a step that never trips the divergence check: the table
@@ -859,7 +878,15 @@ class TestValueChecks:
     def test_fractional_count_exits_1(self, tmp_path, capsys):
         code, _ = run(tmp_path, "binary-sums", dict(BINARY_SUMS, trials=1.5))
         assert code == EXIT_USAGE
-        assert "trials must be an integer >= 1, got 1.5" in capsys.readouterr().err
+        assert "trials must be an integer >= 2, got 1.5" in capsys.readouterr().err
+
+    def test_one_trial_exits_1(self, tmp_path, capsys):
+        # A one-trial game has no standard error to report; it used to report
+        # cancellation noise and fail the 3-standard-error gate with exit 2.
+        code, path = run(tmp_path, "binary-sums", {"bits": [1, 0], "epsilons": [1], "trials": 1})
+        assert code == EXIT_USAGE and not path.exists()
+        assert capsys.readouterr().err == (
+            "dpcomm binary-sums: trials must be an integer >= 2, got 1\n")
 
     def test_integer_for_a_real_is_accepted(self, tmp_path):
         code, _ = run(tmp_path, "equilibrium", dict(EQUILIBRIUM, num_starts=2, tol=1))

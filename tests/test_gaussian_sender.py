@@ -920,6 +920,68 @@ class TestFixedPointExit:
             assert descent == "a step overflowed the iterate; reduce the learning rate"
 
 
+def _every_step_full(problem, steps, learning_rate):
+    """``aware_optimum_gd(mode="full")`` with its exit at the fixed point
+    switched off, as the oracle: every run takes all ``steps`` steps (or fails)."""
+    with mock.patch.object(gaussian_sender, "_settled", lambda *iterates: False):
+        return _outcome(aware_optimum_gd, problem, steps, learning_rate, "full")
+
+
+def assert_full_mode_stops_alike(problem, steps, learning_rate):
+    """``aware_optimum_gd(mode="full")`` against ``_every_step_full``: the same
+    StepSizeError message, or the same mean, covariance and KL, bit for bit.
+    Returns the number of steps the run took, or the error message."""
+    with mock.patch.object(gaussian_sender, "_sent_kl", wraps=gaussian_sender._sent_kl) as kl:
+        got = _outcome(aware_optimum_gd, problem, steps, learning_rate, "full")
+    full = _every_step_full(problem, steps, learning_rate)
+    if isinstance(full, str):
+        assert got == full
+        return got
+    assert np.array_equal(got.dist.mean, full.dist.mean)
+    assert np.array_equal(got.dist.cov, full.dist.cov)
+    assert _hex([got.kl]) == _hex([full.kl])
+    return kl.call_count - 1  # one KL for the start and one per step
+
+
+class TestFullModeFixedPointExit:
+    """``aware_optimum_gd(mode="full")`` stops by the diagonal descents' rule,
+    at the first step that leaves the mean and the factor as they were, and
+    ends as the every-step run does."""
+
+    def test_seeded_problems(self):
+        # d 1-4 at noise 0, 0.1 and 0.5; the d = 4 problem at noise 0.1 is
+        # still moving at step 2000, and all the others have settled.
+        rng = np.random.default_rng(1)
+        ran = [assert_full_mode_stops_alike(SenderProblem(random_spd_target(rng, d), noise),
+                                            2000, 0.1)
+               for d in range(1, 5) for noise in (0.0, 0.1, 0.5)]
+        assert all(1 <= r <= 2000 for r in ran)
+        assert sum(r < 2000 for r in ran) >= 10
+
+    def test_stops_before_the_step_cap(self):
+        # Counted by the post-noise KLs evaluated: one for the start, one per step.
+        problem = SenderProblem(GaussianMessageDist([0.5, -1.0], [[1.5, 0.3], [0.3, 0.8]]), 0.5)
+        assert assert_full_mode_stops_alike(problem, 5000, 0.1) < 1000
+        with mock.patch.object(gaussian_sender, "_sent_kl", wraps=gaussian_sender._sent_kl) as kl:
+            _every_step_full(problem, 5000, 0.1)
+        assert kl.call_count == 5001
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        d=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        learning_rate=st.sampled_from([0.05, 0.1]),
+        steps=st.one_of(st.just(2500), st.integers(1, 2500)),
+    )
+    def test_random_problems(self, d, seed, noise, learning_rate, steps):
+        ran = assert_full_mode_stops_alike(
+            SenderProblem(random_spd_target(np.random.default_rng(seed), d), noise), steps,
+            learning_rate)
+        event("failed" if isinstance(ran, str) else
+              "settled" if ran < steps else "ran every step")
+
+
 def _numpy_table(mean, variances, noise_vars, steps, learning_rate):
     """The CLI's sender table on the numpy path: the closed-form KLs of each
     noise level and the descent's (mean, variances, KLs) from one
