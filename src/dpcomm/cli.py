@@ -5,12 +5,12 @@ Each takes a JSON config document, a seed, an output directory, and an output
 format. A command returns its table, exit code and plot; ``main`` renders the
 table and, if the config names one, the SVG, and writes all of them or none.
 The seed is checked once, for every command. The CLI checks
-only the document's shape (strict UTF-8 JSON, known keys, required keys, the
-JSON kind of each value, ``svg`` a plain file name), naming the offending
-line, and that no output replaces the config or the table; the library objects
-built from the values check their ranges and report the parameter and the bad
-value. Exit codes: 0 success, 1 usage, config or write error, 2 infeasible
-result or oracle failure.
+only the document's shape (strict UTF-8 JSON, known keys, each given once,
+required keys, the JSON kind of each value, ``svg`` a plain file name), naming
+the offending line, and that no output replaces the config or the table; the
+library objects built from the values check their ranges and report the
+parameter and the bad value. Exit codes: 0 success, 1 usage, config or write
+error, 2 infeasible result or oracle failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import random
 import re
 import sys
 
@@ -94,10 +95,10 @@ CONFIG_KEYS = {
 }
 
 
-def _key_line(raw_text: str, key: str) -> str:
-    """'line N: ' prefix locating the first occurrence of a key, a string followed by ':'."""
-    found = re.search(rf'"{re.escape(key)}"\s*:', raw_text)
-    lineno = raw_text.count("\n", 0, found.start()) + 1 if found else 0
+def _key_line(raw_text: str, key: str, nth: int = 0) -> str:
+    """'line N: ' prefix locating occurrence ``nth`` (from 0) of a key, a string followed by ':'."""
+    found = list(re.finditer(rf'"{re.escape(key)}"\s*:', raw_text))[nth:]
+    lineno = raw_text.count("\n", 0, found[0].start()) + 1 if found else 0
     return f"line {lineno}: " if found else ""
 
 
@@ -132,6 +133,18 @@ def _reject_constant(raw_text: str):
     return reject
 
 
+def _reject_duplicates(raw_text: str):
+    """object_pairs_hook: a key given twice in one object is an error, not its later value."""
+    def to_dict(pairs: list) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ConfigError(f"{_key_line(raw_text, key, 1)}duplicate config key {key!r}")
+            doc[key] = value
+        return doc
+    return to_dict
+
+
 def _parse_int(text: str):
     """parse_int hook: an integer beyond the float range reads as +-inf, like 1e999."""
     value = int(text)
@@ -145,7 +158,8 @@ def load_config(path: str, command: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(raw, parse_constant=_reject_constant(raw), parse_int=_parse_int)
+        doc = json.loads(raw, parse_constant=_reject_constant(raw), parse_int=_parse_int,
+                         object_pairs_hook=_reject_duplicates(raw))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}: malformed JSON in {path}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -235,7 +249,6 @@ def cmd_binary_sums(config: dict, seed: int) -> tuple:
 
 def cmd_equilibrium(config: dict, seed: int) -> tuple:
     from .cgp import StrategyProfile, find_nash, is_potential_game, make_binary_sums_cgp
-    from .rng import uniforms
 
     table = ResultTable([
         "start_p1", "start_p2", "p1", "p2", "p_sum", "converged",
@@ -244,10 +257,10 @@ def cmd_equilibrium(config: dict, seed: int) -> tuple:
     instance = make_binary_sums_cgp(config["benefit_weights"], config["privacy_weights"])
     num_starts = require_count("num_starts", config.get("num_starts", 10), 1)
     pg, deviation = is_potential_game(instance)
-    draws = uniforms(seed, 2 * num_starts)
+    rng = random.Random(seed)  # numpy-free, and the same stream on every Python version
     all_converged = True
-    for start_p in zip(draws, draws):  # start k is (draws[2k], draws[2k+1])
-        start = StrategyProfile(start_p)
+    for _ in range(num_starts):
+        start = StrategyProfile((rng.random(), rng.random()))
         res = find_nash(instance, start, **_given(config, "tol", "grid_step"))
         all_converged &= res.converged
         table.append(start.p[0], start.p[1], res.profile.p[0], res.profile.p[1],

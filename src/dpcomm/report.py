@@ -60,9 +60,11 @@ class ResultTable:
         doc = {
             "provenance": self.provenance,
             "columns": self.columns,
-            "rows": [list(row) for row in self.rows],
+            # JSON has no number for inf or NaN: write the CSV's text, "inf", "-inf" or "nan".
+            "rows": [[str(v) if isinstance(v, float) and not math.isfinite(v) else v for v in row]
+                     for row in self.rows],
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def line_plot_svg(series: dict, x_label: str, y_label: str, provenance: dict) -> str:

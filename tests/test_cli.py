@@ -5,8 +5,10 @@ import importlib.metadata
 import inspect
 import io
 import json
+import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -18,11 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpcomm.binary_sums
-import dpcomm.rng
 from dpcomm import aware_optimum_gd, diagonal_sender
 from dpcomm.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, ConfigError, main
 from dpcomm.report import ResultTable, line_plot_svg
-from dpcomm.rng import substream
 
 
 def write_config(path, doc):
@@ -92,7 +92,11 @@ SMALL = {
 
 
 def parse_csv(path):
-    lines = path.read_bytes().decode().split("\r\n")  # RFC-4180 line endings
+    return parse_csv_text(path.read_bytes().decode())
+
+
+def parse_csv_text(text):
+    lines = text.split("\r\n")  # RFC-4180 line endings
     provenance = [l for l in lines if l.startswith("# ")]
     rows = [l.split(",") for l in lines if l and not l.startswith("# ")]
     return provenance, rows[0], rows[1:]
@@ -223,21 +227,15 @@ class TestEquilibrium:
         assert all(abs(float(r[header.index("p_sum")]) - 0.5) <= 1e-6 for r in rows)
         assert all(r[header.index("is_potential_game")] == "True" for r in rows)
 
-    def test_starts_are_the_substream_draws(self, tmp_path, monkeypatch):
-        # The starts used to be drawn as substream(seed).random(2) per start;
-        # that draw stays the oracle for the pure-Python rng.uniforms.
-        def substream_starts(seed, n):
-            rng = substream(seed)
-            for _ in range(n // 2):
-                yield from rng.random(2)
-
+    @pytest.mark.parametrize("seed", [0, 1, 2**64, 10**40], ids=["0", "1", "2**64", "10**40"])
+    def test_starts_are_the_seeded_random_draws(self, tmp_path, seed):
+        # Start k is the pair (2k, 2k + 1) of random.Random(seed)'s floats.
         config = json.loads((REPO / "configs" / "equilibrium.json").read_text())
-        for seed in range(21):
-            _, path = run(tmp_path / "pure", "equilibrium", config, seed=seed)
-            with monkeypatch.context() as patch:
-                patch.setattr(dpcomm.rng, "uniforms", substream_starts)
-                _, oracle_path = run(tmp_path / "oracle", "equilibrium", config, seed=seed)
-            assert path.read_bytes() == oracle_path.read_bytes(), seed
+        assert run(tmp_path, "equilibrium", config, seed=seed)[0] == EXIT_OK
+        _, header, rows = parse_csv(tmp_path / "out" / "equilibrium.csv")
+        starts = [float(r[header.index(col)]) for r in rows for col in ("start_p1", "start_p2")]
+        oracle = random.Random(seed)
+        assert starts == [oracle.random() for _ in range(2 * config["num_starts"])]
 
     def test_uneven_weights_not_potential(self, tmp_path):
         config = dict(EQUILIBRIUM, benefit_weights=[1.0, 2.0], num_starts=2)
@@ -609,6 +607,15 @@ class TestHarness:
             table.append(1, 2)
         assert table.rows == []
 
+    def test_json_cell_of_a_non_finite_float_is_its_csv_text(self):
+        table = ResultTable(["x"])
+        for value in (math.inf, -math.inf, math.nan, 1.5):
+            table.append(value)
+        _, _, rows = parse_csv_text(table.to_csv())
+        doc = json.loads(table.to_json(), parse_constant=reject_constant)
+        assert doc["rows"] == [["inf"], ["-inf"], ["nan"], [1.5]]
+        assert [str(row[0]) for row in doc["rows"]] == [row[0] for row in rows]
+
     def test_config_that_is_not_utf8_exits_1(self, tmp_path, capsys):
         # Its decoding error used to be printed without the path or "config error".
         cfg = tmp_path / "config.json"
@@ -641,6 +648,35 @@ class TestHarness:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"line 3: {literal} is not a JSON number" in err
+
+    def test_duplicate_key_exits_1(self, tmp_path, capsys):
+        # The later value used to win: this ran 2000 trials and exited 0.
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"bits": [1,0,1], "epsilons": [1.0], "trials": 1.5, "trials": 2000}')
+        code = main(["binary-sums", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE and not (tmp_path / "out").exists()
+        assert capsys.readouterr().err == ("dpcomm binary-sums: config error: line 1: "
+                                           "duplicate config key 'trials'\n")
+
+    def test_duplicate_key_names_the_line_of_the_repeat(self, tmp_path, capsys):
+        # This used to fail the kind check on "x" and name line 3, the first "trials".
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"bits": [1,0,1],\n "epsilons": [1.0],\n "trials": 2000,\n "trials": "x"}')
+        code = main(["binary-sums", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == ("dpcomm binary-sums: config error: line 4: "
+                                           "duplicate config key 'trials'\n")
+
+    def test_json_writes_non_finite_kls_as_strings(self, tmp_path):
+        # gd_kl and the gap overflow; the table used to hold two bare Infinity
+        # literals, which no strict JSON parser (the CLI's config reader
+        # included) accepts.
+        config = {"dim": 2, "target_mean": [0.5, -1.0], "target_variances": [0.01, 1.0],
+                  "noise_vars": [0.0], "gd_steps": 1}
+        code, path = run(tmp_path, "sender", config, fmt="json")
+        assert code == EXIT_INFEASIBLE
+        doc = json.loads(path.read_text(), parse_constant=reject_constant)
+        assert doc["rows"] == [[0.0, 0.0, 0.0, "inf", "inf"]]
 
     def test_bad_value_names_the_line_of_its_key(self, tmp_path, capsys):
         # The line used to be that of the first "dim" in the file, here a string value.
@@ -702,7 +738,7 @@ SHIPPED_OUTPUTS = {
         "calibrate.csv": "a0b159203162b9b355ac55bc9d321de4b6ce30430e5a5e5a2eba1bd272f7fc5a",
     },
     "equilibrium": {
-        "equilibrium.csv": "6f8081a9c32481f84783be3fd492b8149d5c3442e48a273c78c6b70a90f18dad",
+        "equilibrium.csv": "294903f24f3303fea6fec249a40b3ca015177de3849f4c0a2ebe70fc04edb821",
     },
     "multi_round": {
         "multi_round.csv": "59012360e1075d11363ec7a3e9d43115b7dd3e5de220d263760e2cad14cf8698",
@@ -725,6 +761,27 @@ def test_shipped_outputs_unchanged(tmp_path, name):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert digests == SHIPPED_OUTPUTS[name]
+
+
+def reject_constant(name):  # json.loads hook: NaN and +-Infinity are not JSON
+    raise AssertionError(f"bare {name} in a JSON table")
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_OUTPUTS))
+def test_json_cells_are_the_csv_cells(tmp_path, name):
+    command = "calibrate" if name == "calibrate_episode" else name.replace("_", "-")
+    tables = {}
+    for fmt in ("csv", "json"):
+        argv = [command, "--config", str(REPO / "configs" / f"{name}.json"), "--seed", "0",
+                "--out", str(tmp_path / fmt), "--format", fmt]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK
+        path = tmp_path / fmt / f"{command.replace('-', '_')}.{fmt}"
+        tables[fmt] = path.read_bytes().decode()
+    _, header, rows = parse_csv_text(tables["csv"])
+    doc = json.loads(tables["json"], parse_constant=reject_constant)
+    assert doc["columns"] == header
+    assert [["" if v is None else str(v) for v in row] for row in doc["rows"]] == rows
 
 
 #: The configs of test_gaussian_sender's ``test_cli_configs_are_equal``, as
@@ -783,7 +840,7 @@ CONFIG_OUTPUTS = [
         "binary_sums.csv": "f574cfc0035810874c1e58fed423b5d5bf3c27eae1ffbe1d63f743334a932194",
     }, id="binary-sums-mixed-budgets"),
     pytest.param("equilibrium", EQUILIBRIUM, {
-        "equilibrium.csv": "e040e7f7298e7e04d8efca63645902d69e485974a4c9a26367b2ec4d169f79e1",
+        "equilibrium.csv": "b2d0610e0304e98b4f89c98830f16c8f2dbcc9eca5ecf95558a9fa393dca6eac",
     }, id="equilibrium"),
     pytest.param("multi-round", MULTI_ROUND, {
         "multi_round.csv": "f534a50c35d691a49b255bd8ac45323230d1d00b2415b1f0abf67a5a0f64683b",
