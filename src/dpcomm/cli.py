@@ -96,10 +96,18 @@ CONFIG_KEYS = {
 
 
 def _key_line(raw_text: str, key: str, nth: int = 0) -> str:
-    """'line N: ' prefix locating occurrence ``nth`` (from 0) of a key, a string followed by ':'."""
-    found = list(re.finditer(rf'"{re.escape(key)}"\s*:', raw_text))[nth:]
-    lineno = raw_text.count("\n", 0, found[0].start()) + 1 if found else 0
+    """'line N: ' prefix of occurrence ``nth`` (from 0) of a key, found by its decoded name."""
+    found = [m.start() for m in _STRING_OR_CONSTANT.finditer(raw_text)
+             if m["colon"] and _decodes_to(m["string"], key)][nth:]
+    lineno = raw_text.count("\n", 0, found[0]) + 1 if found else 0
     return f"line {lineno}: " if found else ""
+
+
+def _decodes_to(token: str, key: str) -> bool:
+    try:  # a JSON string token that does not decode names no key
+        return json.loads(token) == key
+    except ValueError:
+        return False
 
 
 def _check_shape(config: dict, raw_text: str, command: str) -> None:
@@ -118,8 +126,9 @@ def _check_shape(config: dict, raw_text: str, command: str) -> None:
                               f"{description}, got {json.dumps(value)}")
 
 
-# A JSON string, or one of the non-JSON literals Python's parser accepts.
-_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
+# A JSON string, with the ':' after a key, or a non-JSON literal Python's parser accepts.
+_STRING_OR_CONSTANT = re.compile(r'(?P<string>"(?:[^"\\]|\\.)*")(?P<colon>\s*:)?'
+                                 r'|(?P<constant>-?Infinity|NaN)')
 
 
 def _reject_constant(raw_text: str):
@@ -127,7 +136,7 @@ def _reject_constant(raw_text: str):
     def reject(name: str):
         # The parser meets literals in text order, so the first one outside a
         # string is the one being rejected.
-        pos = next(m.start(1) for m in _STRING_OR_CONSTANT.finditer(raw_text) if m.group(1))
+        pos = next(m.start() for m in _STRING_OR_CONSTANT.finditer(raw_text) if m["constant"])
         lineno = raw_text.count("\n", 0, pos) + 1
         raise ConfigError(f"line {lineno}: {name} is not a JSON number")
     return reject

@@ -7,23 +7,25 @@ work in Python floats, and the command never loads numpy. The diagonal
 descent runs one noise level at a time, as ``aware_optimum_gd`` does. Every
 descent, this one and both modes of ``aware_optimum_gd``, stops at the first
 step that leaves its iterate as it was (``_settled``), and this one reports
-the steps it ran. The module is private:
-``gaussian_sender`` stays the library API (full covariances, ``mode="full"``,
-the sampler), and its numpy path is the oracle the tests hold this module to,
-one ``aware_optimum_gd`` run per noise level.
+the steps it ran. The module is private: ``gaussian_sender`` stays the
+library API (full covariances, ``mode="full"``, the sampler), and its numpy
+path is the oracle the tests hold this module to, one ``aware_optimum_gd``
+run per noise level.
 
-The rules both paths share live here, and ``gaussian_sender`` imports them:
-the eigenvalue floors, the sender-problem, step count and learning-rate
-checks, the default step cap and learning rate (``dpcomm sender`` takes them
-too), the bad-step rule with its ``StepSizeError`` messages, and the stop rule.
+The rules both paths share live here, and ``gaussian_sender`` imports them: the
+eigenvalue floors, the sender-problem, step count and learning-rate checks, the
+default step cap and learning rate (``dpcomm sender`` takes them too), the
+bad-step rule with its ``StepSizeError`` messages, the stop rule, and both
+optima's KLs, from ``_diagonal_kl``, which scores the descent too.
 
-What matches the numpy path: every check, with its error type and message;
-the descent's iterates, bit for bit, because the inverse of a diagonal target
-is diagonal with exact zeros off it; and the KL arithmetic, term by term. Each
-sum is one correctly rounded ``math.fsum``, equal to numpy's sum of one or two
-terms, as in every pinned table (d <= 2). KLs may differ in the last bits from
-d = 3, where numpy sums pairwise, and wherever numpy's vectorized ``log`` is
-not correctly rounded and ``math.log`` is, or BLAS fuses multiply-adds.
+What matches the numpy path: every check, with its error type and message; the
+descent's iterates, bit for bit, because the inverse of a diagonal target is
+diagonal with exact zeros off it; and its KLs, which follow ``_sent_kl`` term
+by term. Each sum is one correctly rounded ``math.fsum``, equal to numpy's sum
+of one or two terms, as in every pinned table (d <= 2). KLs may differ in the
+last bits from d = 3, where numpy sums pairwise, and wherever numpy's
+vectorized ``log`` is not correctly rounded and ``math.log`` is, or BLAS fuses
+multiply-adds.
 """
 
 from __future__ import annotations
@@ -164,21 +166,26 @@ def _target_terms(variances: list[float]) -> tuple[list[float], float]:
     return [1.0 / v for v in variances], _fsum(map(math.log, variances))
 
 
-def _dense_kl(target_inv: list[float], logdet_q: float, sent: list[float]) -> float:
-    """``_sent_kl``'s Cholesky branch for a message with the target's mean and diagonal
-    post-noise covariance ``sent`` (finite and > 0, by ``_sender_problem``): the
-    log-determinant from the Cholesky diagonal sqrt(s), the trace over d products."""
-    logdet_p = 2.0 * _fsum(math.log(math.sqrt(s)) for s in sent)
-    return 0.5 * (logdet_q - logdet_p + _fsum(map(mul, target_inv, sent)) - len(sent))
+def _diagonal_kl(target_inv: list, logdet_q: float, diff: list, sent: list) -> float:
+    """``_sent_kl``'s diagonal branch on Python floats: the KL of a message with
+    mean minus target mean ``diff`` and post-noise variances ``sent``."""
+    # Python's min() is NaN or <= 0 unless every variance is > 0; a NaN elsewhere,
+    # which only an overflowed iterate holds, makes the KL NaN.
+    if not min(sent) > 0.0:
+        return math.inf
+    quad = _fsum(x * t * x for x, t in zip(diff, target_inv))
+    trace = _fsum(map(mul, sent, target_inv))
+    return 0.5 * (logdet_q - _fsum(map(math.log, sent)) + trace + quad - len(sent))
 
 
 def _closed_form_kls(variances: list[float], noise_var: float) -> tuple[float, float]:
     """``oblivious_optimum(problem).kl`` and ``aware_optimum(problem).kl`` for a
-    checked diagonal target and noise variance."""
+    target with checked eigenvalues ``variances``, in whose eigenbasis both are diagonal."""
     target_inv, logdet_q = _target_terms(variances)
     oblivious = [v + noise_var for v in variances]
     aware = [max(v - noise_var, 0.0) + noise_var for v in variances]
-    return _dense_kl(target_inv, logdet_q, oblivious), _dense_kl(target_inv, logdet_q, aware)
+    return (_diagonal_kl(target_inv, logdet_q, [0.0] * len(variances), oblivious),
+            _diagonal_kl(target_inv, logdet_q, [0.0] * len(variances), aware))
 
 
 def _diagonal_descent(target: _Target, noise_var: float, steps: int, learning_rate: float):
@@ -194,32 +201,21 @@ def _diagonal_descent(target: _Target, noise_var: float, steps: int, learning_ra
     target_mean = target.mean
     target_inv, logdet_q = _target_terms(target.variances)
     d = len(target_mean)
-    log, inf = math.log, math.inf
-
-    def kl(diff, sent):
-        # _sent_kl's diagonal branch. Python's min() is NaN or <= 0 unless every variance
-        # is > 0; a NaN elsewhere, which only an overflowed iterate holds, makes the KL NaN.
-        if not min(sent) > 0.0:
-            return inf
-        quad = _fsum(x * t * x for x, t in zip(diff, target_inv))
-        trace = _fsum(map(mul, sent, target_inv))
-        return 0.5 * (logdet_q - _fsum(map(log, sent)) + trace + quad - d)
-
     mean = [0.0] * d
     variances = [1.0] * d
     sent = [v + noise_var for v in variances]
     diff = [m - t for m, t in zip(mean, target_mean)]
-    prev = kl(diff, sent)
+    prev = _diagonal_kl(target_inv, logdet_q, diff, sent)
     bad = 0
     for step in range(1, steps + 1):
         old_mean, old_variances = mean, variances
         mean = [m - learning_rate * (t * x) for m, t, x in zip(old_mean, target_inv, diff)]
-        variances = [v - learning_rate * (0.5 * (t - (1.0 / s if s else inf)))
+        variances = [v - learning_rate * (0.5 * (t - (1.0 / s if s else math.inf)))
                      for v, t, s in zip(old_variances, target_inv, sent)]
         variances = [0.0 if v < 0.0 else v for v in variances]  # np.maximum(v, 0.0)
         sent = [v + noise_var for v in variances]
         diff = [m - t for m, t in zip(mean, target_mean)]
-        value = kl(diff, sent)
+        value = _diagonal_kl(target_inv, logdet_q, diff, sent)
         bad = _bad_steps(value, prev, bad, mean, sent)
         prev = value
         if _settled(mean, old_mean, variances, old_variances):

@@ -20,8 +20,8 @@ both paths share, the stop rule too, and the tests hold its runs to this module.
 
 A ``GaussianMessageDist`` is checked and eigendecomposed once, when built, and
 keeps the decomposition for the target checks, the closed-form shrink and the
-sampler; a diagonal covariance needs no ``eigh`` and is stored exactly. Every
-KL, ``kl_gaussian``'s included, goes through ``_sent_kl``.
+sampler; a diagonal covariance needs no ``eigh`` and is stored exactly. The
+optima's KLs come from ``diagonal_sender``, every other KL from ``_sent_kl``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 
 from .diagonal_sender import (_EIG_FLOOR, _GD_LEARNING_RATE, _GD_STEPS, _bad_steps,
                               _check_dimension, _check_lowest_eigenvalue, _check_noise_var,
-                              _descent_params, _not_finite_error, _sender_problem, _settled,
-                              _singular)
+                              _closed_form_kls, _descent_params, _not_finite_error,
+                              _sender_problem, _settled, _singular)
 from .errors import (InvalidParameterError, SingularTargetError, StepSizeError, require_count,
                      require_float_array)
 from .rng import substream
@@ -142,20 +142,14 @@ def kl_gaussian(p: GaussianMessageDist, q: GaussianMessageDist) -> float:
     return _sent_kl(*target_terms, p.mean - q.mean, p.cov)
 
 
-def _solution(problem: SenderProblem, dist: GaussianMessageDist) -> SenderSolution:
-    """``dist`` with the KL of its post-noise message N(mu, Sigma + noise_var * I)."""
-    sent = dist.cov + problem.noise_var * np.eye(dist.dim)
-    kl = _sent_kl(*_target_terms(problem.target), dist.mean - problem.target.mean, sent)
-    return SenderSolution(dist, kl)
-
-
 def oblivious_optimum(problem: SenderProblem) -> SenderSolution:
     """Sender that ignores the noise: emits the target distribution itself.
 
     Returned KL is the divergence actually incurred by the post-noise message
     N(mu*, Sigma* + noise_var * I) from the target.
     """
-    return _solution(problem, problem.target)
+    target = problem.target
+    return SenderSolution(target, _closed_form_kls(target._eigvals.tolist(), problem.noise_var)[0])
 
 
 def aware_optimum(problem: SenderProblem) -> SenderSolution:
@@ -167,8 +161,8 @@ def aware_optimum(problem: SenderProblem) -> SenderSolution:
     """
     target = problem.target
     shrunk = np.clip(target._eigvals - problem.noise_var, 0.0, None)
-    cov = (target._eigvecs * shrunk) @ target._eigvecs.T
-    return _solution(problem, GaussianMessageDist(target.mean, cov))
+    dist = GaussianMessageDist(target.mean, (target._eigvecs * shrunk) @ target._eigvecs.T)
+    return SenderSolution(dist, _closed_form_kls(target._eigvals.tolist(), problem.noise_var)[1])
 
 
 def _rank_deficient(dist: GaussianMessageDist) -> bool:

@@ -343,6 +343,19 @@ class TestSender:
         assert code == EXIT_OK
         assert calls == [(defaults["steps"].default, defaults["learning_rate"].default)] * 2
 
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_the_oblivious_message_has_one_kl(self, tmp_path, dim):
+        # At learning rate 0 the descent sends the oblivious message, so gd_kl
+        # is oblivious_kl; the closed form used to take another kernel, and 16
+        # of these 48 pairs differed in the last bits.
+        config = {"dim": dim, "noise_vars": [0.0, 0.1, 0.3, 0.5, 1.0, 2.5],
+                  "gd_learning_rate": 0.0}
+        code, path = run(tmp_path, "sender", config)
+        assert code == EXIT_INFEASIBLE  # the noisy rows miss the aware optimum
+        _, header, rows = parse_csv(path)
+        assert len(rows) == 6
+        assert all(row[header.index("gd_kl")] == row[header.index("oblivious_kl")] for row in rows)
+
     def test_gd_far_from_closed_form_exits_2(self, tmp_path):
         # Too large a step that never trips the divergence check: the table
         # is written, but the oracle gap (about 45.6) fails the 1e-6 gate.
@@ -457,9 +470,9 @@ SENDER_FAILURES = [
 SENDER_GATE_FAILURES = [
     ('{"dim": 2, "noise_vars": [0.0, 0.5], "gd_steps": 200, "gd_learning_rate": 100.0}',
      ["0.0,0.0,0.0,0.0,0.0",
-      "0.5,0.09453489189183584,0.0,45.57802666371869,45.57802666371869"]),
+      "0.5,0.09453489189183562,0.0,45.57802666371869,45.57802666371869"]),
     ('{"dim": 2, "noise_vars": [0.5], "gd_learning_rate": 0.0}',
-     ["0.5,0.09453489189183584,0.0,0.09453489189183562,0.09453489189183562"]),
+     ["0.5,0.09453489189183562,0.0,0.09453489189183562,0.09453489189183562"]),
 ]
 
 
@@ -667,6 +680,29 @@ class TestHarness:
         assert capsys.readouterr().err == ("dpcomm binary-sums: config error: line 4: "
                                            "duplicate config key 'trials'\n")
 
+    @pytest.mark.parametrize("lines,error", [
+        ('"trials": 2000,\n "tri\\u0061ls": 3000', "duplicate config key 'trials'"),
+        ('"receiver_modes": ["aware"],\n "tri\\u0061ls": "x"',
+         "config key 'trials' must be a number, got \"x\""),
+        ('"trials": 2000,\n "extr\\u0061": 1', "unknown config key 'extra'"),
+    ], ids=["duplicate", "kind", "unknown"])
+    def test_escaped_key_names_its_line(self, tmp_path, capsys, lines, error):
+        # A key was looked for in its literal spelling, so these named no line.
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"bits": [1,0,1],\n "epsilons": [1.0],\n ' + lines + '}')
+        code = main(["binary-sums", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"dpcomm binary-sums: config error: line 4: {error}\n"
+
+    def test_key_after_an_escaped_quote_names_its_line(self, tmp_path, capsys):
+        # The key "a\"trials" used to count as a "trials", so line 3 was named.
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"bits": [1,0,1],\n "a\\"trials": 1,\n "trials": 2000,\n "trials": 3}')
+        code = main(["binary-sums", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == ("dpcomm binary-sums: config error: line 4: "
+                                           "duplicate config key 'trials'\n")
+
     def test_json_writes_non_finite_kls_as_strings(self, tmp_path):
         # gd_kl and the gap overflow; the table used to hold two bare Infinity
         # literals, which no strict JSON parser (the CLI's config reader
@@ -745,7 +781,7 @@ SHIPPED_OUTPUTS = {
         "potential_trace.svg": "ef4cc3f6466da4a0fd0e94811f2286cefab10254501b92fd63a4b0e2cf5ba5af",
     },
     "sender": {
-        "sender.csv": "f765dcc2a303d34240c811f32000f02a85f1577d755c9caffef57e0708b9b016",
+        "sender.csv": "4c7d7ec14a0bf029ab5c83bd2391917085aa7915c972db6bb182809e3375c2b5",
         "sender_kl.svg": "2d94780ef9d86a5634afe89170a9fc13ac4aa5a9cba87237d478208b0de572e3",
     },
 }
@@ -790,19 +826,19 @@ def test_json_cells_are_the_csv_cells(tmp_path, name):
 #: The last three stop at a StepSizeError and write nothing.
 SENDER_OUTPUTS = [
     pytest.param(([0.0, 0.0], [1.0, 1.0], [0.0, 0.1, 0.5, 1.0], 6000, 0.1), EXIT_OK,
-                 {"sender.csv": "c811fc701aa7b317288eb38e8c65a6a8fce59251583a551f551668e411217016"},
+                 {"sender.csv": "e56dff3c8ae9049b4004d414c29f53324cce4d0a2e21fd3398541b832d0845cc"},
                  id="shipped"),
     pytest.param(([0.0, 0.0], [1.0, 1.0], [0.0, 0.5], 3000, 0.1), EXIT_OK,
-                 {"sender.csv": "5782b6b74fab6c0a53091bf9b636014986f865c831e909c6df6aa217230a8a88"},
+                 {"sender.csv": "706001b298d26db267bbc581f547371274af9babecb4bb760b408c1a706fa10b"},
                  id="3000-steps"),
     pytest.param(([0.0, 0.0], [1.0, 1.0], [0.0, 0.5], 500, 0.1), EXIT_OK,
-                 {"sender.csv": "a8bdbb0a970aacddc22dacacd0f068df7e65aff28b6577dc27cd90e53e27562e"},
+                 {"sender.csv": "5db8408b3cd2273a8ba93bbb884a8b816bb8534a5be5a72f873d295d143eccbd"},
                  id="500-steps"),
     pytest.param(([0.0, 0.0], [1.0, 1.0], [0.0, 0.5], 200, 100.0), EXIT_INFEASIBLE,
-                 {"sender.csv": "70f21738f7be88ec4b321e98333e1d30859595d9acbeb3f6cbf76569a2651311"},
+                 {"sender.csv": "5cc209b3e980b94a097c6bfef4f459a1c0fa5e56a1b230f376e5d385e25d720a"},
                  id="rate-100"),
     pytest.param(([0.0, 0.0], [1.0, 1.0], [0.5], 6000, 0.0), EXIT_INFEASIBLE,
-                 {"sender.csv": "17dac8f4e51415a2b479468862d0f5295467e784a65857601bfd3a44691837da"},
+                 {"sender.csv": "220d1181b20e44a73a24f07ce01ad74ed88de5b81550b068b5ee5e851ee04ab3"},
                  id="rate-0"),
     pytest.param(([1.0], [1.0], [0.1], 6000, 50.0), EXIT_INFEASIBLE,
                  {}, id="rate-50"),

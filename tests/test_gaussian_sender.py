@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from collections import namedtuple
@@ -534,6 +535,39 @@ class TestOptima:
         assert np.allclose(again.dist.cov, sol.dist.cov, atol=1e-10)
 
 
+class TestClosedFormOracle:
+    """``oblivious_optimum`` and ``aware_optimum`` score their message with
+    ``diagonal_sender._closed_form_kls``, as the CLI does, so the float and numpy
+    tables share their closed forms; here an oracle shares no code with them."""
+
+    def test_seeded_targets_against_the_reference_kl(self):
+        # d 1-8, random SPD and diagonal targets, noise 0 and U(0, 2): each KL
+        # against ``_reference_kl_gaussian`` of the post-noise message.
+        rng = np.random.default_rng(30)
+        gaps = []
+        for d in range(1, 9):
+            for _ in range(20):
+                targets = (random_spd_target(rng, d), GaussianMessageDist.from_diagonal(
+                    rng.normal(size=d), rng.uniform(0.3, 3.0, d)))
+                for target, noise in itertools.product(targets, (0.0, rng.uniform(0.0, 2.0))):
+                    problem = SenderProblem(target, noise)
+                    for solution in (oblivious_optimum(problem), aware_optimum(problem)):
+                        sent = _RefDist(solution.dist.mean, solution.dist.cov + noise * np.eye(d))
+                        gaps.append(_kl_gap(solution.kl, _reference_kl_gaussian(sent, target)))
+        assert len(gaps) == 1280 and max(gaps) <= 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        variances=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=16),
+        noise=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    )
+    def test_diagonal_targets_are_the_float_closed_forms(self, variances, noise):
+        problem = SenderProblem(
+            GaussianMessageDist.from_diagonal([0.0] * len(variances), variances), noise)
+        assert diagonal_sender._closed_form_kls(variances, noise) == (
+            oblivious_optimum(problem).kl, aware_optimum(problem).kl)
+
+
 class TestGradientDescent:
     def test_matches_closed_form_on_diagonal_problem(self):
         rng = np.random.default_rng(7)
@@ -987,7 +1021,8 @@ def _numpy_table(mean, variances, noise_vars, steps, learning_rate):
     noise level and the descent's (mean, variances, KLs) from one
     ``aware_optimum_gd`` run per noise level, or the StepSizeError message of
     the lowest failing level; or the type and message of the input error
-    raised on the way."""
+    raised on the way. Its closed forms are ``diagonal_sender``'s own, so
+    ``TestClosedFormOracle`` holds them to an independent oracle."""
     try:
         target = GaussianMessageDist.from_diagonal(mean, variances)
         problems = [SenderProblem(target, noise) for noise in noise_vars]
