@@ -266,12 +266,17 @@ def _calibrate(budget: PrivacyBudget, params: MechanismParams, rounds: int) -> C
 
 
 def calibrate_step(budget: PrivacyBudget, params: MechanismParams) -> CalibrationResult:
-    """Smallest per-step noise variance meeting the budget.
+    """Per-step noise variance: the smallest over the budget splits of BETA_GRID.
 
-    Scans beta over BETA_GRID, keeps (beta, alpha, sigma^2) candidates that
-    satisfy the subsampled-Gaussian feasibility constraints, and returns the
-    one minimizing sigma^2. Raises CalibrationInfeasibleError when the grid
-    is exhausted.
+    Each beta pins one order, alpha = ``order_for_beta(budget, beta)``, and one
+    variance, ``step_noise_variance``. The scan keeps the (beta, alpha,
+    sigma^2) candidates that satisfy the subsampled-Gaussian feasibility
+    constraints and returns the one minimizing sigma^2. That is not the
+    smallest variance meeting the budget, which may need an order no beta
+    pins, and it need not fall as epsilon grows: for C = 1.42, gamma1 = 0.119,
+    gamma2 = 0.924, N = 13 and delta = 3.72e-5, epsilon 21.99 gives sigma^2
+    5.88 (beta 0.06) and epsilon 39.36 gives 8.35 (beta 0.02). Raises
+    CalibrationInfeasibleError when no beta on the grid is feasible.
     """
     return _calibrate(budget, params, 1)
 

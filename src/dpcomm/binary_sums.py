@@ -8,8 +8,8 @@ and the team reward is the sum over agents.
 reproducible for a given seed because each (agent, block) pair draws from its
 own substream. Every guess is affine in the 0/1 messages, so a game is
 reduced to one sufficient statistic, the Gram matrix of the messages (its
-diagonal holds each agent's count of 1s), from which the per-agent sum and
-sum of squares of the guesses follow in closed form (see ``run_game``). Each
+diagonal holds each agent's count of 1s), from which the per-agent mean and
+sample variance of the guesses follow in closed form (see ``run_game``). Each
 block's Gram matrix is counted with popcounts over bit-packed message rows,
 and the game sums them, so every entry is an exact integer.
 Each agent's row of a block is drawn by ``mechanisms._rr_row`` from one call
@@ -147,10 +147,14 @@ def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,
     j is worth v0_j or v1_j to a receiver (0 and 1 when naive,
     (x - p_j/2) / (1 - p_j) when aware), so agent i's guess in one trial is
     k_i + w_i . x, with k_i = b_i + sum_{j != i} v0_j and w_i = v1 - v0 with
-    entry i zeroed. Over the game its sum is T k_i + w_i . c and its sum of
-    squares is T k_i^2 + 2 k_i (w_i . c) + w_i^T G w_i, for T = ``trials``.
+    entry i zeroed. Over the game its sum is T k_i + w_i . c, for T =
+    ``trials``, and its sample variance is w_i^T C w_i / (T (T - 1)), where
+    C = T G - c c^T is the centred Gram matrix. C is formed in Python integers
+    and rounded to float64 once, so the constant k_i never enters it and a
+    guess that never varies has a standard error of exactly 0.
     """
     require_count("trials", trials, 2)
+    trials = int(trials)  # a numpy integer would overflow T (T - 1)
     require_count("jobs", jobs, 1)
     require_seed("rng_seed", rng_seed)
     _check_aware_defined(instance)
@@ -169,8 +173,10 @@ def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,
     base = np.array(instance.bits, dtype=float) + others @ low
     weights = others * (high - low)
     linear = weights @ gram.diagonal()
-    quadratic = ((weights @ gram) * weights).sum(axis=1)
     means = (trials * base + linear) / trials
-    squares = trials * base * base + 2.0 * base * linear + quadratic
-    variances = np.maximum(squares - trials * means * means, 0.0) / (trials - 1)
+    counts = gram.astype(np.int64).astype(object)  # Python integers: T * G may pass 2**63
+    diagonal = counts.diagonal()
+    centred = (trials * counts - diagonal[:, None] * diagonal[None, :]).astype(float)
+    spread = ((weights @ centred) * weights).sum(axis=1)  # w_i^T C w_i
+    variances = np.maximum(spread, 0.0) / (trials * (trials - 1))
     return _outcome(bit_sum, means.tolist(), np.sqrt(variances / trials).tolist())

@@ -20,7 +20,9 @@ both paths share, the stop rule too, and the tests hold its runs to this module.
 
 A ``GaussianMessageDist`` is checked and eigendecomposed once, when built, and
 keeps the decomposition for the target checks, the closed-form shrink and the
-sampler; a diagonal covariance needs no ``eigh`` and is stored exactly. The
+sampler; a diagonal covariance needs no ``eigh`` and is stored exactly. Every
+covariance is stored by ``_store``, exactly symmetric, and the aware optimum is
+built from its target's decomposition without a second check or ``eigh``. The
 optima's KLs come from ``diagonal_sender``, every other KL from ``_sent_kl``.
 """
 
@@ -68,6 +70,16 @@ def _clipped_eigh(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return eigvals.min(initial=0.0), np.clip(eigvals, 0.0, None), eigvecs
 
 
+def _store(dist, mean: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray) -> None:
+    """The one place a distribution's fields are set: the covariance is
+    (V * lambda) V^T, made exactly symmetric, so a stored covariance always
+    passes the constructor's symmetry check again."""
+    object.__setattr__(dist, "mean", mean)
+    object.__setattr__(dist, "cov", _symmetric_part((eigvecs * eigvals) @ eigvecs.T))
+    object.__setattr__(dist, "_eigvals", eigvals)
+    object.__setattr__(dist, "_eigvecs", eigvecs)
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianMessageDist:
     """Mean and covariance of a stochastic message, with the eigenvalues
@@ -88,10 +100,15 @@ class GaussianMessageDist:
             raise InvalidParameterError("covariance must be symmetric")
         lowest, eigvals, eigvecs = _clipped_eigh(cov)
         _check_lowest_eigenvalue(lowest)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", (eigvecs * eigvals) @ eigvecs.T)
-        object.__setattr__(self, "_eigvals", eigvals)
-        object.__setattr__(self, "_eigvecs", eigvecs)
+        _store(self, mean, eigvals, eigvecs)
+
+    @classmethod
+    def _from_decomposition(cls, mean, eigvals, eigvecs) -> "GaussianMessageDist":
+        """A distribution from a mean and a decomposition that were checked
+        already: no check and no ``eigh`` runs again."""
+        dist = object.__new__(cls)
+        _store(dist, mean, eigvals, eigvecs)
+        return dist
 
     @classmethod
     def from_diagonal(cls, mean, variances) -> "GaussianMessageDist":
@@ -161,7 +178,7 @@ def aware_optimum(problem: SenderProblem) -> SenderSolution:
     """
     target = problem.target
     shrunk = np.clip(target._eigvals - problem.noise_var, 0.0, None)
-    dist = GaussianMessageDist(target.mean, (target._eigvecs * shrunk) @ target._eigvecs.T)
+    dist = GaussianMessageDist._from_decomposition(target.mean, shrunk, target._eigvecs)
     return SenderSolution(dist, _closed_form_kls(target._eigvals.tolist(), problem.noise_var)[1])
 
 

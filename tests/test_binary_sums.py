@@ -74,7 +74,8 @@ def matmul_run_game(instance, trials, rng_seed):
 
 # The game the library ran before it summed its blocks' Gram matrices, kept as
 # the test oracle: per-block guess sums and sums of squares, combined per agent
-# with math.fsum.
+# with math.fsum. The variance is taken from those two sums in rational
+# arithmetic, so it is exact wherever the sums are (every naive game).
 def reference_run_game(instance, trials, rng_seed):
     full, rest = divmod(trials, BLOCK_SIZE)
     sizes = [BLOCK_SIZE] * full + ([rest] if rest else [])
@@ -83,18 +84,32 @@ def reference_run_game(instance, trials, rng_seed):
     for i in range(instance.num_agents):
         s = math.fsum(float(r[0][i]) for r in results)
         ss = math.fsum(float(r[1][i]) for r in results)
-        mean = s / trials
-        var = max(ss - trials * mean * mean, 0.0) / max(trials - 1, 1)
-        means.append(mean)
+        var = max(Fraction(ss) - Fraction(s) ** 2 / trials, 0) / (trials - 1)
+        means.append(s / trials)
         std_errors.append(math.sqrt(var / trials))
     return binary_sums._outcome(int(sum(instance.bits)), means, std_errors)
+
+
+#: How far a standard error may be from the exact one, in units in the last
+#: place: the centred Gram is rounded to float64 once, then w^T C w, the
+#: divisions and the square root each round.
+SE_ULPS = 4
+
+
+def assert_se_near(se, want):
+    """``se`` is within SE_ULPS units in the last place of ``want``, and
+    exactly 0 when ``want`` is."""
+    assert (abs(se - want) <= SE_ULPS * math.ulp(want)) if want else se == 0.0
 
 
 def assert_matches_reference(instance, trials, rng_seed):
     got = run_game(instance, trials, rng_seed)
     want = reference_run_game(instance, trials, rng_seed)
     if instance.receiver_mode == "naive":  # integer guesses: both kernels are exact
-        assert got == want
+        assert (got.guesses, got.utilities, got.team_reward) == \
+            (want.guesses, want.utilities, want.team_reward)
+        for g, w in zip(got.mc_std_errors, want.mc_std_errors):
+            assert_se_near(g, w)
         return
     # Aware messages are not integers, so the kernels round differently. The
     # reference adds its m guesses one by one, and its block sums drift from
@@ -211,6 +226,24 @@ class TestRunGame:
                 exact = analytic_outcome(inst)
                 for g, e, se in zip(out.guesses, exact.guesses, out.mc_std_errors):
                     assert abs(g - e) <= 3 * se + 1e-12
+
+    def test_guesses_that_never_vary_have_zero_error(self):
+        # No receiver's guess varies over these three trials. The game used to
+        # report about 2e-8 for each, cancellation noise between two sums of
+        # squares of size T k^2, where k is the guess's constant part.
+        out = run_game(BinarySumsInstance((1, 0, 1), (1.0,) * 3, "aware"), 3, 1)
+        assert out.mc_std_errors == (0.0, 0.0, 0.0)
+
+    def test_numpy_integer_trials_beyond_int64_products(self):
+        # T (T - 1) and T * G pass 2**63 here. A synthetic Gram per block keeps
+        # the 94,605 blocks fast; np.int64 trials used to overflow the divisor.
+        def gram(instance, rng_seed, block, m):
+            return np.array([[m, m // 2], [m // 2, m - m // 4]], dtype=float)
+
+        instance = BinarySumsInstance((1, 0), (1.0, 2.0), "aware")
+        trials = 3_100_000_001
+        with mock.patch.object(binary_sums, "_message_gram", gram):
+            assert run_game(instance, np.int64(trials), 0) == run_game(instance, trials, 0)
 
     def test_deterministic_given_seed(self):
         inst = make([1, 0, 1], 1.0, "aware")
@@ -403,6 +436,50 @@ class TestKernelAccuracy:
             assert abs(Fraction(g) - s / trials) <= 1e-14 * max(1, abs(s / trials))
             second = Fraction(g) ** 2 + Fraction(se) ** 2 * (trials - 1)
             assert abs(second - ss / trials) <= 1e-14 * (ss / trials)
+
+
+class TestExactStandardErrors:
+    """Each standard error is the exact sample one of the game's guesses, to a
+    few ulps, whatever the size of their constant part."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bits=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+        data=st.data(),
+        mode=st.sampled_from(["naive", "aware"]),
+        trials=st.one_of(st.integers(2, 200), st.integers(BLOCK_SIZE + 1, BLOCK_SIZE + 3000)),
+        rng_seed=st.integers(0, 2**63),
+    )
+    def test_within_ulps_of_the_exact_value(self, bits, data, mode, trials, rng_seed):
+        epsilons = data.draw(st.lists(
+            st.one_of(st.floats(0.3, 8.0), st.just(math.inf)),
+            min_size=len(bits), max_size=len(bits)))
+        instance = BinarySumsInstance(tuple(bits), tuple(epsilons), mode)
+        out = run_game(instance, trials, rng_seed)
+        sizes = [BLOCK_SIZE, trials - BLOCK_SIZE] if trials > BLOCK_SIZE else [trials]
+        for se, s, ss in zip(out.mc_std_errors, *_exact_game(instance, rng_seed, sizes)):
+            variance = (ss - s * s / trials) / (trials - 1)
+            assert_se_near(se, math.sqrt(variance / trials))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bits=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+        data=st.data(),
+        mode=st.sampled_from(["naive", "aware"]),
+        trials=st.integers(2, BLOCK_SIZE + 3000),
+        rng_seed=st.integers(0, 2**63),
+    )
+    def test_constant_messages_give_zero(self, bits, data, mode, trials, rng_seed):
+        # At most one agent randomizes; every other agent sends its bit exactly.
+        noisy = data.draw(st.one_of(st.none(), st.integers(0, len(bits) - 1)))
+        epsilons = [math.inf] * len(bits)
+        if noisy is not None:
+            epsilons[noisy] = data.draw(st.floats(0.1, 8.0))
+        out = run_game(BinarySumsInstance(tuple(bits), tuple(epsilons), mode), trials, rng_seed)
+        # A receiver that sees only exact messages makes the same guess every trial.
+        for i, se in enumerate(out.mc_std_errors):
+            if noisy in (None, i):
+                assert se == 0.0
 
 
 class TestDominance:

@@ -60,7 +60,8 @@ def _reference_gaussian_dist(mean, cov):
     """The ``GaussianMessageDist`` constructor before it kept its eigh, as an
     oracle: the checks and the stored (mean, covariance), or
     InvalidParameterError. ``allclose`` tests symmetry, ``eigvalsh`` the
-    eigenvalue floor, and a second ``eigh`` projects onto the PSD cone."""
+    eigenvalue floor, and a second ``eigh`` projects onto the PSD cone; the
+    projection is stored by its symmetric part, as the library stores it."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (mean.size, mean.size):
@@ -74,7 +75,7 @@ def _reference_gaussian_dist(mean, cov):
     if eigvals.min(initial=0.0) < -1e-12:
         raise InvalidParameterError(f"covariance has negative eigenvalue {eigvals.min():.3g}")
     eigvals, eigvecs = np.linalg.eigh(sym)
-    return _RefDist(mean, (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T)
+    return _RefDist(mean, _symmetric_part((eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T))
 
 
 def _reference_kl_gaussian(p, q):
@@ -1346,6 +1347,78 @@ class TestDiagonalStoredExactly:
         dist = GaussianMessageDist([0.0, 0.0], cov)
         np.testing.assert_allclose(dist.cov, cov, rtol=1e-15)
         np.testing.assert_allclose(np.sort(dist._eigvals), np.linalg.eigvalsh(cov), rtol=1e-15)
+
+
+def _large_targets(seed, low, high, count=200):
+    """Random d = 4 targets with eigenvalues in U(low, high), each given to the
+    constructor exactly symmetric, as outside input must be."""
+    rng = np.random.default_rng(seed)
+    return [GaussianMessageDist(rng.normal(size=4),
+                                _symmetric_part(_rotated(rng, rng.uniform(low, high, 4))))
+            for _ in range(count)]
+
+
+class TestOneCovarianceStore:
+    """Every covariance is stored by ``_store``, exactly symmetric, and
+    ``aware_optimum`` reuses its target's checked decomposition."""
+
+    @pytest.mark.parametrize("low,high", [(1e4, 1e5), (1e5, 1e6)])
+    def test_large_eigenvalues_never_raise(self, low, high):
+        # aware_optimum used to pass its rebuilt matrix back through the
+        # symmetry check, whose absolute 1e-12 these fail: it raised on 191 and
+        # 200 of these targets, and their re-wraps on 197 and 198.
+        for target in _large_targets(int(low), low, high):
+            assert np.array_equal(target.cov, target.cov.T)
+            aware = aware_optimum(SenderProblem(target, 1.0)).dist
+            assert np.array_equal(aware.cov, aware.cov.T)
+            rewrapped = GaussianMessageDist(target.mean, target.cov)
+            assert np.array_equal(rewrapped.cov, rewrapped.cov.T)
+
+    def test_every_path_stores_a_symmetric_covariance(self):
+        rng = np.random.default_rng(47)
+        for _ in range(60):
+            d = int(rng.integers(1, 7))
+            scale = 10.0 ** rng.uniform(-3, 7)
+            target = GaussianMessageDist(
+                rng.normal(size=d), _symmetric_part(_rotated(rng, scale * rng.uniform(0.3, 3.0, d))))
+            problem = SenderProblem(target, scale * rng.uniform(0.0, 2.0))
+            dists = [target, GaussianMessageDist.from_diagonal(target.mean, np.diag(target.cov)),
+                     oblivious_optimum(problem).dist, aware_optimum(problem).dist]
+            for dist in dists:
+                assert np.array_equal(dist.cov, dist.cov.T)
+            GaussianMessageDist(target.mean, target.cov)  # re-wraps without error
+
+    def test_aware_optimum_runs_no_eigh(self):
+        targets = _large_targets(48, 0.3, 3.0, count=20)
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            for target in targets:
+                aware_optimum(SenderProblem(target, 0.5))
+            assert eigh.call_count == 0
+            GaussianMessageDist(targets[0].mean, targets[0].cov)
+            assert eigh.call_count == 1  # the patch sees the constructor's eigh
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        variances=st.lists(st.floats(0.3, 3.0), min_size=1, max_size=6),
+        exponent=st.floats(-3.0, 7.0),
+        noise=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rotation_keeps_the_kls(self, variances, exponent, noise, seed):
+        # A diagonal target and the same target rotated by a random orthogonal
+        # Q have one spectrum, so both optima have the same KL. Rotated targets
+        # at large scales used to make aware_optimum raise.
+        scale = 10.0 ** exponent
+        eigvals = scale * np.array(variances)
+        mean = np.zeros(eigvals.size)
+        rotated = _symmetric_part(_rotated(np.random.default_rng(seed), eigvals))
+        kls = []
+        for target in (GaussianMessageDist.from_diagonal(mean, eigvals),
+                       GaussianMessageDist(mean, rotated)):
+            problem = SenderProblem(target, scale * noise)
+            kls.append((oblivious_optimum(problem).kl, aware_optimum(problem).kl))
+        for diagonal, rotated_kl in zip(*kls):
+            assert abs(rotated_kl - diagonal) <= 1e-13 * max(1.0, abs(diagonal))
 
 
 class TestValidation:
