@@ -23,6 +23,7 @@ import os
 import random
 import re
 import sys
+from operator import mul
 
 from . import __version__
 from .errors import CalibrationInfeasibleError, StepSizeError, require_count, require_seed
@@ -307,7 +308,8 @@ def cmd_multi_round(config: dict, seed: int) -> tuple:
 
 def cmd_sender(config: dict, seed: int) -> tuple:
     from .diagonal_sender import (_GD_LEARNING_RATE, _GD_STEPS, _closed_form_kls,
-                                  _diagonal_descent, _diagonal_target, _sender_problem)
+                                  _descent_params, _diagonal_descent, _diagonal_target,
+                                  _sender_problem, _target_terms)
 
     d = require_count("dim", config["dim"], 1)
     variances = config.get("target_variances", [1.0] * d)
@@ -322,7 +324,12 @@ def cmd_sender(config: dict, seed: int) -> tuple:
     closed_forms = [_closed_form_kls(target.variances, noise) for noise in noise_vars]
     steps = config.get("gd_steps", _GD_STEPS)
     learning_rate = config.get("gd_learning_rate", _GD_LEARNING_RATE)
-    gd_kls = [_diagonal_descent(target, noise, steps, learning_rate)[2] for noise in noise_vars]
+    steps, learning_rate = _descent_params(steps, learning_rate)
+    target_inv, logdet_q = _target_terms(target.variances)
+    gd_kls = [_diagonal_descent(target.mean, target_inv, logdet_q,
+                                lambda diff: list(map(mul, target_inv, diff)), noise, steps,
+                                learning_rate)[2]
+              for noise in noise_vars]
     agree = True
     for noise, (obl_kl, aware_kl), gd_kl in zip(config["noise_vars"], closed_forms, gd_kls):
         gap = gd_kl - aware_kl

@@ -1,31 +1,26 @@
-"""The ``dpcomm sender`` table on Python floats, without numpy.
+"""The diagonal descent and the diagonal KL, on Python floats, without numpy.
 
-Every target the CLI builds is diagonal (its config gives only ``dim``,
-``target_mean`` and ``target_variances``), so the checks, the two closed-form
-KLs and the descent are scalar work per coordinate. This module does that
-work in Python floats, and the command never loads numpy. The diagonal
-descent runs one noise level at a time, as ``aware_optimum_gd`` does. Every
-descent, this one and both modes of ``aware_optimum_gd``, stops at the first
-step that leaves its iterate as it was (``_settled``), and this one reports
-the steps it ran. The module is private: ``gaussian_sender`` stays the
-library API (full covariances, ``mode="full"``, the sampler), and its numpy
-path is the oracle the tests hold this module to, one ``aware_optimum_gd``
-run per noise level.
+This module holds the one descent of a diagonal sender (``_diagonal_descent``)
+and the one KL kernel for a diagonal post-noise message (``_diagonal_kl``).
+``dpcomm sender`` runs the descent on its diagonal target, whose precision
+times a vector is ``t_i * x_i``, and never loads numpy: its config gives only
+``dim``, ``target_mean`` and ``target_variances``, so the checks and both
+closed-form KLs are scalar work per coordinate too.
+``aware_optimum_gd(mode="diagonal")`` runs the same loop on any target, with
+numpy's precision product. ``gaussian_sender`` stays the library API (full
+covariances, ``mode="full"``, the sampler), and the module is private.
 
-The rules both paths share live here, and ``gaussian_sender`` imports them: the
-eigenvalue floors, the sender-problem, step count and learning-rate checks, the
-default step cap and learning rate (``dpcomm sender`` takes them too), the
-bad-step rule with its ``StepSizeError`` messages, the stop rule, and both
-optima's KLs, from ``_diagonal_kl``, which scores the descent too.
+The rules both modules share live here, and ``gaussian_sender`` imports them:
+the eigenvalue floors, the sender-problem, step count and learning-rate
+checks, the default step cap and learning rate (``dpcomm sender`` takes them
+too), the bad-step rule with its ``StepSizeError`` messages, the stop rule
+(``_settled``), which ``mode="full"`` follows too, and both optima's KLs.
 
-What matches the numpy path: every check, with its error type and message; the
-descent's iterates, bit for bit, because the inverse of a diagonal target is
-diagonal with exact zeros off it; and its KLs, which follow ``_sent_kl`` term
-by term. Each sum is one correctly rounded ``math.fsum``, equal to numpy's sum
-of one or two terms, as in every pinned table (d <= 2). KLs may differ in the
-last bits from d = 3, where numpy sums pairwise, and wherever numpy's
-vectorized ``log`` is not correctly rounded and ``math.log`` is, or BLAS fuses
-multiply-adds.
+Every sum is one correctly rounded ``math.fsum``. The tests hold the descent
+to a numpy oracle: every check with its error type and message, the iterates
+bit for bit, and the KLs within 1e-12 times max(1, |KL|), since numpy sums
+pairwise from 8 terms and its vectorized ``log`` is not always correctly
+rounded where ``math.log`` is.
 """
 
 from __future__ import annotations
@@ -129,10 +124,13 @@ def _settled(mean, old_mean, spread, old_spread) -> bool:
 
 
 def _fsum(values) -> float:
-    """``math.fsum``, or +inf where finite terms >= 0 overflow it, as numpy's sum does."""
+    """``math.fsum``, or +inf where its terms overflow it: finite terms whose sum
+    leaves the float range, or products that overflowed to +inf and -inf.
+    Every sum here is of terms >= 0, or a quadratic form of a positive-definite
+    precision, so its value is >= 0."""
     try:
         return math.fsum(values)
-    except OverflowError:
+    except (OverflowError, ValueError):
         return math.inf
 
 
@@ -166,56 +164,62 @@ def _target_terms(variances: list[float]) -> tuple[list[float], float]:
     return [1.0 / v for v in variances], _fsum(map(math.log, variances))
 
 
-def _diagonal_kl(target_inv: list, logdet_q: float, diff: list, sent: list) -> float:
-    """``_sent_kl``'s diagonal branch on Python floats: the KL of a message with
-    mean minus target mean ``diff`` and post-noise variances ``sent``."""
+def _diagonal_kl(target_inv: list, logdet_q: float, quad: float, sent: list) -> float:
+    """The KL against a target of a message with post-noise variances ``sent``,
+    where ``target_inv`` is the diagonal of the target's precision and ``quad``
+    the precision's quadratic form in the message's mean minus the target's."""
     # Python's min() is NaN or <= 0 unless every variance is > 0; a NaN elsewhere,
     # which only an overflowed iterate holds, makes the KL NaN.
     if not min(sent) > 0.0:
         return math.inf
-    quad = _fsum(x * t * x for x, t in zip(diff, target_inv))
     trace = _fsum(map(mul, sent, target_inv))
     return 0.5 * (logdet_q - _fsum(map(math.log, sent)) + trace + quad - len(sent))
 
 
 def _closed_form_kls(variances: list[float], noise_var: float) -> tuple[float, float]:
     """``oblivious_optimum(problem).kl`` and ``aware_optimum(problem).kl`` for a
-    target with checked eigenvalues ``variances``, in whose eigenbasis both are diagonal."""
+    target with checked eigenvalues ``variances``, in whose eigenbasis both are
+    diagonal and match the target's mean."""
     target_inv, logdet_q = _target_terms(variances)
     oblivious = [v + noise_var for v in variances]
     aware = [max(v - noise_var, 0.0) + noise_var for v in variances]
-    return (_diagonal_kl(target_inv, logdet_q, [0.0] * len(variances), oblivious),
-            _diagonal_kl(target_inv, logdet_q, [0.0] * len(variances), aware))
+    return (_diagonal_kl(target_inv, logdet_q, 0.0, oblivious),
+            _diagonal_kl(target_inv, logdet_q, 0.0, aware))
 
 
-def _diagonal_descent(target: _Target, noise_var: float, steps: int, learning_rate: float):
-    """The diagonal-mode descent of ``aware_optimum_gd`` on a checked diagonal
-    target (``_diagonal_target``'s result) at one checked noise variance.
+def _diagonal_descent(target_mean: list, target_inv: list, logdet_q: float, precision,
+                      noise_var: float, steps: int, learning_rate: float):
+    """Projected gradient descent of a diagonal sender's post-noise KL, at one
+    checked noise variance: the one diagonal descent, which ``dpcomm sender``
+    and ``aware_optimum_gd(mode="diagonal")`` both run.
 
-    Returns the mean, the variances, the final KL and the number of steps run,
-    or raises the StepSizeError ``aware_optimum_gd`` raises. It stops at the
-    first step that ``_settled`` accepts, after at most ``steps`` steps: on
-    ``configs/sender.json`` after 1, 627, 667 and 736 of 6000.
+    ``target_inv`` and ``logdet_q`` are the target's ``_diagonal_kl`` terms,
+    and ``precision(x)`` is the target's precision times the list ``x``, as a
+    list: ``t_i * x_i`` for a diagonal target. ``steps`` and ``learning_rate``
+    were checked by ``_descent_params``. Returns the mean, the variances, the
+    final KL and the number of steps run, or raises StepSizeError by
+    ``_bad_steps``. It stops at the first step that ``_settled`` accepts,
+    after at most ``steps`` steps: on ``configs/sender.json`` after 1, 627,
+    667 and 736 of 6000.
     """
-    steps, learning_rate = _descent_params(steps, learning_rate)
-    target_mean = target.mean
-    target_inv, logdet_q = _target_terms(target.variances)
     d = len(target_mean)
     mean = [0.0] * d
     variances = [1.0] * d
     sent = [v + noise_var for v in variances]
     diff = [m - t for m, t in zip(mean, target_mean)]
-    prev = _diagonal_kl(target_inv, logdet_q, diff, sent)
+    grad = precision(diff)  # the KL's gradient in the mean
+    prev = _diagonal_kl(target_inv, logdet_q, _fsum(map(mul, diff, grad)), sent)
     bad = 0
     for step in range(1, steps + 1):
         old_mean, old_variances = mean, variances
-        mean = [m - learning_rate * (t * x) for m, t, x in zip(old_mean, target_inv, diff)]
+        mean = [m - learning_rate * g for m, g in zip(old_mean, grad)]
         variances = [v - learning_rate * (0.5 * (t - (1.0 / s if s else math.inf)))
                      for v, t, s in zip(old_variances, target_inv, sent)]
         variances = [0.0 if v < 0.0 else v for v in variances]  # np.maximum(v, 0.0)
         sent = [v + noise_var for v in variances]
         diff = [m - t for m, t in zip(mean, target_mean)]
-        value = _diagonal_kl(target_inv, logdet_q, diff, sent)
+        grad = precision(diff)
+        value = _diagonal_kl(target_inv, logdet_q, _fsum(map(mul, diff, grad)), sent)
         bad = _bad_steps(value, prev, bad, mean, sent)
         prev = value
         if _settled(mean, old_mean, variances, old_variances):

@@ -12,31 +12,35 @@ covariance dominates it. The aware sender is never worse than the oblivious
 one, and strictly better whenever noise_var > 0.
 
 ``aware_optimum_gd`` reproduces the closed form with projected gradient
-descent (mean plus diagonal variances, or a full covariance factor), mirroring
-how a learned sender would optimize the same objective. The CLI's sender table,
-whose targets are all diagonal, runs the same diagonal descent on Python floats
-in ``diagonal_sender``, one noise level at a time; that module holds the rules
-both paths share, the stop rule too, and the tests hold its runs to this module.
+descent, mirroring how a learned sender would optimize the same objective.
+There are two descents: the diagonal one (mean plus variances) is
+``diagonal_sender``'s loop on Python floats, which ``dpcomm sender`` runs too,
+and ``mode="full"`` descends on a dense covariance factor in numpy here. Both
+stop by one rule, ``_settled``.
 
 A ``GaussianMessageDist`` is checked and eigendecomposed once, when built, and
 keeps the decomposition for the target checks, the closed-form shrink and the
 sampler; a diagonal covariance needs no ``eigh`` and is stored exactly. Every
 covariance is stored by ``_store``, exactly symmetric, and the aware optimum is
-built from its target's decomposition without a second check or ``eigh``. The
-optima's KLs come from ``diagonal_sender``, every other KL from ``_sent_kl``.
+built from its target's decomposition without a second check or ``eigh``.
+There are two KL kernels: ``diagonal_sender._diagonal_kl`` scores a diagonal
+message (the diagonal descent, ``objective_grad_diag`` and both optima), and
+``_sent_kl`` a dense one (``kl_gaussian`` and ``mode="full"``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
 from .diagonal_sender import (_EIG_FLOOR, _GD_LEARNING_RATE, _GD_STEPS, _bad_steps,
                               _check_dimension, _check_lowest_eigenvalue, _check_noise_var,
-                              _closed_form_kls, _descent_params, _not_finite_error,
-                              _sender_problem, _settled, _singular)
+                              _closed_form_kls, _descent_params, _diagonal_descent,
+                              _diagonal_kl, _fsum, _not_finite_error, _sender_problem, _settled,
+                              _singular)
 from .errors import (InvalidParameterError, SingularTargetError, StepSizeError, require_count,
                      require_float_array)
 from .rng import substream
@@ -92,6 +96,8 @@ class GaussianMessageDist:
 
     def __post_init__(self):
         mean = np.atleast_1d(require_float_array("mean", self.mean))
+        if mean.ndim != 1:
+            raise InvalidParameterError(f"mean must be a vector, got shape {mean.shape}")
         cov = require_float_array("covariance", self.cov)
         _check_dimension(cov.shape, mean.size)
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
@@ -113,7 +119,10 @@ class GaussianMessageDist:
     @classmethod
     def from_diagonal(cls, mean, variances) -> "GaussianMessageDist":
         mean = require_float_array("mean", mean)
-        return cls(mean, np.diag(require_float_array("variances", variances)))
+        variances = require_float_array("variances", variances)
+        if variances.ndim != 1:
+            raise InvalidParameterError(f"variances must be a vector, got shape {variances.shape}")
+        return cls(mean, np.diag(variances))
 
     @property
     def dim(self) -> int:
@@ -198,25 +207,16 @@ def _target_terms(target: GaussianMessageDist) -> tuple[np.ndarray, float]:
 
 def _sent_kl(target_inv: np.ndarray, logdet_q: float, diff: np.ndarray,
              sent: np.ndarray) -> float:
-    """KL of a message against a checked target, on raw arrays.
-
-    diff = mu - mu*. ``sent`` is the message (for a sender, post-noise) covariance:
-    a vector of variances for a diagonal sender (O(d) work past the quadratic
-    form) or a dense matrix (one Cholesky). A degenerate message gives +inf.
-    """
+    """KL of a message against a checked target, on raw arrays: diff = mu - mu*,
+    and ``sent`` is the message's (for a sender, post-noise) dense covariance,
+    factored by one Cholesky. A degenerate message gives +inf."""
     quad = float(diff @ target_inv @ diff)
-    if sent.ndim == 1:
-        if not sent.min() > 0:  # a variance <= 0, or a NaN from an overflowed iterate
-            return math.inf
-        logdet_p = float(np.log(sent).sum())
-        trace = float(np.diag(target_inv) @ sent)
-    else:
-        try:
-            chol = np.linalg.cholesky(sent)
-        except np.linalg.LinAlgError:
-            return math.inf
-        logdet_p = 2.0 * float(np.log(np.diag(chol)).sum())
-        trace = float(np.sum(target_inv * sent))
+    try:
+        chol = np.linalg.cholesky(sent)
+    except np.linalg.LinAlgError:
+        return math.inf
+    logdet_p = 2.0 * float(np.log(np.diag(chol)).sum())
+    trace = float(np.sum(target_inv * sent))
     return 0.5 * (logdet_q - logdet_p + trace + quad - diff.size)
 
 
@@ -241,15 +241,13 @@ def objective_grad_diag(problem: SenderProblem, mean: np.ndarray, variances: np.
     if variances.min() < _EIG_FLOOR:
         raise InvalidParameterError(f"variances must be nonnegative, got {variances.min():.3g}")
     target_inv, logdet_q = _target_terms(problem.target)
+    target_inv_diag = np.diag(target_inv)
     diff = mean - problem.target.mean
-    sent_vars = variances + problem.noise_var
-    value = _sent_kl(target_inv, logdet_q, diff, sent_vars)
-    return (value, *_grad_diag(target_inv, np.diag(target_inv), diff, sent_vars))
-
-
-def _grad_diag(target_inv, target_inv_diag, diff, sent) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dmean, d/dvariances) of a diagonal sender's post-noise KL, on raw arrays."""
-    return target_inv @ diff, 0.5 * (target_inv_diag - 1.0 / sent)
+    sent = variances + problem.noise_var
+    grad_mean = target_inv @ diff
+    value = _diagonal_kl(target_inv_diag.tolist(), logdet_q,
+                         _fsum(map(mul, diff.tolist(), grad_mean.tolist())), sent.tolist())
+    return value, grad_mean, 0.5 * (target_inv_diag - 1.0 / sent)
 
 
 def aware_optimum_gd(problem: SenderProblem, steps: int = _GD_STEPS,
@@ -266,10 +264,11 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = _GD_STEPS,
     the iterate or leaves a singular post-noise covariance to invert, so a
     returned iterate is always finite.
 
-    The target is checked once; the loop then runs on raw arrays and
-    evaluates the post-noise KL once per step. Both modes stop at the first
-    step that ``_settled`` accepts: one that leaves the mean and the variances,
-    or the mean and the factor, as they were.
+    The target is checked once. ``diagonal`` mode then runs the float loop
+    ``diagonal_sender._diagonal_descent``, which ``dpcomm sender`` runs too;
+    ``full`` mode runs on raw arrays. Each evaluates the post-noise KL once per
+    step and stops at the first step that ``_settled`` accepts: one that leaves
+    the mean and the variances, or the mean and the factor, as they were.
     """
     if mode not in ("diagonal", "full"):
         raise InvalidParameterError(f"mode must be 'diagonal' or 'full', got {mode!r}")
@@ -278,30 +277,14 @@ def aware_optimum_gd(problem: SenderProblem, steps: int = _GD_STEPS,
     target_mean = problem.target.mean
     target_inv, logdet_q = _target_terms(problem.target)
     if mode == "diagonal":
-        target_inv_diag = np.diag(target_inv)
-        mean = np.zeros(d)
-        variances = np.ones(d)
-        sent = variances + problem.noise_var
-        diff = mean - target_mean
-        prev = _sent_kl(target_inv, logdet_q, diff, sent)
-        bad_steps = 0
-        # The loop looks for non-finite iterates itself, so numpy's warnings about
-        # 1 / 0 and what follows from it would say nothing new.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(steps):
-                grad_mean, grad_var = _grad_diag(target_inv, target_inv_diag, diff, sent)
-                old_mean, old_variances = mean, variances
-                mean = mean - learning_rate * grad_mean
-                # The bits of np.clip(..., 0.0, None) (no -0.0 arises) in a third of the time.
-                variances = np.maximum(variances - learning_rate * grad_var, 0.0)
-                sent = variances + problem.noise_var
-                diff = mean - target_mean
-                value = _sent_kl(target_inv, logdet_q, diff, sent)
-                bad_steps = _bad_steps(value, prev, bad_steps, mean, sent)
-                prev = value
-                if _settled(mean, old_mean, variances, old_variances):
-                    break
-        return SenderSolution(GaussianMessageDist.from_diagonal(mean, variances), prev)
+        # The loop looks for non-finite iterates itself, so numpy's warnings
+        # about an overflowing precision product would say nothing new.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, variances, kl, _ = _diagonal_descent(
+                target_mean.tolist(), np.diag(target_inv).tolist(), logdet_q,
+                lambda diff: (target_inv @ diff).tolist(), problem.noise_var, steps,
+                learning_rate)
+        return SenderSolution(GaussianMessageDist.from_diagonal(mean, variances), kl)
     noise_eye = problem.noise_var * np.eye(d)
     mean = np.zeros(d)
     factor = np.eye(d)

@@ -333,9 +333,9 @@ class TestSender:
         calls = []
         real = diagonal_sender._diagonal_descent
 
-        def recording(target, noise_var, steps, learning_rate):
-            calls.append((steps, learning_rate))
-            return real(target, noise_var, steps, learning_rate)
+        def recording(*args):
+            calls.append(args[-2:])  # the step cap and the learning rate
+            return real(*args)
 
         monkeypatch.setattr(diagonal_sender, "_diagonal_descent", recording)
         code, _ = run(tmp_path, "sender", {"dim": 2, "noise_vars": [0.0, 0.5]})

@@ -216,6 +216,17 @@ def _outcome(solver, *args):
         return str(exc)
 
 
+def _float_descent(target, noise_var, steps, learning_rate):
+    """``diagonal_sender._diagonal_descent`` on a checked diagonal target
+    (``_diagonal_target``'s result), as ``cmd_sender`` runs it at each noise
+    level: the descent parameters checked, and the precision ``t_i * x_i``."""
+    steps, learning_rate = diagonal_sender._descent_params(steps, learning_rate)
+    target_inv, logdet_q = diagonal_sender._target_terms(target.variances)
+    return diagonal_sender._diagonal_descent(
+        target.mean, target_inv, logdet_q, lambda diff: [t * x for t, x in zip(target_inv, diff)],
+        noise_var, steps, learning_rate)
+
+
 #: Largest KL difference ``diagonal_sender`` may show against the numpy path,
 #: relative to max(1, |KL|): np.log is not always correctly rounded where
 #: math.log is, and BLAS may fuse the quadratic form's multiply-adds. Iterates
@@ -229,7 +240,7 @@ def _kl_gap(kl, kl_ref):
 
 
 def assert_rows_match_oracle(mean, variances, noise_vars, steps, learning_rate):
-    """``diagonal_sender._diagonal_descent`` at each noise level against
+    """``_float_descent`` at each noise level against
     ``_reference_diagonal_gd`` at that level: the same StepSizeError message,
     or equal iterates and KLs within ``KL_TOL``. Returns the oracle's
     outcomes."""
@@ -238,8 +249,7 @@ def assert_rows_match_oracle(mean, variances, noise_vars, steps, learning_rate):
     refs = []
     for noise in noise_vars:
         ref = _outcome(_reference_diagonal_gd, SenderProblem(target, noise), steps, learning_rate)
-        got = _outcome(diagonal_sender._diagonal_descent, checked, float(noise), steps,
-                       learning_rate)
+        got = _outcome(_float_descent, checked, float(noise), steps, learning_rate)
         if isinstance(ref, str):
             assert got == ref
         else:
@@ -254,8 +264,9 @@ def assert_rows_match_oracle(mean, variances, noise_vars, steps, learning_rate):
 
 def assert_one_row_matches_oracle(problem, steps, learning_rate):
     """``aware_optimum_gd``'s diagonal mode against ``_reference_diagonal_gd``:
-    equal iterates and KL, or the same StepSizeError message. Returns the
-    oracle's outcome."""
+    equal iterates, or the same StepSizeError message. The KL is
+    ``objective_grad_diag``'s at the returned iterate, bit for bit, and within
+    ``KL_TOL`` of the oracle's numpy sums. Returns the oracle's outcome."""
     ref = _outcome(_reference_diagonal_gd, problem, steps, learning_rate)
     got = _outcome(aware_optimum_gd, problem, steps, learning_rate)
     if isinstance(ref, str):
@@ -265,7 +276,8 @@ def assert_one_row_matches_oracle(problem, steps, learning_rate):
     assert np.array_equal(got.dist.mean, ref_mean)
     assert np.array_equal(got.dist.cov, GaussianMessageDist.from_diagonal(ref_mean,
                                                                           ref_variances).cov)
-    assert got.kl == ref_kl
+    assert got.kl == objective_grad_diag(problem, ref_mean, ref_variances)[0]
+    assert _kl_gap(got.kl, ref_kl) <= KL_TOL
     return ref
 
 
@@ -302,6 +314,20 @@ class TestKlGaussian:
             assert kl >= 0.0
             assert kl > 1e-10  # random pairs essentially never coincide
             assert kl_gaussian(p, p) <= 1e-10
+
+    def test_terms_add_in_the_formula_order(self):
+        # kl_gaussian is the docstring's formula on its numpy terms, summed left
+        # to right, so its value is that sum's, bit for bit.
+        rng = np.random.default_rng(12)
+        for d in range(1, 7):
+            p, q = random_spd_target(rng, d), random_spd_target(rng, d)
+            target_inv = np.linalg.inv(q.cov)
+            diff = p.mean - q.mean
+            logdet_p = 2.0 * float(np.log(np.diag(np.linalg.cholesky(p.cov))).sum())
+            want = 0.5 * (float(np.linalg.slogdet(q.cov)[1]) - logdet_p
+                          + float(np.sum(target_inv * p.cov)) + float(diff @ target_inv @ diff)
+                          - d)
+            assert kl_gaussian(p, q) == want
 
     def test_singular_q_rejected(self):
         p = GaussianMessageDist(np.zeros(2), np.eye(2))
@@ -637,23 +663,41 @@ class TestGradientDescent:
                     fd = (hi - lo) / (2 * h)
                     assert fd == pytest.approx(grad[k], rel=1e-4, abs=1e-9)
 
+    def test_objective_adds_its_terms_in_the_formula_order(self):
+        # The diagonal KL kernel is kl_gaussian's formula on Python floats, each
+        # sum one math.fsum, added left to right, so its value is that sum's,
+        # bit for bit.
+        rng = np.random.default_rng(13)
+        for d in range(1, 7):
+            problem = SenderProblem(random_spd_target(rng, d), float(rng.uniform(0.0, 1.2)))
+            mean, variances = rng.normal(size=d), rng.uniform(0.2, 2.0, d)
+            target_inv = np.linalg.inv(problem.target.cov)
+            diff = mean - problem.target.mean
+            sent = (variances + problem.noise_var).tolist()
+            quad = math.fsum(x * g for x, g in zip(diff.tolist(), (target_inv @ diff).tolist()))
+            trace = math.fsum(s * t for s, t in zip(sent, np.diag(target_inv).tolist()))
+            want = 0.5 * (float(np.linalg.slogdet(problem.target.cov)[1])
+                          - math.fsum(map(math.log, sent)) + trace + quad - d)
+            assert objective_grad_diag(problem, mean, variances)[0] == want
+
     def test_descent_steps_along_the_checked_gradient(self):
-        # The loop and objective_grad_diag share one gradient, so the finite
-        # differences above check the gradient the solver runs: each step's
-        # gradient is objective_grad_diag's at that step's iterate, bit for bit.
-        problem = SenderProblem(GaussianMessageDist.from_diagonal([0.5, -1.0], [1.5, 0.6]), 0.8)
-        grads = []
-        real = gaussian_sender._grad_diag
-        with mock.patch.object(gaussian_sender, "_grad_diag",
-                               lambda *args: grads.append(real(*args)) or grads[-1]):
-            aware_optimum_gd(problem, steps=5, learning_rate=0.1)
-        assert len(grads) == 5
-        mean, variances = np.zeros(2), np.ones(2)
-        for grad_mean, grad_var in grads:
-            _, want_mean, want_var = objective_grad_diag(problem, mean, variances)
-            assert np.array_equal(grad_mean, want_mean) and np.array_equal(grad_var, want_var)
-            mean = mean - 0.1 * grad_mean
-            variances = np.maximum(variances - 0.1 * grad_var, 0.0)
+        # The finite differences above check the gradient the solver runs: k
+        # steps of aware_optimum_gd are k steps along objective_grad_diag's
+        # gradient, bit for bit, on diagonal and dense targets.
+        rng = np.random.default_rng(11)
+        for d in range(1, 9):
+            for target in (GaussianMessageDist.from_diagonal(rng.normal(size=d),
+                                                             rng.uniform(0.3, 3.0, d)),
+                           random_spd_target(rng, d)):
+                problem = SenderProblem(target, float(rng.uniform(0.0, 1.2)))
+                mean, variances = np.zeros(d), np.ones(d)
+                for k in range(1, 6):
+                    _, grad_mean, grad_var = objective_grad_diag(problem, mean, variances)
+                    mean = mean - 0.1 * grad_mean
+                    variances = np.maximum(variances - 0.1 * grad_var, 0.0)
+                    got = aware_optimum_gd(problem, steps=k, learning_rate=0.1)
+                    assert np.array_equal(got.dist.mean, mean)
+                    assert np.array_equal(np.diag(got.dist.cov), variances)
 
 
 class TestFastPathMatchesReference:
@@ -733,9 +777,9 @@ class TestFastPathMatchesReference:
 
 
 class TestBatchedDescent:
-    """``diagonal_sender._diagonal_descent`` at each noise level of a table
-    against ``_reference_diagonal_gd``, and ``aware_optimum_gd``'s one-row
-    diagonal mode against the same oracle on non-diagonal targets."""
+    """``_float_descent`` at each noise level of a table against
+    ``_reference_diagonal_gd``, and ``aware_optimum_gd``'s one-row diagonal
+    mode against the same oracle on non-diagonal targets."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_seeded_rows(self):
@@ -792,14 +836,50 @@ class TestBatchedDescent:
                                  rng.uniform(0.05, 3.0, d).tolist(), noise_vars, steps,
                                  learning_rate)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mean, cov", [
+        ([1e155, -2e154], [[5.263157894736843, -4.736842105263158],
+                           [-4.736842105263158, 5.263157894736843]]),
+        ([-3.780196753222769e155, -1.763522589096585e156],
+         [[3.1453275389842217, 1.5520109791796441], [1.5520109791796441, 1.0609006267098535]]),
+    ], ids=["numpy-inf", "numpy-minus-inf"])
+    def test_quadratic_form_past_the_float_range_is_inf(self, mean, cov):
+        # Products of the mean offset and the precision product overflow to +inf
+        # in one coordinate and -inf in the other. A positive-definite
+        # precision's quadratic form is >= 0, so the KL is +inf; numpy's sum of
+        # the same form reads +inf on the first target, and -inf on the second
+        # for the first steps.
+        problem = SenderProblem(GaussianMessageDist(mean, cov), 0.5)
+        for steps in (1, 3, 50):
+            ref_mean, ref_variances, _ = _reference_diagonal_gd(problem, steps, 0.1)
+            got = aware_optimum_gd(problem, steps, 0.1)
+            assert np.array_equal(got.dist.mean, ref_mean)
+            assert np.array_equal(np.diag(got.dist.cov), ref_variances)
+            assert got.kl == math.inf
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+        learning_rate=st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 50.0)),
+        steps=st.integers(1, 80),
+    )
+    def test_random_dense_targets(self, d, seed, noise, learning_rate, steps):
+        # On a dense target the float loop's mean step reads the whole
+        # precision, through the product aware_optimum_gd hands it.
+        problem = SenderProblem(random_spd_target(np.random.default_rng(seed), d), noise)
+        outcome = assert_one_row_matches_oracle(problem, steps, learning_rate)
+        event("failed" if isinstance(outcome, str) else "returned")
+
 
 def _full_length_descent(target, noise_var, steps, learning_rate):
-    """``diagonal_sender._diagonal_descent`` with its exit at the fixed point
-    switched off: every run takes all ``steps`` steps (or fails)."""
+    """``_float_descent`` with its exit at the fixed point switched off: every
+    run takes all ``steps`` steps (or fails)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(diagonal_sender, "_settled", lambda *iterates: False)
-        return _outcome(diagonal_sender._diagonal_descent, target, noise_var, steps,
-                        learning_rate)
+        return _outcome(_float_descent, target, noise_var, steps, learning_rate)
 
 
 def _hex(values):
@@ -810,17 +890,18 @@ def _numpy_descent(problem, steps, learning_rate):
     """``aware_optimum_gd``'s diagonal mode, or the message of its
     StepSizeError, and the number of post-noise KLs it evaluated: one for the
     start and one per step run."""
-    with mock.patch.object(gaussian_sender, "_sent_kl", wraps=gaussian_sender._sent_kl) as kl:
+    with mock.patch.object(diagonal_sender, "_diagonal_kl",
+                           wraps=diagonal_sender._diagonal_kl) as kl:
         return _outcome(aware_optimum_gd, problem, steps, learning_rate), kl.call_count
 
 
 def assert_numpy_descent_stops_alike(mean, variances, noise, steps, learning_rate):
     """``aware_optimum_gd`` on a diagonal target takes the iterates of
-    ``diagonal_sender._diagonal_descent``, so it stops after the same step,
-    with the same mean and variances, or raises the same error. Returns the
-    float descent's outcome."""
-    got = _outcome(diagonal_sender._diagonal_descent,
-                   diagonal_sender._diagonal_target(mean, variances), noise, steps, learning_rate)
+    ``_float_descent``, so it stops after the same step, with the same mean
+    and variances, or raises the same error. Returns the float descent's
+    outcome."""
+    got = _outcome(_float_descent, diagonal_sender._diagonal_target(mean, variances), noise,
+                   steps, learning_rate)
     problem = SenderProblem(GaussianMessageDist.from_diagonal(mean, variances), noise)
     solution, kls = _numpy_descent(problem, steps, learning_rate)
     if isinstance(got, str):
@@ -843,7 +924,7 @@ class TestFixedPointExit:
         # changing at steps 1, 627, 667 and 736.
         target = diagonal_sender._diagonal_target([0.0, 0.0], [1.0, 1.0])
         noise_vars = [0.0, 0.1, 0.5, 1.0]
-        rows = [diagonal_sender._diagonal_descent(target, noise, 6000, 0.1)
+        rows = [_float_descent(target, noise, 6000, 0.1)
                 for noise in noise_vars]
         assert [row[3] for row in rows] == [1, 627, 667, 736]
         for row, noise in zip(rows, noise_vars):
@@ -853,14 +934,14 @@ class TestFixedPointExit:
 
     def test_steps_stay_the_bound(self):
         target = diagonal_sender._diagonal_target([0.0, 0.0], [1.0, 1.0])
-        assert diagonal_sender._diagonal_descent(target, 1.0, 735, 0.1)[3] == 735
+        assert _float_descent(target, 1.0, 735, 0.1)[3] == 735
 
     def test_mean_settles_after_the_variances(self):
         # With no noise and the target's variances, the variances never move,
         # and from about step 175 the KL reads 0: 0.5 * ((1 + quad) - 1) drops
         # a quad below 1e-16. The mean still moves until step 334.
         target = diagonal_sender._diagonal_target([1.0], [1.0])
-        got = diagonal_sender._diagonal_descent(target, 0.0, 6000, 0.1)
+        got = _float_descent(target, 0.0, 6000, 0.1)
         assert got[2] == 0.0 and got[3] == 334
         assert got[:3] == _full_length_descent(target, 0.0, 6000, 0.1)[:3]
 
@@ -911,8 +992,7 @@ class TestFixedPointExit:
         target = diagonal_sender._diagonal_target(mean, variances)
         dist = GaussianMessageDist.from_diagonal(mean, variances)
         for noise in noise_vars:
-            got = _outcome(diagonal_sender._diagonal_descent, target, noise, steps,
-                           learning_rate)
+            got = _outcome(_float_descent, target, noise, steps, learning_rate)
             full = _full_length_descent(target, noise, steps, learning_rate)
             ref = _outcome(_reference_diagonal_gd, SenderProblem(dist, noise), steps,
                            learning_rate)
@@ -933,12 +1013,12 @@ class TestFixedPointExit:
         # Alone, the rows at noise 0.5 and 1.0 settle at step 3, and the row at
         # noise 0 overflows at step 27 with a NaN KL (inf - inf).
         target = diagonal_sender._diagonal_target([0.0], [0.249])
-        assert [diagonal_sender._diagonal_descent(target, noise, 200, 0.5)[3]
+        assert [_float_descent(target, noise, 200, 0.5)[3]
                 for noise in (0.5, 1.0)] == [3, 3]
         (_, descent), _ = assert_float_table_matches([0.0], [0.249], [0.5, 1.0, 0.0], 200, 0.5)
         assert descent == "a step overflowed the iterate; reduce the learning rate"
         # One step short of the overflow, the row runs every step.
-        assert diagonal_sender._diagonal_descent(target, 0.0, 26, 0.5)[3] == 26
+        assert _float_descent(target, 0.0, 26, 0.5)[3] == 26
         (_, descent), _ = assert_float_table_matches([0.0], [0.249], [0.5, 1.0, 0.0], 26, 0.5)
         assert not isinstance(descent, str)
 
@@ -947,7 +1027,7 @@ class TestFixedPointExit:
         # The row at noise 0 overflows at step 27; the rows at noise 0.5 and
         # 1.0 settle only at steps 1145 and 1161, and the table still fails.
         target = diagonal_sender._diagonal_target([0.0, 0.0], [0.249, 3.0])
-        assert [diagonal_sender._diagonal_descent(target, noise, 3000, 0.5)[3]
+        assert [_float_descent(target, noise, 3000, 0.5)[3]
                 for noise in (0.5, 1.0)] == [1145, 1161]
         for noise_vars in ([0.5, 1.0, 0.0], [0.5, 0.0, 1.0]):
             (_, descent), _ = assert_float_table_matches([0.0, 0.0], [0.249, 3.0], noise_vars,
@@ -1048,7 +1128,7 @@ def _float_table(mean, variances, noise_vars, steps, learning_rate):
         target = diagonal_sender._diagonal_target(mean, variances)
         noise = [diagonal_sender._sender_problem(target.variances, n) for n in noise_vars]
         closed = [diagonal_sender._closed_form_kls(target.variances, n) for n in noise]
-        rows = [diagonal_sender._diagonal_descent(target, n, steps, learning_rate)
+        rows = [_float_descent(target, n, steps, learning_rate)
                 for n in noise]
     except StepSizeError as exc:
         return closed, str(exc)
@@ -1103,9 +1183,9 @@ class TestDiagonalSender:
         ([-1.2, -1.2], [0.3, 0.18], [0.2, 0.8], 300, 0.1),
     ])
     def test_small_tables_are_equal(self, config):
-        # At d <= 2 each sum has one or two terms, which math.fsum adds as numpy
-        # does, and on these tables np.log and math.log agree, so every KL is
-        # equal; reordering a KL's terms changes some of them.
+        # At d <= 2 the target's log-determinant has one or two terms, which
+        # slogdet adds as math.fsum does, so the library's descent KLs are the
+        # float path's too.
         assert_float_table_matches(*config, tol=0.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1420,6 +1500,29 @@ class TestOneCovarianceStore:
         for diagonal, rotated_kl in zip(*kls):
             assert abs(rotated_kl - diagonal) <= 1e-13 * max(1.0, abs(diagonal))
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        variances=st.lists(st.floats(0.3, 3.0), min_size=1, max_size=6),
+        exponent=st.floats(-3.0, 3.0),
+        noise=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_joint_scaling_keeps_the_kls(self, variances, exponent, noise, seed):
+        # The mean times sqrt(s) and the covariance and the noise times s is a
+        # change of units, so both optima keep their KLs.
+        rng = np.random.default_rng(seed)
+        mean = rng.normal(size=len(variances))
+        cov = _symmetric_part(_rotated(rng, np.array(variances)))
+        scale = 10.0 ** exponent
+        kls = []
+        for target, noise_var in ((GaussianMessageDist(mean, cov), noise),
+                                  (GaussianMessageDist(math.sqrt(scale) * mean, scale * cov),
+                                   scale * noise)):
+            problem = SenderProblem(target, noise_var)
+            kls.append((oblivious_optimum(problem).kl, aware_optimum(problem).kl))
+        for kl, scaled in zip(*kls):
+            assert abs(scaled - kl) <= 1e-13 * max(1.0, abs(kl))
+
 
 class TestValidation:
     def test_asymmetric_covariance_rejected(self):
@@ -1479,6 +1582,23 @@ class TestValidation:
             GaussianMessageDist([0.0], [[10**400]])
         with pytest.raises(InvalidParameterError, match="covariance must be numbers"):
             GaussianMessageDist([0.0], [["abc"]])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GaussianMessageDist([[0.0], [1.0]], np.eye(2)),
+         "mean must be a vector, got shape (2, 1)"),
+        (lambda: GaussianMessageDist.from_diagonal([[0.0], [1.0]], [1.0, 1.0]),
+         "mean must be a vector, got shape (2, 1)"),
+        (lambda: GaussianMessageDist.from_diagonal([0.0], 1.0),
+         "variances must be a vector, got shape ()"),
+        (lambda: GaussianMessageDist.from_diagonal([0.0, 0.0], np.eye(2)),
+         "variances must be a vector, got shape (2, 2)"),
+    ], ids=["mean-column", "diagonal-mean-column", "variances-scalar", "variances-matrix"])
+    def test_mean_and_variances_must_be_vectors(self, build, message):
+        # Each was built once, and then raised a bare error in kl_gaussian, the
+        # descent or the sampler, or claimed a covariance shape mismatch.
+        with pytest.raises(InvalidParameterError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_zero_dimension_rejected(self):
         # Used to be accepted, then fail in SenderProblem or kl_gaussian with

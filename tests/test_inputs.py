@@ -199,9 +199,15 @@ _PROBLEM = CASES["aware_optimum"][0]["problem"]
     (lambda: dpcomm.MrsState(("abc",), 0), "savings"),
     (lambda: dpcomm.subsample(5, 0.5, 0), "items"),
     (lambda: dpcomm.subsample(None, 0.5, 0), "items"),
+    (lambda: dpcomm.GaussianMessageDist([[0.0], [1.0]], [[1.0, 0.0], [0.0, 1.0]]), "mean"),
+    (lambda: dpcomm.GaussianMessageDist.from_diagonal([[0.0], [1.0]], [1.0, 1.0]), "mean"),
+    (lambda: dpcomm.GaussianMessageDist.from_diagonal([0.0], 1.0), "variances"),
+    (lambda: dpcomm.GaussianMessageDist.from_diagonal([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+     "variances"),
 ], ids=["clip-huge", "clip-abc", "grad-abc", "grad-huge", "bits-none", "epsilons-scalar",
         "profile-scalar", "cgp-scalar", "savings-scalar", "grid-none", "weights-scalar",
-        "state-scalar", "state-abc", "items-int", "items-none"])
+        "state-scalar", "state-abc", "items-int", "items-none", "mean-column",
+        "diagonal-mean-column", "variances-scalar", "variances-matrix"])
 def test_bare_errors_now_typed(call, name):
     with pytest.raises(InvalidParameterError, match=f"^{name} "):
         call()
