@@ -7,9 +7,10 @@ collaborative game over privacy levels, and a multi-round Markov potential
 game), each verified against analytic or brute-force oracles at desk scale.
 
 The public names below are imported from their submodule on first use
-(PEP 562), so ``import dpcomm`` loads no numpy; the numpy-backed modules
-(``binary_sums``, ``gaussian_sender``, ``mechanisms``, ``rng``) load when one
-of their names is reached.
+(PEP 562), so ``import dpcomm`` loads no numpy. Of the submodules, only
+``gaussian_sender``, whose every name is built on arrays, imports numpy at its
+top; ``binary_sums``, ``mechanisms`` and ``rng`` import it at their first
+computation on arrays.
 """
 
 import importlib

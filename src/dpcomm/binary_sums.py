@@ -15,14 +15,16 @@ and the game sums them, so every entry is an exact integer.
 Each agent's row of a block is drawn by ``mechanisms._rr_row`` from one call
 for raw PCG64 words, with the bits that ``random()`` and ``integers(0, 2)``
 would give; these draws are most of a block's time.
+
+numpy is imported inside ``_message_gram`` and ``run_game``, so importing this
+module, building an instance and taking its ``analytic_outcome`` do not load
+it; the first Monte-Carlo game does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (DegenerateMechanismError, InvalidParameterError, require_count, require_floats,
                      require_iterable, require_seed)
@@ -117,6 +119,8 @@ def _message_gram(instance: BinarySumsInstance, rng_seed: int, block: int, m: in
     zero-padded row of 64-bit words, so entry (i, j) is the popcount of the
     AND of rows i and j; padding bits are 0 in every row and never count.
     """
+    import numpy as np
+
     n = instance.num_agents
     packed = np.zeros((n, -(-m // 64) * 8), dtype=np.uint8)
     for j, (bit, p) in enumerate(zip(instance.bits, instance.flip_probs)):
@@ -153,6 +157,8 @@ def run_game(instance: BinarySumsInstance, trials: int, rng_seed: int,
     and rounded to float64 once, so the constant k_i never enters it and a
     guess that never varies has a standard error of exactly 0.
     """
+    import numpy as np
+
     require_count("trials", trials, 2)
     trials = int(trials)  # a numpy integer would overflow T (T - 1)
     require_count("jobs", jobs, 1)

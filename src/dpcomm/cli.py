@@ -30,8 +30,9 @@ from .errors import CalibrationInfeasibleError, StepSizeError, require_count, re
 from .report import ResultTable, line_plot_svg, provenance_block
 
 # A command imports its own library modules in its body, so each process loads
-# only what its command runs, and only binary-sums loads numpy: sender's targets
-# are all diagonal, so it runs on the numpy-free diagonal_sender.
+# only what its command runs, and only binary-sums loads numpy, at its first
+# Monte-Carlo game: sender's targets are all diagonal, so it runs on the
+# numpy-free diagonal_sender.
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -209,8 +209,12 @@ def _sent_kl(target_inv: np.ndarray, logdet_q: float, diff: np.ndarray,
              sent: np.ndarray) -> float:
     """KL of a message against a checked target, on raw arrays: diff = mu - mu*,
     and ``sent`` is the message's (for a sender, post-noise) dense covariance,
-    factored by one Cholesky. A degenerate message gives +inf."""
-    quad = float(diff @ target_inv @ diff)
+    factored by one Cholesky. A degenerate message gives +inf, and so does a
+    quadratic form that overflows, since a positive-definite form is >= 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = float(diff @ target_inv @ diff)
+    if not math.isfinite(quad):
+        return math.inf
     try:
         chol = np.linalg.cholesky(sent)
     except np.linalg.LinAlgError:
@@ -247,7 +251,9 @@ def objective_grad_diag(problem: SenderProblem, mean: np.ndarray, variances: np.
     grad_mean = target_inv @ diff
     value = _diagonal_kl(target_inv_diag.tolist(), logdet_q,
                          _fsum(map(mul, diff.tolist(), grad_mean.tolist())), sent.tolist())
-    return value, grad_mean, 0.5 * (target_inv_diag - 1.0 / sent)
+    with np.errstate(divide="ignore"):  # a zero variance at noise 0: the KL is +inf
+        grad_variances = 0.5 * (target_inv_diag - 1.0 / sent)
+    return value, grad_mean, grad_variances
 
 
 def aware_optimum_gd(problem: SenderProblem, steps: int = _GD_STEPS,

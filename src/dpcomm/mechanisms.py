@@ -4,18 +4,23 @@ Randomized response for bits, norm clipping plus Gaussian perturbation for
 vector messages, and uniform-without-replacement subsampling. Every
 randomized operation is deterministic given its seed (see ``rng``) and
 accepts an optional ``size`` for vectorized Monte-Carlo draws.
+
+numpy is imported inside the functions that use it, so importing this module,
+building an ``RrMechanism`` and calling ``rr_flip_prob`` do not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (DegenerateMechanismError, InvalidParameterError, require_count,
                      require_float_array, require_float_in, require_index, require_iterable)
 from .rng import substream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,8 @@ def rr_perturb(bit: int, mech: RrMechanism, rng_seed: int, size: int | None = No
     returns that many independent draws as an int64 array, drawn by ``_rr_row``
     from ``substream(rng_seed)``.
     """
+    import numpy as np
+
     bit = _check_bit(bit)
     m = 1 if size is None else require_count("size", size, 0)
     out = _rr_row(substream(rng_seed), bit, mech.flip_prob, m).astype(np.int64)
@@ -118,6 +125,8 @@ def rr_perturb(bit: int, mech: RrMechanism, rng_seed: int, size: int | None = No
 def naive_guess(own_bit: int, received):
     """Trusting receiver: own bit plus the sum of received (noisy) bits; one
     int guess per trial of a trials x others matrix, as for ``aware_guess``."""
+    import numpy as np
+
     own_bit = _check_bit(own_bit)
     guesses = own_bit + _check_bits("received", received).sum(axis=-1).astype(np.int64)
     return int(guesses) if guesses.ndim == 0 else guesses
@@ -162,6 +171,8 @@ def clip(values, clip_norm: float) -> ClippedVector:
     non-finite entry has no place on the ball and is rejected, and so is a
     number or a matrix.
     """
+    import numpy as np
+
     clip_norm = require_float_in("clip_norm", clip_norm, lambda v: 0 < v < math.inf,
                                  "be finite and positive")
     values = require_float_array("values", values)

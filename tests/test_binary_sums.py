@@ -191,6 +191,27 @@ class TestAnalyticOutcome:
             assert out.guesses[i] == pytest.approx(3 - 1 + err + 1 - 1)  # bit sum is 2
             assert out.guesses[i] == pytest.approx(2 + err)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 8),
+        mode=st.sampled_from(["naive", "aware"]),
+    )
+    def test_permuting_agents_permutes_the_outcome(self, data, n, mode):
+        # Agent i's naive bias is a math.fsum over the others, which does not
+        # depend on their order, so relabelling the agents moves each guess and
+        # utility with its agent, bit for bit, and keeps the team reward.
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        epsilons = data.draw(st.lists(st.one_of(st.floats(1e-3, 800.0), st.just(math.inf)),
+                                      min_size=n, max_size=n))
+        order = data.draw(st.permutations(range(n)))
+        out = analytic_outcome(BinarySumsInstance(bits, epsilons, mode))
+        moved = analytic_outcome(BinarySumsInstance([bits[k] for k in order],
+                                                    [epsilons[k] for k in order], mode))
+        assert moved.guesses == tuple(out.guesses[k] for k in order)
+        assert moved.utilities == tuple(out.utilities[k] for k in order)
+        assert moved.team_reward == out.team_reward
+
 
 class TestRunGame:
     def test_infinite_budget_perfect_communication(self):

@@ -891,9 +891,25 @@ def test_config_outputs_unchanged(tmp_path, command, config, files):
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written} == files
 
 
+# Reaches every public name of binary_sums and mechanisms, builds an instance and
+# takes its analytic outcome, then prints whether numpy was loaded.
+_FRESH_LIBRARY = """
+import sys, dpcomm
+for name, module in dpcomm._EXPORTS.items():
+    if module in ("binary_sums", "mechanisms"):
+        getattr(dpcomm, name)
+instance = dpcomm.BinarySumsInstance((1, 0, 1), (1.0, 2.0, float("inf")), "naive")
+dpcomm.analytic_outcome(instance)
+dpcomm.RrMechanism(dpcomm.rr_flip_prob(1.0))
+print("numpy" in sys.modules)
+"""
+
+
 class TestNumpyFreeStart:
-    """Only binary-sums uses a numpy-backed module, so every other command
-    never loads numpy; and each command loads only its own library modules."""
+    """Only a Monte-Carlo game in binary-sums draws with numpy, so every other
+    command never loads it, and neither do the library's binary_sums and
+    mechanisms names until they compute on arrays; and each command loads only
+    its own library modules."""
 
     def test_import_dpcomm_does_not_load_numpy(self):
         assert fresh_python("-c", "import sys, dpcomm; print('numpy' in sys.modules)") == "False"
@@ -901,6 +917,16 @@ class TestNumpyFreeStart:
     def test_import_rng_does_not_load_numpy(self):
         assert fresh_python("-c", "import sys, dpcomm.rng; print('numpy' in sys.modules)") == \
             "False"
+
+    def test_library_names_load_no_numpy(self):
+        assert fresh_python("-c", _FRESH_LIBRARY) == "False"
+
+    def test_rejected_binary_sums_config_loads_no_numpy(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(BINARY_SUMS, epsilons=[-1.0])))
+        last = fresh_python("-c", _FRESH_CLI, "binary-sums", "--config", str(cfg),
+                            "--out", str(tmp_path / "out"))
+        assert last == "False 1"
 
     @pytest.mark.parametrize("command,config", [
         ("calibrate", "calibrate.json"),

@@ -329,6 +329,33 @@ class TestKlGaussian:
                           - d)
             assert kl_gaussian(p, q) == want
 
+    def test_quadratic_form_past_the_float_range_is_inf(self):
+        # A mean offset around 1e152-1e156 overflows diff @ target_inv @ diff,
+        # on some dense targets with terms of both signs, where the bare formula
+        # reads -inf or NaN. A positive-definite form is >= 0, so the KL is +inf;
+        # every KL the bare formula gives finite and >= 0 is kept bit for bit.
+        rng = np.random.default_rng(33)
+        negative_or_nan = 0
+        for _ in range(1000):
+            d = int(rng.integers(2, 5))
+            q = GaussianMessageDist(rng.normal(size=d),
+                                    _symmetric_part(_rotated(rng, 10.0 ** rng.uniform(-1, 1, d))))
+            p = GaussianMessageDist(rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(152, 156, d),
+                                    q.cov)
+            target_inv = np.linalg.inv(q.cov)
+            diff = p.mean - q.mean
+            logdet_p = 2.0 * float(np.log(np.diag(np.linalg.cholesky(p.cov))).sum())
+            with np.errstate(over="ignore", invalid="ignore"):
+                bare = 0.5 * (float(np.linalg.slogdet(q.cov)[1]) - logdet_p
+                              + float(np.sum(target_inv * p.cov))
+                              + float(diff @ target_inv @ diff) - d)
+            if math.isfinite(bare) and bare >= 0.0:
+                assert kl_gaussian(p, q) == bare
+            else:
+                negative_or_nan += not bare >= 0.0
+                assert kl_gaussian(p, q) == math.inf
+        assert negative_or_nan > 0  # the sample holds the case the guard is for
+
     def test_singular_q_rejected(self):
         p = GaussianMessageDist(np.zeros(2), np.eye(2))
         q = GaussianMessageDist(np.zeros(2), np.diag([1.0, 0.0]))
@@ -632,6 +659,13 @@ class TestGradientDescent:
         problem = SenderProblem(target, 0.4)
         sol = aware_optimum_gd(problem, steps=12000, learning_rate=0.05, mode="full")
         assert sol.kl - aware_optimum(problem).kl <= 1e-4
+
+    def test_zero_variance_at_zero_noise_warns_nothing(self):
+        # 1 / sent divides by zero here; the suite makes any warning an error.
+        problem = SenderProblem(GaussianMessageDist.from_diagonal([0.0], [1.0]), 0.0)
+        value, grad_mean, grad_variances = objective_grad_diag(problem, [0.0], [0.0])
+        assert value == math.inf
+        assert grad_mean.tolist() == [0.0] and grad_variances.tolist() == [-math.inf]
 
     def test_divergence_detection(self):
         # nonzero target mean: the mean iterate explodes geometrically
