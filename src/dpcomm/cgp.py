@@ -34,6 +34,7 @@ only on the low-privacy region (the tests' ``check_definitions`` reports this).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -185,7 +186,7 @@ def best_response(instance: CgpInstance, player: int, opponent_p: float,
     optimum; ties break toward the smaller privacy level, and the refined
     point is only accepted when strictly better than the grid optimum.
     """
-    if isinstance(player, bool) or player not in (0, 1):
+    if isinstance(player, bool) or not isinstance(player, numbers.Integral) or player not in (0, 1):
         raise InvalidParameterError("player must be 0 or 1")
     opponent_p = require_float_in("opponent_p", opponent_p, lambda v: 0.0 <= v <= 1.0,
                                   "lie in [0,1]")

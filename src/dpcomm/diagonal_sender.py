@@ -33,7 +33,8 @@ from typing import NamedTuple
 from .errors import (InvalidParameterError, SingularTargetError, StepSizeError, require_count,
                      require_float, require_float_in)
 
-_EIG_FLOOR = -1e-12       # a covariance eigenvalue above this is projected to >= 0
+_EIG_FLOOR = -1e-12       # times max(1, largest eigenvalue): a covariance eigenvalue above
+                          # this is rounding and is projected to >= 0
 _TARGET_MIN_EIG = 1e-9    # smallest eigenvalue of a target covariance
 _EPS = sys.float_info.epsilon
 _GD_STEPS = 5000          # a descent's default step cap
@@ -54,8 +55,11 @@ def _not_finite_error(mean: list, cov: list) -> InvalidParameterError:
         f"mean and covariance must be finite, got mean {mean} and covariance {cov}")
 
 
-def _check_lowest_eigenvalue(lowest: float) -> None:
-    if lowest < _EIG_FLOOR:
+def _check_lowest_eigenvalue(lowest: float, largest: float) -> None:
+    """InvalidParameterError below the floor, which scales with the largest
+    eigenvalue: ``eigh`` rounds a zero eigenvalue of a matrix with entries near
+    s to about s * 1e-16 of either sign."""
+    if lowest < _EIG_FLOOR * max(1.0, largest):
         raise InvalidParameterError(f"covariance has negative eigenvalue {lowest:.3g}")
 
 
@@ -152,7 +156,7 @@ def _diagonal_target(mean, variances) -> _Target:
         cov = [[v if i == j else 0.0 for j in range(len(variances))]
                for i, v in enumerate(variances)]
         raise _not_finite_error(mean, cov)
-    _check_lowest_eigenvalue(min(0.0, *variances))  # eigh's eigenvalues.min(initial=0.0)
+    _check_lowest_eigenvalue(min(0.0, *variances), max(0.0, *variances))  # as _clipped_eigh
     return _Target(mean, [v if v > 0.0 else 0.0 for v in variances])
 
 

@@ -105,7 +105,7 @@ class GaussianMessageDist:
         if np.abs(cov - cov.T).max(initial=0.0) > _SYM_TOL:
             raise InvalidParameterError("covariance must be symmetric")
         lowest, eigvals, eigvecs = _clipped_eigh(cov)
-        _check_lowest_eigenvalue(lowest)
+        _check_lowest_eigenvalue(lowest, eigvals.max(initial=0.0))
         _store(self, mean, eigvals, eigvecs)
 
     @classmethod

@@ -27,6 +27,10 @@ min T_i) from one backward pass per agent, enumerating no joint profile;
 ``best_response_policy`` solves one agent by backward induction, and
 ``find_mpg_nash`` runs sequential best-response sweeps, which on a potential
 game must drive J monotonically upward until a Nash equilibrium is reached.
+
+Every solver reads an agent's spend lattice from one walk, ``_moves``, so all
+of them raise the same InvalidActionError, at the first reachable saving (by
+round, then by key) that affords no spend.
 """
 
 from __future__ import annotations
@@ -159,22 +163,6 @@ class TabularPolicy:
             ) from None
 
 
-def valid_actions(cfg: MrsConfig, saving: float) -> list:
-    """Actions available at a saving level, a key (``_rounded``): spends that
-    do not overdraw, in ascending (spend, privacy) order; InvalidActionError
-    if there is none."""
-    actions = [
-        MrsAction(b, p)
-        for b in cfg.spend_grid
-        if _affordable(saving, b)
-        for p in cfg.privacy_grid
-    ]
-    if not actions:
-        raise InvalidActionError(
-            f"no spend in spend_grid {cfg.spend_grid} is affordable at saving {saving!r}")
-    return actions
-
-
 def _after_spend(saving: float, spend: float) -> float:
     """Key of what an affordable spend leaves, the one place a saving steps; a
     spend up to _SPEND_TOL above the saving leaves 0, not a negative remainder."""
@@ -278,38 +266,47 @@ def potential_value(policies: Sequence[TabularPolicy], cfg: MrsConfig, start: Mr
     return rollout(policies, cfg, start)[1]
 
 
-def reachable_savings(cfg: MrsConfig, agent: int, start: MrsState) -> list:
-    """Per round, the agent's savings reachable under any valid spend path."""
-    agent = require_index("agent", agent, cfg.num_agents)
-    if cfg.horizon <= start.step:
-        return []
-    levels = [{start.savings[agent]}]
-    for _ in range(start.step, cfg.horizon - 1):
-        levels.append({_after_spend(x, b) for x in levels[-1]
-                       for b in cfg.spend_grid if _affordable(x, b)})
-    return [sorted(s) for s in levels]
+def _moves(cfg: MrsConfig, agent: int, start: MrsState) -> list:
+    """The agent's spend lattice, the one walk of it: per round from
+    ``start.step`` to the horizon, each reachable saving key, ascending, mapped
+    to its moves. A move is an affordable action, in ascending (spend, privacy)
+    order, with the key it leaves. InvalidActionError at the first reachable
+    saving, by round and then by key, that affords no spend."""
+    levels = []
+    keys = [start.savings[agent]]
+    for _ in range(start.step, cfg.horizon):
+        level = {}
+        for s in keys:
+            spends = [(b, _after_spend(s, b)) for b in cfg.spend_grid if _affordable(s, b)]
+            if not spends:
+                raise InvalidActionError(
+                    f"no spend in spend_grid {cfg.spend_grid} is affordable at saving {s!r}")
+            level[s] = [(MrsAction(b, p), left) for b, left in spends for p in cfg.privacy_grid]
+        levels.append(level)
+        keys = sorted({left for moves in level.values() for _, left in moves})
+    return levels
 
 
 def policy_space_size(cfg: MrsConfig, start: MrsState) -> int:
     """Number of joint tabular policy profiles of the instance."""
-    return math.prod(len(valid_actions(cfg, s)) for agent in range(cfg.num_agents)
-                     for level in reachable_savings(cfg, agent, start) for s in level)
+    return math.prod(len(moves) for agent in range(cfg.num_agents)
+                     for level in _moves(cfg, agent, start) for moves in level.values())
 
 
 def _team_contribution_range(cfg: MrsConfig, agent: int, start: MrsState) -> tuple:
     """(min, max) of T = sum_t gamma^t (1 - p_t) b_t over the agent's spend paths."""
     after = {}  # saving -> (min, max) of the remaining T one round later; empty past the horizon
-    for savings in reversed(reachable_savings(cfg, agent, start)):
-        level = {}
-        for s in savings:
+    for level in reversed(_moves(cfg, agent, start)):
+        ranges = {}
+        for s, moves in level.items():
             lows, highs = [], []
-            for a in valid_actions(cfg, s):
+            for a, left in moves:
                 own = (1.0 - a.privacy) * a.spend
-                low, high = after[_after_spend(s, a.spend)] if after else (0.0, 0.0)
+                low, high = after[left] if after else (0.0, 0.0)
                 lows.append(own + cfg.discount * low)
                 highs.append(own + cfg.discount * high)
-            level[s] = (min(lows), max(highs))
-        after = level
+            ranges[s] = (min(lows), max(highs))
+        after = ranges
     return after[start.savings[agent]] if after else (0.0, 0.0)
 
 
@@ -341,6 +338,7 @@ def best_response_policy(policies: Sequence[TabularPolicy], agent: int, cfg: Mrs
     team contributions from the others. Ties break toward the smallest
     (spend, privacy) action.
     """
+    agent = require_index("agent", agent, cfg.num_agents)
     team_others = []
     savings = start.savings
     no_spend = MrsAction(0.0, 0.0)  # the agent's own entry: adds nothing to the team sum
@@ -350,16 +348,16 @@ def best_response_policy(policies: Sequence[TabularPolicy], agent: int, cfg: Mrs
         team_others.append(_fsum((1.0 - a.privacy) * a.spend for a in actions))
         savings = _spent(savings, actions)
 
-    levels = reachable_savings(cfg, agent, start)
+    levels = _moves(cfg, agent, start)
     best_actions = {}
     value_next: dict = {}  # optimal values one round later; empty past the horizon
     for offset in reversed(range(len(levels))):
         t = start.step + offset
         level_value = {}
-        for s in levels[offset]:
+        for s, moves in levels[offset].items():
             best_q = -math.inf
             best_a = None
-            for a in valid_actions(cfg, s):
+            for a, left in moves:
                 own = (1.0 - a.privacy) * a.spend
                 q = _fsum((
                     cfg.team_weights[agent] * (own + team_others[offset]),
@@ -367,7 +365,7 @@ def best_response_policy(policies: Sequence[TabularPolicy], agent: int, cfg: Mrs
                     cfg.reward_beta * a.privacy,
                 ))
                 if offset + 1 < len(levels):
-                    q += cfg.discount * value_next[_after_spend(s, a.spend)]
+                    q += cfg.discount * value_next[left]
                 if best_a is None or q > best_q:  # an overflowed q = -inf still picks an action
                     best_q = q
                     best_a = a
@@ -387,15 +385,10 @@ class MpgNashResult:
 
 def lex_min_profile(cfg: MrsConfig, start: MrsState) -> list:
     """Deterministic starting profile: smallest valid action everywhere."""
-    profile = []
-    for agent in range(cfg.num_agents):
-        actions = {}
-        for offset, savings in enumerate(reachable_savings(cfg, agent, start)):
-            t = start.step + offset
-            for s in savings:
-                actions[(s, t)] = valid_actions(cfg, s)[0]
-        profile.append(TabularPolicy(agent, actions))
-    return profile
+    return [TabularPolicy(agent, {(s, t): moves[0][0]
+                                  for t, level in enumerate(_moves(cfg, agent, start), start.step)
+                                  for s, moves in level.items()})
+            for agent in range(cfg.num_agents)]
 
 
 def find_mpg_nash(cfg: MrsConfig, start: MrsState, max_sweeps: int = 20) -> MpgNashResult:

@@ -264,6 +264,19 @@ class TestBestResponse:
     def test_tie_breaks_to_smaller_p(self):
         assert best_response(constant_game(), 0, 0.3) == 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4),
+           x=st.floats(0.0, 1.0), p1=st.floats(0.0, 1.0), p2=st.floats(0.0, 1.0))
+    def test_swapping_the_weights_swaps_the_players(self, weights, x, p1, p2):
+        # Swapping both weight pairs relabels the players, exactly.
+        b1, b2, c1, c2 = weights
+        game = make_binary_sums_cgp((b1, b2), (c1, c2))
+        swapped = make_binary_sums_cgp((b2, b1), (c2, c1))
+        for player in (0, 1):
+            assert best_response(swapped, player, x) == best_response(game, 1 - player, x)
+        u1, u2 = utility(game, StrategyProfile((p1, p2)))
+        assert utility(swapped, StrategyProfile((p2, p1))) == (u2, u1)
+
 
 class TestFindNash:
     def test_from_origin(self):
@@ -424,6 +437,15 @@ class TestStepArguments:
         game = make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0))
         with pytest.raises(InvalidParameterError, match="player"):
             best_response(game, player, 0.2)
+
+    @pytest.mark.parametrize("player", [0.0, 1.0])
+    def test_integral_float_player_rejected(self, player):
+        # 1.0 in (0, 1) holds, so player=1.0 used to index the weights and
+        # raise a bare TypeError.
+        game = make_binary_sums_cgp((2.0, 2.0), (1.0, 1.0))
+        with pytest.raises(InvalidParameterError, match="^player must be 0 or 1$"):
+            best_response(game, player, 0.2)
+        assert best_response(game, np.int64(1), 0.2) == best_response(game, 1, 0.2)
 
     @pytest.mark.parametrize("opponent", [-0.1, 1.5, math.nan, 10**400],
                              ids=["negative", "above-1", "nan", "huge"])

@@ -60,7 +60,8 @@ def _reference_gaussian_dist(mean, cov):
     """The ``GaussianMessageDist`` constructor before it kept its eigh, as an
     oracle: the checks and the stored (mean, covariance), or
     InvalidParameterError. ``allclose`` tests symmetry, ``eigvalsh`` the
-    eigenvalue floor, and a second ``eigh`` projects onto the PSD cone; the
+    eigenvalue floor (-1e-12 times the largest eigenvalue, at least 1), and a
+    second ``eigh`` projects onto the PSD cone; the
     projection is stored by its symmetric part, as the library stores it."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.asarray(cov, dtype=float)
@@ -72,7 +73,7 @@ def _reference_gaussian_dist(mean, cov):
         raise InvalidParameterError("covariance must be symmetric")
     sym = (cov + cov.T) / 2.0
     eigvals = np.linalg.eigvalsh(sym)
-    if eigvals.min(initial=0.0) < -1e-12:
+    if eigvals.min(initial=0.0) < -1e-12 * max(1.0, eigvals.max(initial=0.0)):
         raise InvalidParameterError(f"covariance has negative eigenvalue {eigvals.min():.3g}")
     eigvals, eigvecs = np.linalg.eigh(sym)
     return _RefDist(mean, _symmetric_part((eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T))
@@ -383,7 +384,8 @@ def _stored_cov(build, mean, cov):
 
 
 def _near_eig_floor(cov):
-    """Whether the smallest eigenvalue is within rounding of the -1e-12 floor.
+    """Whether the smallest eigenvalue is within rounding of the floor,
+    -1e-12 times the largest eigenvalue (at least 1).
 
     ``eigvalsh`` and ``eigh`` of one matrix can return smallest eigenvalues a
     few ulps apart (up to 2e-15 at norm 3 over 3000 random matrices), so the
@@ -393,7 +395,7 @@ def _near_eig_floor(cov):
     """
     eigvals = np.linalg.eigvalsh((cov + cov.T) / 2.0)
     margin = 64 * np.finfo(float).eps * max(1.0, np.abs(eigvals).max())
-    return abs(eigvals.min() + 1e-12) <= margin
+    return abs(eigvals.min() + 1e-12 * max(1.0, eigvals.max())) <= margin
 
 
 def _rotated(rng, eigvals):
@@ -430,7 +432,8 @@ class TestReferenceOracles:
         for _ in range(300):
             d = int(rng.integers(1, 9))
             eigvals = rng.uniform(0.1, 3.0, d)
-            eigvals[0] = -1e-12 * rng.choice([1.0, 1.0 + 1e-3, 1.0 - 1e-3, 0.5, 2.0, 0.0])
+            floor = -1e-12 * max(1.0, eigvals[1:].max(initial=0.0))
+            eigvals[0] = floor * rng.choice([1.0, 1.0 + 1e-3, 1.0 - 1e-3, 0.5, 2.0, 0.0])
             for cov in (_rotated(rng, eigvals), np.diag(eigvals)):
                 if not self.assert_same_constructor(np.zeros(d), cov):
                     verdicts.add(_stored_cov(GaussianMessageDist, np.zeros(d), cov) is None)
@@ -1488,6 +1491,23 @@ class TestOneCovarianceStore:
             rewrapped = GaussianMessageDist(target.mean, target.cov)
             assert np.array_equal(rewrapped.cov, rewrapped.cov.T)
 
+    @pytest.mark.parametrize("low,high", [(1e4, 1e5), (1e6, 1e7), (1e12, 1e13)])
+    def test_rank_deficient_optima_rewrap(self, low, high):
+        # The noise sits inside the spectrum, so the aware optimum zeroes some
+        # eigenvalues, which eigh rounds to about high * 1e-16 of either sign.
+        # Against an absolute floor of -1e-12, 88, 135 and 130 of these 200
+        # re-wraps raised "covariance has negative eigenvalue".
+        for target in _large_targets(int(low) % 2**32, low, high):
+            aware = aware_optimum(SenderProblem(target, (low + high) / 2)).dist
+            rewrapped = GaussianMessageDist(aware.mean, aware.cov)
+            assert np.array_equal(rewrapped.mean, aware.mean)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lowest=st.floats(-1e-12, 0.0), largest=st.floats(-1e300, 1e300))
+    def test_the_floor_only_widens(self, lowest, largest):
+        # Every smallest eigenvalue the absolute floor of -1e-12 accepted is accepted.
+        diagonal_sender._check_lowest_eigenvalue(lowest, largest)
+
     def test_every_path_stores_a_symmetric_covariance(self):
         rng = np.random.default_rng(47)
         for _ in range(60):
@@ -1521,7 +1541,8 @@ class TestOneCovarianceStore:
     def test_rotation_keeps_the_kls(self, variances, exponent, noise, seed):
         # A diagonal target and the same target rotated by a random orthogonal
         # Q have one spectrum, so both optima have the same KL. Rotated targets
-        # at large scales used to make aware_optimum raise.
+        # at large scales used to make aware_optimum raise, and re-wrapping a
+        # rank-deficient aware optimum failed the eigenvalue floor.
         scale = 10.0 ** exponent
         eigvals = scale * np.array(variances)
         mean = np.zeros(eigvals.size)
@@ -1530,7 +1551,9 @@ class TestOneCovarianceStore:
         for target in (GaussianMessageDist.from_diagonal(mean, eigvals),
                        GaussianMessageDist(mean, rotated)):
             problem = SenderProblem(target, scale * noise)
-            kls.append((oblivious_optimum(problem).kl, aware_optimum(problem).kl))
+            aware = aware_optimum(problem)
+            GaussianMessageDist(aware.dist.mean, aware.dist.cov)  # re-wraps without error
+            kls.append((oblivious_optimum(problem).kl, aware.kl))
         for diagonal, rotated_kl in zip(*kls):
             assert abs(rotated_kl - diagonal) <= 1e-13 * max(1.0, abs(diagonal))
 

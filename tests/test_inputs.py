@@ -22,9 +22,9 @@ from dpcomm.gaussian_sender import objective_grad_diag
 
 #: The junk values: non-numbers, a numeric string, a one-item list, the
 #: non-finite floats, signs and zero, a bool, an integer beyond the float
-#: range, a fraction and a subnormal.
+#: range, a fraction, a subnormal and the integral floats 0.0 and 1.0.
 JUNK = (None, "abc", "1.0", [1.0], math.nan, math.inf, -math.inf, -1, 0, True, 10**400, 2.5,
-        1e-320)
+        1e-320, 0.0, 1.0)
 
 TYPED = tuple(obj for obj in vars(errors).values()
               if isinstance(obj, type) and issubclass(obj, Exception)

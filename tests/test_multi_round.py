@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,14 +25,46 @@ from dpcomm import (
     transition,
     verify_mpg,
 )
+from dpcomm.errors import require_index
 from dpcomm.multi_round import (
+    _affordable,
+    _after_spend,
+    _moves,
     _rounded,
     lex_min_profile,
     policy_space_size,
-    reachable_savings,
     rollout,
-    valid_actions,
 )
+
+
+# The lattice walks the library used before ``_moves`` derived the lattice
+# once, kept as the oracle of ``_moves`` and of the brute-force enumeration.
+def valid_actions(cfg: MrsConfig, saving: float) -> list:
+    """Actions available at a saving level, a key (``_rounded``): spends that
+    do not overdraw, in ascending (spend, privacy) order; InvalidActionError
+    if there is none."""
+    actions = [
+        MrsAction(b, p)
+        for b in cfg.spend_grid
+        if _affordable(saving, b)
+        for p in cfg.privacy_grid
+    ]
+    if not actions:
+        raise InvalidActionError(
+            f"no spend in spend_grid {cfg.spend_grid} is affordable at saving {saving!r}")
+    return actions
+
+
+def reachable_savings(cfg: MrsConfig, agent: int, start: MrsState) -> list:
+    """Per round, the agent's savings reachable under any valid spend path."""
+    agent = require_index("agent", agent, cfg.num_agents)
+    if cfg.horizon <= start.step:
+        return []
+    levels = [{start.savings[agent]}]
+    for _ in range(start.step, cfg.horizon - 1):
+        levels.append({_after_spend(x, b) for x in levels[-1]
+                       for b in cfg.spend_grid if _affordable(x, b)})
+    return [sorted(s) for s in levels]
 
 
 # The brute-force code the library used before verify_mpg was factored and
@@ -163,7 +197,7 @@ class TestRewardAndPotential:
     def test_theta_ignores_own_action_and_saving(self):
         cfg = small_config()
         base = theta(STATE, ACTIONS, 0, cfg)
-        for own in valid_actions(cfg, 2.0):
+        for own, _ in _moves(cfg, 0, STATE)[0][2.0]:
             assert theta(STATE, [own, ACTIONS[1]], 0, cfg) == base
         moved = MrsState((0.5, 2.0), 0)
         assert theta(moved, ACTIONS, 0, cfg) == base
@@ -248,7 +282,7 @@ class TestMpgProperty:
         for i in range(2):
             for pi in policies[i]:
                 for key in pi.actions:
-                    for alt in valid_actions(cfg, key[0]):
+                    for alt, _ in _moves(cfg, i, start)[key[1]][key[0]]:
                         if alt == pi.actions[key]:
                             continue
                         pj = policies[1 - i][17 % len(policies[1 - i])]
@@ -410,7 +444,8 @@ class TestSpendTolerance:
 
     def test_remainder_is_zero(self):
         cfg = MrsConfig(**self.CFG)
-        assert reachable_savings(cfg, 0, cfg.start_state()) == [[1.0], [0.0, 1.0], [0.0, 1.0]]
+        assert [list(level) for level in _moves(cfg, 0, cfg.start_state())] == [
+            [1.0], [0.0, 1.0], [0.0, 1.0]]
         after = transition(cfg.start_state(), [MrsAction(1.0000000005, 0.0), MrsAction(0.0, 0.0)])
         assert after.savings == (0.0, 1.0)
 
@@ -430,9 +465,9 @@ _AMOUNTS = st.one_of(st.integers(0, 10**11).map(lambda n: n / 10**10), st.floats
 
 
 class TestAffordability:
-    # The lattice and valid_actions judge a spend on the saving's 9-decimal
-    # key; transition used to judge it on the raw saving, so the spend 0.3
-    # offered at the key 0.299999999 was rejected from 0.29999999899999974.
+    # The lattice judges a spend on the saving's 9-decimal key; transition
+    # used to judge it on the raw saving, so the spend 0.3 offered at the key
+    # 0.299999999 was rejected from 0.29999999899999974.
     @settings(max_examples=500, deadline=None)
     @given(saving=_AMOUNTS, other=_AMOUNTS, near=st.booleans(), offset=st.integers(-30, 30))
     @example(saving=3.3 - 1.0000000005 - 1.0000000005 - 1.0, other=0.3, near=False, offset=0)
@@ -440,7 +475,8 @@ class TestAffordability:
         # The spend is within 30 steps of 1e-10 of the saving, or of any amount.
         spend = max((saving if near else other) + offset * 1e-10, 0.0)
         cfg = MrsConfig(1, 1, 1.0, 0.0, 0.0, (saving,), (0.0, spend), (0.0,))
-        offered = spend in {a.spend for a in valid_actions(cfg, _rounded(saving))}
+        (level,) = _moves(cfg, 0, MrsState((_rounded(saving),), 0))  # one round from the key
+        offered = spend in {a.spend for moves in level.values() for a, _ in moves}
         try:
             transition(MrsState((saving,), 0), [MrsAction(spend, 0.0)])
         except InvalidActionError:
@@ -486,8 +522,10 @@ class TestKeyLattice:
         cfg = MrsConfig(len(savings), horizon, 1.0, alpha, beta, tuple(savings),
                         (0.0, *spends), privacy)
         start = cfg.start_state()
-        levels = [reachable_savings(cfg, agent, start) for agent in range(cfg.num_agents)]
+        levels = [_moves(cfg, agent, start) for agent in range(cfg.num_agents)]
         assert all(_rounded(x) == x for agent in levels for level in agent for x in level)
+        assert all(_rounded(left) == left for agent in levels for level in agent
+                   for moves in level.values() for _, left in moves)
         result = find_mpg_nash(cfg, start)
         seen = []
         rollout([_Recording(policy, seen) for policy in result.policies], cfg, start)
@@ -509,7 +547,91 @@ class TestKeyLattice:
             TabularPolicy(0, {}).action_at(0.9999999995, 1)
         cfg = MrsConfig(1, 1, 1.0, 0.0, 0.0, (0.299999999,), (0.3000000005,), (0.0,))
         with pytest.raises(InvalidActionError, match=r"affordable at saving 0\.299999999$"):
-            valid_actions(cfg, 0.299999999)
+            _moves(cfg, 0, cfg.start_state())
+
+
+def _oracle_moves(cfg, agent, start):
+    """What ``_moves`` returns, from the walks it replaced."""
+    return [{s: [(a, _after_spend(s, a.spend)) for a in valid_actions(cfg, s)] for s in level}
+            for level in reachable_savings(cfg, agent, start)]
+
+
+class TestMoves:
+    # The one lattice walk against the two it replaced: the same keys per
+    # round, ascending; the same actions, in order, each with the key it
+    # leaves; and the same error at the first saving, by round and then by
+    # key, that affords no spend.
+    @settings(max_examples=300, deadline=None)
+    @given(savings=st.lists(_SWEEP_AMOUNTS, min_size=1, max_size=2),
+           spends=st.lists(_SWEEP_AMOUNTS, min_size=1, max_size=3), zero=st.booleans(),
+           privacy=st.sampled_from(((0.5,), (0.0, 1.0))), horizon=st.integers(0, 4),
+           step=st.integers(0, 4))
+    # Two rounds hold a saving with no affordable spend: 0.0 in round 1 and
+    # 0.499999998 in round 2. The error names the first.
+    @example(savings=[2.5], spends=[3.0, 1.0000000005, 2.5], zero=False, privacy=(0.0, 1.0),
+             horizon=3, step=0)
+    def test_matches_the_oracle(self, savings, spends, zero, privacy, horizon, step):
+        grid = (0.0, *spends) if zero else tuple(spends)
+        cfg = MrsConfig(len(savings), horizon, 1.0, 0.0, 0.0, tuple(savings), grid, privacy)
+        start = MrsState(cfg.initial_savings, step)
+        for agent in range(cfg.num_agents):
+            try:
+                want = _oracle_moves(cfg, agent, start)
+            except InvalidActionError as exc:
+                with pytest.raises(InvalidActionError, match=f"^{re.escape(str(exc))}$"):
+                    _moves(cfg, agent, start)
+            else:
+                got = _moves(cfg, agent, start)
+                assert [list(level.items()) for level in got] == \
+                    [list(level.items()) for level in want]
+
+    def test_every_solver_names_the_first_unaffordable_saving(self):
+        # verify_mpg and best_response_policy used to walk their own lattice
+        # backwards and name 0.499999998 here, where find_mpg_nash named 0.0.
+        cfg = MrsConfig(1, 3, 1.0, 0.0, 0.0, (2.5,), (3.0, 1.0000000005, 2.5), (0.0, 1.0))
+        start = cfg.start_state()
+        for call in (lambda: verify_mpg(cfg, start), lambda: find_mpg_nash(cfg, start),
+                     lambda: best_response_policy([TabularPolicy(0)], 0, cfg, start),
+                     lambda: policy_space_size(cfg, start)):
+            with pytest.raises(InvalidActionError, match=r"affordable at saving 0\.0$"):
+                call()
+
+
+class TestAgentPermutation:
+    # Relabelling the agents (their savings, team weights and policies)
+    # relabels each agent's value and keeps the potential and verify_mpg's
+    # verdict, all exactly: every sum is a math.fsum, which ignores order.
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3), order=st.permutations(range(3)), horizon=st.integers(0, 3),
+           discount=st.sampled_from([1.0, 0.9, 0.5]),
+           savings=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1.0000000005]),
+                            min_size=3, max_size=3),
+           spends=st.sets(st.sampled_from([0.5, 1.0, 2.0, 0.1 + 0.2]), max_size=2),
+           privacy=st.sets(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=2),
+           weights=st.lists(st.sampled_from([1.0, 1.0, 0.5, 2.0, 1.1]), min_size=3, max_size=3),
+           alpha=st.sampled_from([0.0, 0.1, -0.3]), beta=st.sampled_from([0.0, 0.2, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_permuting_agents_permutes_the_values(self, n, order, horizon, discount, savings,
+                                                  spends, privacy, weights, alpha, beta, seed):
+        perm = [j for j in order if j < n]  # agent k of the permuted game is agent perm[k]
+        games = [MrsConfig(n, horizon, discount, alpha, beta, tuple(savings[j] for j in agents),
+                           (0.0, *spends), tuple(privacy), tuple(weights[j] for j in agents))
+                 for agents in (range(n), perm)]
+        cfg, permuted = games
+        start = cfg.start_state()
+        rng = random.Random(seed)
+        policies = [TabularPolicy(agent, {(s, t): rng.choice(moves)[0]
+                                          for t, level in enumerate(_moves(cfg, agent, start))
+                                          for s, moves in level.items()})
+                    for agent in range(n)]
+        relabelled = [TabularPolicy(k, policies[j].actions) for k, j in enumerate(perm)]
+        permuted_start = permuted.start_state()
+        for k, j in enumerate(perm):
+            assert policy_value(relabelled, k, permuted, permuted_start) == \
+                policy_value(policies, j, cfg, start)
+        assert potential_value(relabelled, permuted, permuted_start) == \
+            potential_value(policies, cfg, start)
+        assert verify_mpg(permuted, permuted_start) == verify_mpg(cfg, start)
 
 
 class TestBestResponse:
@@ -662,7 +784,7 @@ class TestValidation:
     # theta summed over every agent for an index it did not hold.
     @pytest.mark.parametrize("agent", [2, -1, True, 0.5, "0", None, 10**400])
     @pytest.mark.parametrize("entry", ["step_reward", "theta", "policy_value",
-                                       "reachable_savings", "best_response_policy"])
+                                       "best_response_policy"])
     def test_agent_index_checked(self, entry, agent):
         cfg = small_config()
         start = cfg.start_state()
@@ -670,7 +792,6 @@ class TestValidation:
             "step_reward": lambda: step_reward(STATE, ACTIONS, agent, cfg),
             "theta": lambda: theta(STATE, ACTIONS, agent, cfg),
             "policy_value": lambda: policy_value(lex_min_profile(cfg, start), agent, cfg, start),
-            "reachable_savings": lambda: reachable_savings(cfg, agent, start),
             "best_response_policy": lambda: best_response_policy(lex_min_profile(cfg, start),
                                                                  agent, cfg, start),
         }
@@ -734,6 +855,6 @@ class TestValidation:
 
     def test_masked_actions_at_zero_saving(self):
         cfg = small_config()
-        acts = valid_actions(cfg, 0.0)
+        acts = [a for a, _ in _moves(cfg, 0, MrsState((0.0, 2.0), 0))[0][0.0]]
         assert all(a.spend == 0.0 for a in acts)
         assert len(acts) == len(cfg.privacy_grid)
